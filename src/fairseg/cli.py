@@ -85,17 +85,6 @@ def _verdict(ok):
     return word
 
 
-def _apply_threads(n):
-    if n is None:
-        return
-    if n < 1:
-        raise ConfigError("--threads must be >= 1")
-    # Computation here is single-threaded NumPy; this caps any BLAS pools
-    # in spawned children and is recorded for reproducibility.
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(n)
-
-
 # ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------
@@ -534,11 +523,6 @@ def build_parser():
             "benchmarks."
         ),
     )
-    parser.add_argument(
-        "--threads", type=int, default=None,
-        help="cap worker/BLAS thread counts (best effort; compute is "
-             "single-threaded)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a benchmark dataset")
@@ -601,7 +585,6 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_threads(args.threads)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

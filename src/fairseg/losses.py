@@ -2,9 +2,12 @@
 
 Every loss returns a GradSlot whose gradients flow to the model's forward
 outputs: "logits" for the cross-entropy and consistency terms, "features"
-for the clustering and distillation terms.  All losses are means over
-contributing pixels (or neighbor pairs for the consistency term) so their
-scale is independent of image size.  Prototypes are constants here; they
+for the clustering and distillation terms.  Inputs are one image, (H, W, C)
+or (N, C), or a batch of equal-size images, (B, H, W, C).  Per image, a loss
+is the mean over that image's contributing pixels (or neighbor pairs for the
+consistency term), so its scale is independent of image size; a batch's
+value is the sum of its images' values, and each image's gradient slice is
+the one that image alone would get.  Prototypes are constants here; they
 are updated only by the momentum schedule in the prototypes module.
 """
 
@@ -17,8 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, LabelError
 from .numerics import GradSlot, log_softmax
-
-IGNORE_ID = 65535
+from .synthdata import IGNORE_ID
 
 
 @dataclass
@@ -97,14 +99,14 @@ class LossWeights:
 
 
 def _flatten_pixels(arr, what, channels=None):
+    """(B, N, C) float64 view of a batch (B, H, W, C) or one image (H, W, C) / (N, C)."""
     arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim == 3:
-        arr = arr.reshape(-1, arr.shape[2])
-    if arr.ndim != 2:
-        raise DimensionError(f"{what} must be (H, W, C) or (N, C)")
-    if channels is not None and arr.shape[1] != channels:
-        raise DimensionError(f"{what} has {arr.shape[1]} channels, expected {channels}")
-    return arr
+    if arr.ndim not in (2, 3, 4):
+        raise DimensionError(f"{what} must be (B, H, W, C), (H, W, C) or (N, C)")
+    if channels is not None and arr.shape[-1] != channels:
+        raise DimensionError(f"{what} has {arr.shape[-1]} channels, expected {channels}")
+    batch = arr.shape[0] if arr.ndim == 4 else 1
+    return arr.reshape(batch, -1, arr.shape[-1])
 
 
 def weighted_ce(logits, labels, mask, row_weights=None):
@@ -112,18 +114,18 @@ def weighted_ce(logits, labels, mask, row_weights=None):
 
     ``labels`` holds head-row indices; ``mask`` selects supervised pixels;
     ``row_weights`` is a per-row weight vector (None = plain CE).  The
-    gradient flows to the logits.  Returns zero loss when nothing is
-    supervised.
+    gradient flows to the logits.  An image with nothing supervised
+    contributes zero loss.
     """
     shape = np.asarray(logits).shape
     z = _flatten_pixels(logits, "logits")
-    n, k = z.shape
+    b, n, k = z.shape
     y = np.asarray(labels).reshape(-1)
     m = np.asarray(mask, dtype=bool).reshape(-1)
-    if y.shape[0] != n or m.shape[0] != n:
+    if y.size != b * n or m.size != b * n:
         raise DimensionError("labels/mask size does not match logits")
     sel = np.flatnonzero(m)
-    grad = np.zeros_like(z)
+    grad = np.zeros((b * n, k))
     if sel.size == 0:
         return GradSlot(value=0.0, grads={"logits": grad.reshape(shape)})
     ys = y[sel].astype(np.int64)
@@ -138,12 +140,15 @@ def weighted_ce(logits, labels, mask, row_weights=None):
         if row_weights.shape != (k,):
             raise DimensionError(f"row_weights must have shape ({k},)")
         w = row_weights[ys]
-    logp = log_softmax(z[sel], axis=1)
-    value = float(np.mean(-w * logp[np.arange(sel.size), ys]))
+    logp = log_softmax(z.reshape(-1, k)[sel], axis=1)
+    image = sel // n  # image of each supervised pixel
+    counts = np.bincount(image, minlength=b)
+    sums = np.bincount(image, weights=-w * logp[np.arange(sel.size), ys], minlength=b)
+    value = float(np.sum(sums / np.maximum(counts, 1)))
     p = np.exp(logp)
     g = p * w[:, None]
     g[np.arange(sel.size), ys] -= w
-    grad[sel] = g / sel.size
+    grad[sel] = g / counts[image, None]
     return GradSlot(value=value, grads={"logits": grad.reshape(shape)})
 
 
@@ -171,26 +176,28 @@ def cluster_loss(features, labels, protos, cfg, counters=None):
     flow to the features; prototypes stay constant.
     """
     shape = np.asarray(features).shape
-    f = _flatten_pixels(features, "features", channels=protos.feature_dim)
+    fb = _flatten_pixels(features, "features", channels=protos.feature_dim)
+    b, n, d = fb.shape
+    f = fb.reshape(b * n, d)
     y = np.asarray(labels).reshape(-1)
-    if y.shape[0] != f.shape[0]:
+    if y.size != b * n:
         raise DimensionError("labels size does not match features")
     grad = np.zeros_like(f)
     live = y != IGNORE_ID
-    n_live = int(np.count_nonzero(live))
+    n_live = np.count_nonzero(live.reshape(b, n), axis=1)
     if counters is not None:
         counters.setdefault("cluster_skipped_pixels", 0)
-    if n_live == 0:
+    if not live.any():
         return GradSlot(value=0.0, grads={"features": grad.reshape(shape)})
     init_ids = protos.initialized_ids()
     if not init_ids:
         if counters is not None:
-            counters["cluster_skipped_pixels"] += n_live
+            counters["cluster_skipped_pixels"] += int(n_live.sum())
         return GradSlot(value=0.0, grads={"features": grad.reshape(shape)})
     if counters is not None:
         uninit = live & ~np.isin(y, np.array(init_ids, dtype=y.dtype))
         counters["cluster_skipped_pixels"] += int(np.count_nonzero(uninit))
-    value = 0.0
+    loss = np.zeros(b * n)  # per pixel
     delta = cfg.margin
     for cid in init_ids:
         p = protos.vector(cid)
@@ -199,16 +206,17 @@ def cluster_loss(features, labels, protos, cfg, counters=None):
         match = live & (y == cid)
         other = live & (y != cid)
         if match.any():
-            value += float(np.sum(dist[match]))
+            loss[match] += dist[match]
             nz = match & (dist > 0)
             grad[nz] += diff[nz] / dist[nz, None]
         if other.any():
             active = other & (dist < delta)
-            value += float(np.sum(delta - dist[active]))
+            loss[active] += delta - dist[active]
             nz = active & (dist > 0)
             grad[nz] -= diff[nz] / dist[nz, None]
-    value /= n_live
-    grad /= n_live
+    n_live = np.maximum(n_live, 1)
+    value = float(np.sum(loss.reshape(b, n).sum(axis=1) / n_live))
+    grad = grad.reshape(b, n, d) / n_live[:, None, None]
     return GradSlot(value=value, grads={"features": grad.reshape(shape)})
 
 
@@ -239,12 +247,17 @@ def cons_loss(image, probs, cfg):
     cfg.validate()
     img = np.asarray(image, dtype=np.float64)
     pr = np.asarray(probs, dtype=np.float64)
-    if img.ndim != 3 or pr.ndim != 3 or img.shape[:2] != pr.shape[:2]:
-        raise DimensionError("image and probs must be (H, W, C) with equal H, W")
-    h, w = img.shape[:2]
+    if img.ndim not in (3, 4) or pr.ndim != img.ndim or img.shape[:-1] != pr.shape[:-1]:
+        raise DimensionError(
+            "image and probs must be (B, H, W, C) or (H, W, C) with equal B, H, W"
+        )
+    shape = pr.shape
+    if img.ndim == 3:
+        img, pr = img[None], pr[None]
+    h, w = pr.shape[1:3]
     dprobs = np.zeros_like(pr)
-    value = 0.0
-    n_pairs = 0
+    values = np.zeros(pr.shape[0])
+    n_pairs = 0  # per image
     two_s1 = 2.0 * cfg.sigma_color**2
     two_s2 = 2.0 * cfg.sigma_pred**2
     for dr, dc in _window_offsets(cfg.window):
@@ -252,29 +265,30 @@ def cons_loss(image, probs, cfg):
         c0, c1 = max(0, -dc), min(w, w - dc)
         if r0 >= r1 or c0 >= c1:
             continue
-        a = (slice(r0, r1), slice(c0, c1))
-        b = (slice(r0 + dr, r1 + dr), slice(c0 + dc, c1 + dc))
+        a = (slice(None), slice(r0, r1), slice(c0, c1))
+        b = (slice(None), slice(r0 + dr, r1 + dr), slice(c0 + dc, c1 + dc))
         color2 = np.sum((img[a] - img[b]) ** 2, axis=-1)
         affinity = np.exp(-color2 / two_s1)
         pdiff = pr[a] - pr[b]
-        n_pairs += affinity.size
+        n_pairs += affinity[0].size
         if cfg.form == "smooth":
             pdiff2 = np.sum(pdiff**2, axis=-1)
-            value += float(np.sum(affinity * pdiff2))
+            values += np.sum(affinity * pdiff2, axis=(1, 2))
             contrib = 2.0 * affinity[..., None] * pdiff
             dprobs[a] += contrib
             dprobs[b] -= contrib
         else:
             kern = np.exp(-color2 / two_s1 - np.sum(pdiff**2, axis=-1) / two_s2)
-            value += float(np.sum(kern))
+            values += np.sum(kern, axis=(1, 2))
             contrib = -kern[..., None] * pdiff / cfg.sigma_pred**2
             dprobs[a] += contrib
             dprobs[b] -= contrib
+    dprobs = dprobs.reshape(shape)
     if n_pairs == 0:
         return GradSlot(value=0.0, grads={"probs": dprobs, "logits": dprobs.copy()})
-    value /= n_pairs
     dprobs /= n_pairs
-    dlogits = _probs_to_logits_grad(pr, dprobs)
+    dlogits = _probs_to_logits_grad(pr.reshape(shape), dprobs)
+    value = float(np.sum(values / n_pairs))
     return GradSlot(value=value, grads={"probs": dprobs, "logits": dlogits})
 
 
@@ -288,9 +302,9 @@ def distill_loss(features_now, features_prev):
             f"feature shapes differ: {fn.shape} vs {fp.shape}"
         )
     diff = fn - fp
-    dist = np.sqrt(np.sum(diff**2, axis=1))
-    n = fn.shape[0]
-    value = float(np.mean(dist))
+    dist = np.sqrt(np.sum(diff**2, axis=2))
+    n = fn.shape[1]
+    value = float(np.sum(np.mean(dist, axis=1)))
     grad = np.zeros_like(fn)
     nz = dist > 0
     grad[nz] = diff[nz] / (dist[nz, None] * n)
@@ -313,8 +327,9 @@ class Prop1Report:
 
 def verify_proposition1(features_now, features_prev, protos, tolerance=1e-9):
     """Check lhs = ||f_t - f_prev|| <= rhs = mean_c [||f_t - p_c|| + ||p_c - f_prev||]."""
-    fn = _flatten_pixels(features_now, "features_now", channels=protos.feature_dim)
-    fp = _flatten_pixels(features_prev, "features_prev", channels=protos.feature_dim)
+    d = protos.feature_dim
+    fn = _flatten_pixels(features_now, "features_now", channels=d).reshape(-1, d)
+    fp = _flatten_pixels(features_prev, "features_prev", channels=d).reshape(-1, d)
     if fn.shape != fp.shape:
         raise DimensionError("feature shapes differ")
     ids, matrix = protos.initialized_matrix()

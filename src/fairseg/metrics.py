@@ -45,12 +45,6 @@ class ConfusionMatrix:
         np.add.at(self.matrix, (ref, pred), 1)
         return self
 
-    def merge(self, other):
-        if other.num_labels != self.num_labels:
-            raise DimensionError("matrix sizes differ")
-        self.matrix += other.matrix
-        return self
-
     def total(self):
         return int(self.matrix.sum())
 

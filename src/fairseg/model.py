@@ -9,13 +9,13 @@ Forward and backward are exact analytic numpy; there is no autodiff graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, FormatError
-from .numerics import RNG_ALGORITHM_ID, GradSlot, Rng, softmax
+from .numerics import RNG_ALGORITHM_ID, Rng, softmax
 from .prototypes import FeatureBank, PrototypeBank, ProtoEntry
 
 CHECKPOINT_MAGIC = b"FCLK"
@@ -41,15 +41,6 @@ class ModelParams:
             out.extend(step)
         return tuple(out)
 
-    def row_of(self, class_id):
-        """Head row for a class id; background/unknown is row 0."""
-        if class_id == 0:
-            return 0
-        for i, cid in enumerate(self.known_classes):
-            if cid == class_id:
-                return 1 + i
-        raise DimensionError(f"class {class_id} not registered")
-
     def row_map(self):
         rows = {0: 0}
         for i, cid in enumerate(self.known_classes):
@@ -70,16 +61,12 @@ class ModelParams:
             class_steps=self.class_steps,
         )
 
-    def block_shapes(self):
-        return {k: v.shape for k, v in self.blocks.items()}
-
 
 @dataclass
 class Prediction:
     features: np.ndarray  # (H, W, D)
     logits: np.ndarray  # (H, W, K)
     probs: np.ndarray  # (H, W, K)
-    cache: dict = field(default_factory=dict, repr=False)
 
 
 def _glorot(rng, shape):
@@ -172,19 +159,14 @@ class BatchCache:
     feats: np.ndarray
     logits: np.ndarray
     probs: np.ndarray
-    shapes: list  # (H, W) per image
-    offsets: list  # starting row per image in the stacked arrays
 
 
 def forward_batch(params, images):
-    """Forward a list of images through one stacked set of matmuls."""
+    """Forward a sequence of images through one stacked set of matmuls.
+
+    The cache rows are the images' pixels in order, row-major per image.
+    """
     mats = [patch_matrix(img, params.patch_size) for img in images]
-    shapes = [img.shape[:2] for img in images]
-    offsets = []
-    total = 0
-    for m in mats:
-        offsets.append(total)
-        total += m.shape[0]
     x = np.vstack(mats) if len(mats) > 1 else mats[0]
     a = x
     pre, act = [], []
@@ -196,29 +178,25 @@ def forward_batch(params, images):
     feats = a @ params.blocks["feat.W"].T + params.blocks["feat.b"]
     logits = feats @ params.blocks["head.W"].T + params.blocks["head.b"]
     probs = softmax(logits, axis=1)
-    cache = BatchCache(
-        x=x, pre=pre, act=act, feats=feats, logits=logits, probs=probs,
-        shapes=shapes, offsets=offsets,
-    )
+    cache = BatchCache(x=x, pre=pre, act=act, feats=feats, logits=logits, probs=probs)
     preds = []
-    k = params.num_rows
-    d = params.feature_dim
-    for i, (h, w) in enumerate(shapes):
-        lo = offsets[i]
+    lo = 0
+    for img in images:
+        h, w = img.shape[:2]
         hi = lo + h * w
         preds.append(
             Prediction(
-                features=feats[lo:hi].reshape(h, w, d),
-                logits=logits[lo:hi].reshape(h, w, k),
-                probs=probs[lo:hi].reshape(h, w, k),
-                cache={"batch": cache, "index": i},
+                features=feats[lo:hi].reshape(h, w, -1),
+                logits=logits[lo:hi].reshape(h, w, -1),
+                probs=probs[lo:hi].reshape(h, w, -1),
             )
         )
+        lo = hi
     return preds, cache
 
 
 def forward(params, image):
-    """Forward one image; the Prediction carries what backward needs."""
+    """Forward one image."""
     preds, _ = forward_batch(params, [image])
     return preds[0]
 
@@ -249,19 +227,6 @@ def backward_batch(params, cache, dfeats, dlogits):
         if i > 0:
             da = dz @ params.blocks[f"enc{i}.W"]
     return grads
-
-
-def backward(params, pred, dfeatures, dlogits):
-    """Single-image backward; upstream grads are (H, W, D) and (H, W, K)."""
-    cache = pred.cache["batch"]
-    if len(cache.shapes) != 1:
-        raise DimensionError("backward() expects a single-image prediction")
-    n = cache.feats.shape[0]
-    df = np.asarray(dfeatures, dtype=np.float64).reshape(n, params.feature_dim)
-    dl = np.asarray(dlogits, dtype=np.float64).reshape(n, params.num_rows)
-    grads = backward_batch(params, cache, df, dl)
-    value = 0.0
-    return GradSlot(value=value, grads=grads)
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +288,7 @@ def _blocks_from_checkpoint(ckpt):
     bank_ids = sorted(ckpt.bank.queues)
     blocks["bank/ids"] = np.array(bank_ids, dtype=np.float64)
     for cid in bank_ids:
-        queue = ckpt.bank.queues[cid]
-        stacked = (
-            np.stack(queue)
-            if queue
-            else np.zeros((0, ckpt.bank.feature_dim), dtype=np.float64)
-        )
-        blocks[f"bank/queue/{cid}"] = stacked
+        blocks[f"bank/queue/{cid}"] = ckpt.bank.queues[cid]
     count_ids = sorted(ckpt.pixel_counts)
     blocks["counts/ids"] = np.array(count_ids, dtype=np.float64)
     blocks["counts/values"] = np.array(
@@ -468,9 +427,7 @@ def _checkpoint_from_blocks(step, class_steps, rng_state, blocks):
         capacity = int(progress[2])
         bank = FeatureBank(feature_dim, capacity)
         for cid in (int(v) for v in blocks["bank/ids"]):
-            stacked = blocks[f"bank/queue/{cid}"]
-            for row in stacked:
-                bank.deposit(cid, row)
+            bank.deposit_many(cid, blocks[f"bank/queue/{cid}"])
         count_ids = [int(v) for v in blocks["counts/ids"]]
         count_vals = blocks["counts/values"]
         pixel_counts = {cid: int(count_vals[i]) for i, cid in enumerate(count_ids)}

@@ -1,4 +1,4 @@
-"""Deterministic numeric substrate: grids, seeded PRNG, gradient checking.
+"""Deterministic numeric substrate: seeded PRNG, softmax, gradient checking.
 
 All training math runs in 64-bit floats on plain numpy arrays.  Image-like
 data ("grids") are C-contiguous float64 arrays of shape (H, W, C).  Random
@@ -10,7 +10,6 @@ bit-reproducible across platforms; sub-streams are derived by hashing
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,30 +20,6 @@ RNG_ALGORITHM_ID = "pcg32-xsh-rr-v1"
 
 _PCG_MULT = 6364136223846793005
 _MASK64 = (1 << 64) - 1
-
-
-def as_grid(data, channels=None):
-    """Validate and return an (H, W, C) float64 C-contiguous grid.
-
-    Raises DimensionError if the array is not 3-d, has a channel mismatch,
-    or contains non-finite values.
-    """
-    arr = np.ascontiguousarray(data, dtype=np.float64)
-    if arr.ndim != 3:
-        raise DimensionError(f"grid must be 3-d (H, W, C), got shape {arr.shape}")
-    if channels is not None and arr.shape[2] != channels:
-        raise DimensionError(
-            f"grid expected {channels} channels, got {arr.shape[2]}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise DimensionError("grid contains non-finite values")
-    return arr
-
-
-def check_finite(arr, what="array"):
-    if not np.all(np.isfinite(arr)):
-        raise DimensionError(f"{what} contains non-finite values")
-    return arr
 
 
 class Rng:
@@ -124,24 +99,8 @@ class Rng:
             items[i], items[j] = items[j], items[i]
         return items
 
-    def choice_without_replacement(self, n, k):
-        """k distinct indices from range(n), order deterministic."""
-        if k >= n:
-            return list(range(n))
-        idx = list(range(n))
-        self.shuffle(idx)
-        return sorted(idx[:k])
-
     def state_tuple(self):
         return (self.state, self.inc, self.seed)
-
-    @classmethod
-    def from_state(cls, state, inc, seed):
-        rng = cls.__new__(cls)
-        rng.state = int(state) & _MASK64
-        rng.inc = int(inc) & _MASK64
-        rng.seed = int(seed) & _MASK64
-        return rng
 
 
 @dataclass
@@ -150,26 +109,6 @@ class GradSlot:
 
     value: float
     grads: dict = field(default_factory=dict)
-
-    def check(self, shapes=None):
-        if not math.isfinite(self.value):
-            raise DimensionError("loss value is not finite")
-        for name, g in self.grads.items():
-            check_finite(g, f"gradient '{name}'")
-            if shapes is not None and name in shapes and g.shape != shapes[name]:
-                raise DimensionError(
-                    f"gradient '{name}' shape {g.shape} != block shape {shapes[name]}"
-                )
-        return self
-
-
-def euclidean(a, b):
-    """L2 distance between two equal-length vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionError(f"length mismatch: {a.shape} vs {b.shape}")
-    return float(np.sqrt(np.sum((a - b) ** 2)))
 
 
 def softmax(logits, axis=-1):

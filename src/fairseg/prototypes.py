@@ -8,8 +8,7 @@ schedule driven by the per-class FIFO feature banks.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,9 +83,6 @@ class PrototypeBank:
             raise UnavailableError("no initialized prototypes")
         return ids, np.stack([self.entries[c].vector for c in ids])
 
-    def active_ids(self):
-        return sorted(c for c, e in self.entries.items() if not e.frozen)
-
     def snapshot(self):
         clone = PrototypeBank(self.feature_dim)
         for cid, entry in self.entries.items():
@@ -99,7 +95,10 @@ class PrototypeBank:
 
 
 class FeatureBank:
-    """Per-class FIFO queues of feature vectors with bounded capacity."""
+    """Per-class FIFO queues of feature vectors with bounded capacity.
+
+    Each queue is one (n, D) array, oldest row first.
+    """
 
     def __init__(self, feature_dim, capacity):
         if capacity < 1:
@@ -114,21 +113,24 @@ class FeatureBank:
             raise DimensionError(
                 f"feature shape {feature.shape} != ({self.feature_dim},)"
             )
-        queue = self.queues.get(class_id)
-        if queue is None:
-            queue = deque(maxlen=self.capacity)
-            self.queues[class_id] = queue
-        queue.append(feature.copy())
+        self.deposit_many(class_id, feature[None, :])
 
     def deposit_many(self, class_id, features):
-        for f in features:
-            self.deposit(class_id, f)
+        """Append (n, D) rows in order; the oldest rows beyond capacity drop out."""
+        features = np.asarray(features, dtype=np.float64)
+        if features.ndim != 2 or features.shape[1] != self.feature_dim:
+            raise DimensionError(
+                f"features shape {features.shape} != (n, {self.feature_dim})"
+            )
+        if len(features) == 0:
+            return
+        queue = self.queues.get(class_id)
+        joined = features.copy() if queue is None else np.concatenate([queue, features])
+        self.queues[class_id] = joined[-self.capacity:]
 
     def mean(self, class_id):
         queue = self.queues.get(class_id)
-        if not queue:
-            return None
-        return np.mean(np.stack(queue), axis=0)
+        return None if queue is None else np.mean(queue, axis=0)
 
     def size(self, class_id):
         queue = self.queues.get(class_id)

@@ -186,13 +186,6 @@ class TaskSplit:
             out.update(s)
         return frozenset(out)
 
-    def old_classes(self, step):
-        self._check_step(step)
-        out = set()
-        for s in self.steps[: step - 1]:
-            out.update(s)
-        return frozenset(out)
-
     def _check_step(self, step):
         if not 1 <= step <= len(self.steps):
             raise ConfigError(f"step {step} outside 1..{len(self.steps)}")
@@ -334,10 +327,6 @@ def select_step_indices(samples, split, step):
         if np.isin(sample.labels, classes).any():
             out.append(i)
     return out
-
-
-def select_step_images(samples, split, step):
-    return [samples[i] for i in select_step_indices(samples, split, step)]
 
 
 def class_pixel_counts(samples, num_classes):

@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError, DimensionError, ProtocolError
 from .losses import (
     ClassDistribution,
     ConsConfig,
@@ -156,9 +156,8 @@ class TrackedDataset:
     guarantee).  The full read log is kept for auditing.
     """
 
-    def __init__(self, samples, enforce=True):
+    def __init__(self, samples):
         self._samples = list(samples)
-        self.enforce = enforce
         self.reads = []  # (step, index) in access order
         self._step = None
         self._allowed = frozenset()
@@ -174,7 +173,7 @@ class TrackedDataset:
         if self._step is None:
             raise ProtocolError("fetch before begin_step")
         self.reads.append((self._step, int(index)))
-        if self.enforce and index not in self._allowed:
+        if index not in self._allowed:
             raise ProtocolError(
                 f"step {self._step} read training sample {index} outside "
                 "its selection (rehearsal-free violation)"
@@ -188,7 +187,7 @@ class TrackedDataset:
 
 
 def build_effective_labels(labels, features, protos, step):
-    """Merge ground truth with pseudo-labels for one collapsed label map.
+    """Merge ground truth with pseudo-labels for collapsed label maps.
 
     Returns (effective ids, ce_mask).  At step 1 every non-ignore pixel is
     CE-supervised as-is.  Later, foreground pixels keep their label and
@@ -311,40 +310,43 @@ def _count_supervised(data, ids):
 
 
 def _deposit(bank, protos, features, eff, ce_mask, step, current, cap):
-    """Feed per-class feature queues from one image's pixels.
+    """Feed per-class feature queues from a batch's (B, H, W) pixels.
 
     Current classes deposit from supervised pixels only; the unknown
     cluster 0 takes true background at step 1 and pseudo-unknown pixels
     later.  Frozen classes receive nothing.  At most ``cap`` pixels per
-    class per image, first in row-major order.
+    class per image, first in row-major order, images in batch order.
     """
     flat = features.reshape(-1, features.shape[-1])
-    eff_flat = np.asarray(eff).reshape(-1)
-    mask_flat = np.asarray(ce_mask).reshape(-1) if step == 1 else None
-    for cid in current:
-        sel = np.flatnonzero(eff_flat == cid)[:cap]
-        if sel.size:
-            bank.deposit_many(cid, flat[sel])
+    eff = eff.reshape(eff.shape[0], -1)
+    picks = [(cid, eff == cid) for cid in current]
     if not protos.is_frozen(0):
+        zero = eff == 0
         if step == 1:
-            zero_sel = np.flatnonzero((eff_flat == 0) & mask_flat)[:cap]
-        else:
-            zero_sel = np.flatnonzero(eff_flat == 0)[:cap]
-        if zero_sel.size:
-            bank.deposit_many(0, flat[zero_sel])
+            zero &= ce_mask.reshape(zero.shape)
+        picks.append((0, zero))
+    for cid, mask in picks:
+        first = mask & (np.cumsum(mask, axis=1) <= cap)
+        bank.deposit_many(cid, flat[first.reshape(-1)])
 
 
 def run_step(state, cfg, step, data, log_rows=None, on_epoch_end=None):
     """Train the current step over its image subset.
 
-    ``data`` is a list of (image, collapsed labels) pairs for the step.
-    Resumes from state.epoch when it is nonzero.  Returns a StepOutcome
-    with per-epoch mean loss terms.
+    ``data`` is a list of (image, collapsed labels) pairs for the step, all
+    of one image size.  Each iteration stacks its batch and calls every
+    loss once on it.  Resumes from state.epoch when it is nonzero.  Returns
+    a StepOutcome with per-epoch mean loss terms.
     """
     if not data:
         raise ProtocolError(f"step {step} has no training images")
     if step != state.step:
         raise ProtocolError(f"state is at step {state.step}, not {step}")
+    sizes = {image.shape for image, _ in data}
+    if len(sizes) > 1:
+        raise DimensionError(
+            f"step {step} images must share one size, got {sorted(sizes)}"
+        )
     current = sorted(cfg.split.classes_at(step))
     sup_ids = _supervised_ids(cfg.split, step)
     lr = cfg.lr_initial if step == 1 else cfg.lr_continual
@@ -357,78 +359,69 @@ def run_step(state, cfg, step, data, log_rows=None, on_epoch_end=None):
     counters = {"cluster_skipped_pixels": 0}
     traces = []
     iterations_run = 0
+    state.last_counts = _count_supervised(data, sup_ids)
+    dist = ClassDistribution(
+        state.last_counts, smoothing=cfg.smoothing, clamp=cfg.clamp
+    ).validate()
+    row_weights = (
+        ce_row_weights(dist, params.row_map(), params.num_rows)
+        if cfg.use_class_weighting
+        else None
+    )
     for epoch in range(state.epoch, cfg.epochs):
-        counts = _count_supervised(data, sup_ids)
-        state.last_counts = counts
-        dist = ClassDistribution(
-            counts, smoothing=cfg.smoothing, clamp=cfg.clamp
-        ).validate()
-        row_weights = (
-            ce_row_weights(dist, params.row_map(), params.num_rows)
-            if cfg.use_class_weighting
-            else None
-        )
         order = list(range(n))
         Rng(cfg.seed).split(f"step{step}/epoch{epoch}/order").shuffle(order)
         sums = {"ce": 0.0, "cluster": 0.0, "cons": 0.0, "distill": 0.0}
         for b in range(per_epoch):
             picked = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            images = [data[i][0] for i in picked]
-            labels = [data[i][1] for i in picked]
-            preds, cache = forward_batch(params, images)
-            prev_preds = None
-            if cfg.use_distill and state.distill_params is not None:
-                prev_preds, _ = forward_batch(state.distill_params, images)
+            images = np.stack([data[i][0] for i in picked])
+            labels = np.stack([data[i][1] for i in picked])
+            grid = labels.shape  # (B, H, W)
+            bsz = grid[0]
+            _, cache = forward_batch(params, images)
+            feats = cache.feats.reshape(*grid, -1)
+            eff, ce_mask = build_effective_labels(labels, feats, state.protos, step)
+            if cfg.ce_on_pseudo and step > 1:
+                ce_mask = eff != IGNORE_ID
+            rows = id_to_row[np.minimum(eff, IGNORE_ID)]
+            ce_mask = ce_mask & (rows >= 0)
             dfeats = np.zeros_like(cache.feats)
             dlogits = np.zeros_like(cache.logits)
-            bsz = len(picked)
-            for k, (pred, lab) in enumerate(zip(preds, labels)):
-                lo = cache.offsets[k]
-                hi = lo + lab.size
-                eff, ce_mask = build_effective_labels(
-                    lab, pred.features, state.protos, step
+            ce = weighted_ce(cache.logits.reshape(*grid, -1), rows, ce_mask, row_weights)
+            sums["ce"] += ce.value / bsz
+            dlogits += ce.grads["logits"].reshape(dlogits.shape) / bsz
+            if cfg.use_cluster:
+                cl = cluster_loss(
+                    feats, eff, state.protos, cfg.cluster, counters=counters
                 )
-                if cfg.ce_on_pseudo and step > 1:
-                    ce_mask = eff != IGNORE_ID
-                rows = id_to_row[np.minimum(eff, IGNORE_ID)]
-                ce_mask = ce_mask & (rows >= 0)
-                ce = weighted_ce(pred.logits, rows, ce_mask, row_weights)
-                sums["ce"] += ce.value / bsz
-                dlogits[lo:hi] += (
-                    ce.grads["logits"].reshape(-1, params.num_rows) / bsz
+                sums["cluster"] += cl.value / bsz
+                dfeats += (
+                    cfg.weights.lambda_cluster
+                    * cl.grads["features"].reshape(dfeats.shape)
+                    / bsz
                 )
-                if cfg.use_cluster:
-                    cl = cluster_loss(
-                        pred.features, eff, state.protos, cfg.cluster,
-                        counters=counters,
-                    )
-                    sums["cluster"] += cl.value / bsz
-                    dfeats[lo:hi] += (
-                        cfg.weights.lambda_cluster
-                        * cl.grads["features"].reshape(-1, params.feature_dim)
-                        / bsz
-                    )
-                if cfg.use_cons:
-                    co = cons_loss(images[k], pred.probs, cfg.cons)
-                    sums["cons"] += co.value / bsz
-                    dlogits[lo:hi] += (
-                        cfg.weights.lambda_cons
-                        * co.grads["logits"].reshape(-1, params.num_rows)
-                        / bsz
-                    )
-                if prev_preds is not None:
-                    di = distill_loss(pred.features, prev_preds[k].features)
-                    sums["distill"] += di.value / bsz
-                    dfeats[lo:hi] += (
-                        cfg.weights.lambda_distill
-                        * di.grads["features"].reshape(-1, params.feature_dim)
-                        / bsz
-                    )
-                if cfg.use_cluster:
-                    _deposit(
-                        state.bank, state.protos, pred.features, eff, ce_mask,
-                        step, current, cfg.cluster.deposit_per_class,
-                    )
+            if cfg.use_cons:
+                co = cons_loss(images, cache.probs.reshape(*grid, -1), cfg.cons)
+                sums["cons"] += co.value / bsz
+                dlogits += (
+                    cfg.weights.lambda_cons
+                    * co.grads["logits"].reshape(dlogits.shape)
+                    / bsz
+                )
+            if cfg.use_distill and state.distill_params is not None:
+                _, prev = forward_batch(state.distill_params, images)
+                di = distill_loss(feats, prev.feats.reshape(feats.shape))
+                sums["distill"] += di.value / bsz
+                dfeats += (
+                    cfg.weights.lambda_distill
+                    * di.grads["features"].reshape(dfeats.shape)
+                    / bsz
+                )
+            if cfg.use_cluster:
+                _deposit(
+                    state.bank, state.protos, feats, eff, ce_mask,
+                    step, current, cfg.cluster.deposit_per_class,
+                )
             grads = backward_batch(params, cache, dfeats, dlogits)
             sgd_update(
                 params, state.momentum, grads, lr, cfg.sgd_momentum,
@@ -550,7 +543,7 @@ def write_loss_log(path, rows):
 
 
 def run_continual(cfg, samples, out_dir=None, test_samples=None,
-                  resume_from=None, enforce_tracking=True):
+                  resume_from=None):
     """Run every step of the split in sequence.
 
     When ``out_dir`` is given, writes per-step checkpoints
@@ -568,7 +561,7 @@ def run_continual(cfg, samples, out_dir=None, test_samples=None,
         t: select_step_indices(samples, split, t)
         for t in range(1, n_steps + 1)
     }
-    tracker = TrackedDataset(samples, enforce=enforce_tracking)
+    tracker = TrackedDataset(samples)
     if resume_from is not None:
         from .model import load_checkpoint
 

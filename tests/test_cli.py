@@ -380,13 +380,6 @@ class TestReport:
 
 
 class TestDispatch:
-    def test_threads_must_be_positive(self, workspace, tmp_path):
-        code, _ = run_cli(
-            "--threads", "0", "gen",
-            "--config", str(workspace["ini"]), "--out", str(tmp_path / "x"),
-        )
-        assert code == 2
-
     def test_console_script_installed(self, tmp_path, monkeypatch):
         """Install the declared ``fairseg`` script into tmp_path and run it.
 

@@ -564,3 +564,90 @@ def test_loss_weights_validation():
     LossWeights().validate()
     with pytest.raises(ConfigError):
         LossWeights(lambda_cluster=-0.1).validate()
+
+
+class TestBatchContract:
+    """A (B, H, W, C) call is the sum of B single-image calls.
+
+    Values agree to rounding; every image's gradient slice is bit-equal to
+    the gradient of that image alone.  Image 1 of each batch contributes
+    nothing (no supervised, live or distinct pixels).
+    """
+
+    B, H, W = 3, 5, 4
+
+    def normals(self, rng, *shape):
+        return rng.normals(int(np.prod(shape))).reshape(shape)
+
+    def assert_batch_is_sum(self, loss, *batched):
+        whole = loss(*batched)
+        parts = [loss(*(arr[i] for arr in batched)) for i in range(self.B)]
+        assert parts[1].value == 0.0
+        assert whole.value == pytest.approx(
+            sum(p.value for p in parts), rel=1e-12, abs=1e-12
+        )
+        for name, grad in whole.grads.items():
+            assert grad.shape == batched[0].shape[:3] + grad.shape[3:]
+            for i, part in enumerate(parts):
+                assert grad[i].tobytes() == part.grads[name].tobytes()
+
+    def test_weighted_ce(self):
+        rng = Rng(140)
+        k = 4
+        logits = self.normals(rng, self.B, self.H, self.W, k)
+        labels = np.array(
+            [rng.randint(k) for _ in range(self.B * self.H * self.W)]
+        ).reshape(self.B, self.H, self.W)
+        mask = rng.uniforms(self.B * self.H * self.W).reshape(labels.shape) > 0.3
+        mask[1] = False
+        weights = 0.5 + rng.uniforms(k)
+        self.assert_batch_is_sum(
+            lambda z, y, m: weighted_ce(z, y, m, row_weights=weights),
+            logits, labels, mask,
+        )
+
+    def test_cluster_loss(self):
+        rng = Rng(141)
+        protos = make_protos(
+            {0: rng.normals(3), 1: rng.normals(3), 2: rng.normals(3)},
+            uninitialized=[3],
+        )
+        cfg = ClusterConfig(margin=2.0).validate()
+        feats = self.normals(rng, self.B, self.H, self.W, 3)
+        labels = np.array(
+            [rng.randint(4) for _ in range(self.B * self.H * self.W)]
+        ).reshape(self.B, self.H, self.W)
+        labels[1] = IGNORE_ID
+        labels[2, 0] = IGNORE_ID
+        self.assert_batch_is_sum(
+            lambda f, y: cluster_loss(f, y, protos, cfg), feats, labels
+        )
+        whole, parts = {}, {}
+        cluster_loss(feats, labels, protos, cfg, whole)
+        for i in range(self.B):
+            cluster_loss(feats[i], labels[i], protos, cfg, parts)
+        assert whole == parts
+
+    @pytest.mark.parametrize("form", ["smooth", "literal"])
+    def test_cons_loss(self, form):
+        rng = Rng(142)
+        cfg = ConsConfig(sigma_color=0.3, form=form)
+        image = rng.uniforms(self.B * self.H * self.W * 3).reshape(
+            self.B, self.H, self.W, 3
+        )
+        probs = softmax(self.normals(rng, self.B, self.H, self.W, 4), axis=-1)
+        if form == "smooth":
+            probs[1] = probs[1, 0, 0]
+        else:
+            # every neighbor pair far apart in color: the kernel is 0
+            image[1] = 1e3 * np.arange(self.H * self.W).reshape(
+                self.H, self.W, 1
+            )
+        self.assert_batch_is_sum(lambda x, p: cons_loss(x, p, cfg), image, probs)
+
+    def test_distill_loss(self):
+        rng = Rng(143)
+        now = self.normals(rng, self.B, self.H, self.W, 3)
+        prev = self.normals(rng, self.B, self.H, self.W, 3)
+        prev[1] = now[1]
+        self.assert_batch_is_sum(distill_loss, now, prev)

@@ -64,12 +64,6 @@ class TestConfusionMatrix:
         )
         assert np.array_equal(split_cm.matrix, joint_cm.matrix)
 
-    def test_merge_equals_joint_accumulation(self):
-        a = fill_cm([(1, 1, 5), (2, 0, 3)])
-        b = fill_cm([(1, 2, 4)])
-        merged = fill_cm([(1, 1, 5), (2, 0, 3), (1, 2, 4)])
-        assert np.array_equal(a.merge(b).matrix, merged.matrix)
-
     def test_ignore_pixels_skipped(self):
         cm = ConfusionMatrix(3)
         ref = np.array([1, IGNORE_ID, 2])

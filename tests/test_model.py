@@ -14,7 +14,6 @@ from fairseg.losses import (
 from fairseg.prototypes import ClusterConfig
 from fairseg.model import (
     Checkpoint,
-    backward,
     backward_batch,
     forward,
     forward_batch,
@@ -170,39 +169,34 @@ class TestGrowHead:
     def test_row_lookup(self):
         params = init_params(2, (4, 9))
         grown = grow_head(params, (2,), Rng(5))
-        assert grown.row_of(0) == 0
-        assert grown.row_of(4) == 1
-        assert grown.row_of(9) == 2
-        assert grown.row_of(2) == 3
+        assert grown.row_map() == {0: 0, 4: 1, 9: 2, 2: 3}
         assert grown.class_of_row(3) == 2
-        with pytest.raises(DimensionError):
-            grown.row_of(77)
 
 
 class TestBackward:
     def test_zero_upstream_zero_grads(self):
         params = small_params()
-        pred = forward(params, random_image(Rng(11), 6, 6))
-        slot = backward(
+        _, cache = forward_batch(params, [random_image(Rng(11), 6, 6)])
+        grads = backward_batch(
             params,
-            pred,
-            np.zeros_like(pred.features),
-            np.zeros_like(pred.logits),
+            cache,
+            np.zeros_like(cache.feats),
+            np.zeros_like(cache.logits),
         )
-        for g in slot.grads.values():
+        for g in grads.values():
             assert not g.any()
 
     def test_linearity(self):
         params = small_params()
         rng = Rng(12)
-        pred = forward(params, random_image(rng, 6, 6))
-        df = rng.normals(pred.features.size).reshape(pred.features.shape)
-        dl = rng.normals(pred.logits.size).reshape(pred.logits.shape)
-        one = backward(params, pred, df, dl)
-        two = backward(params, pred, 2.0 * df, 2.0 * dl)
-        for name in one.grads:
+        _, cache = forward_batch(params, [random_image(rng, 6, 6)])
+        df = rng.normals(cache.feats.size).reshape(cache.feats.shape)
+        dl = rng.normals(cache.logits.size).reshape(cache.logits.shape)
+        one = backward_batch(params, cache, df, dl)
+        two = backward_batch(params, cache, 2.0 * df, 2.0 * dl)
+        for name in one:
             np.testing.assert_allclose(
-                two.grads[name], 2.0 * one.grads[name], atol=1e-12
+                two[name], 2.0 * one[name], atol=1e-12
             )
 
     def test_shape_mismatch_rejected(self):
@@ -358,6 +352,14 @@ class TestCheckpoint:
             back.bank.mean(2), ckpt.bank.mean(2)
         )
         assert back.pixel_counts == ckpt.pixel_counts
+
+    def test_bank_queue_of_wrong_width_rejected(self, tmp_path):
+        path = tmp_path / "bank.ckpt"
+        ckpt = make_checkpoint()
+        ckpt.bank.queues[2] = np.zeros((2, ckpt.params.feature_dim + 1))
+        save_checkpoint(path, ckpt)
+        with pytest.raises(DimensionError):
+            load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"

@@ -1,6 +1,4 @@
-"""Numeric substrate: PRNG, softmax, distances, the gradient checker."""
-
-import math
+"""Numeric substrate: PRNG, softmax, the gradient checker."""
 
 import numpy as np
 import pytest
@@ -11,8 +9,6 @@ from fairseg.errors import DeterminismError, DimensionError
 from fairseg.numerics import (
     GradSlot,
     Rng,
-    as_grid,
-    euclidean,
     finite_diff_check,
     log_softmax,
     relative_error,
@@ -76,14 +72,6 @@ class TestRng:
         b = root.split("y")
         assert a.next_u32() != b.next_u32() or a.next_u32() != b.next_u32()
 
-    def test_state_round_trip_resumes(self):
-        rng = Rng(31337)
-        rng.uniforms(17)
-        saved = rng.state_tuple()
-        expected = [rng.next_u32() for _ in range(5)]
-        resumed = Rng.from_state(*saved)
-        assert [resumed.next_u32() for _ in range(5)] == expected
-
     def test_uniform_range(self):
         rng = Rng(9)
         u = rng.uniforms(500)
@@ -111,39 +99,6 @@ class TestRng:
         out = Rng(8).shuffle(list(items))
         assert sorted(out) == items
         assert out != items
-
-    def test_choice_without_replacement(self):
-        got = Rng(2).choice_without_replacement(20, 6)
-        assert len(got) == 6
-        assert len(set(got)) == 6
-        assert all(0 <= i < 20 for i in got)
-        assert Rng(2).choice_without_replacement(4, 9) == [0, 1, 2, 3]
-
-
-class TestEuclidean:
-    def test_identity(self):
-        assert euclidean((0.0, 0.0), (0.0, 0.0)) == 0.0
-
-    def test_three_four_five(self):
-        assert euclidean((3.0, 4.0), (0.0, 0.0)) == 5.0
-
-    def test_unit_diagonal(self):
-        assert euclidean((1.0, 1.0), (2.0, 2.0)) == pytest.approx(
-            math.sqrt(2.0), abs=1e-12
-        )
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            euclidean((1.0, 2.0), (1.0, 2.0, 3.0))
-
-    @given(vectors(5), vectors(5))
-    def test_symmetry(self, a, b):
-        assert euclidean(a, b) == euclidean(b, a)
-
-    @given(vectors(4), vectors(4), vectors(4))
-    def test_triangle_inequality(self, a, b, c):
-        assert euclidean(a, c) <= euclidean(a, b) + euclidean(b, c) + 1e-6
-
 
 class TestSoftmax:
     def test_symmetric_input(self):
@@ -184,32 +139,6 @@ class TestSoftmax:
         np.testing.assert_allclose(
             log_softmax(v), np.log(softmax(v)), atol=1e-12
         )
-
-
-class TestGrid:
-    def test_as_grid_accepts_3d(self):
-        g = as_grid(np.zeros((2, 3, 4), dtype=np.float32))
-        assert g.dtype == np.float64
-        assert g.flags["C_CONTIGUOUS"]
-
-    def test_as_grid_rejects_2d(self):
-        with pytest.raises(DimensionError):
-            as_grid(np.zeros((4, 4)))
-
-    def test_as_grid_rejects_channel_mismatch(self):
-        with pytest.raises(DimensionError):
-            as_grid(np.zeros((2, 2, 4)), channels=3)
-
-    def test_as_grid_rejects_nan(self):
-        bad = np.zeros((2, 2, 1))
-        bad[0, 0, 0] = np.nan
-        with pytest.raises(DimensionError):
-            as_grid(bad)
-
-    def test_gradslot_check_rejects_shape_mismatch(self):
-        slot = GradSlot(value=1.0, grads={"w": np.zeros(3)})
-        with pytest.raises(DimensionError):
-            slot.check(shapes={"w": (4,)})
 
 
 def quadratic(params):

@@ -20,7 +20,6 @@ from fairseg.synthdata import (
     evaluation_labels,
     generate,
     read_dataset,
-    select_step_images,
     select_step_indices,
     shapes_benchmark,
     write_dataset,
@@ -123,7 +122,6 @@ class TestTaskSplit:
         assert split.classes_at(1) == frozenset({1, 2, 3, 4, 5})
         assert split.classes_at(2) == frozenset({6, 7, 8})
         assert split.known_through(2) == frozenset(range(1, 9))
-        assert split.old_classes(2) == frozenset({1, 2, 3, 4, 5})
 
     def test_three_step_split(self):
         split = TaskSplit.from_sizes("4-2-2", 8)
@@ -222,10 +220,6 @@ class TestSelection:
                 if any(int(c) in wanted for c in np.unique(s.labels))
             ]
             assert select_step_indices(train, tiny_split, step) == expect
-            picked = select_step_images(train, tiny_split, step)
-            assert [s.labels.tobytes() for s in picked] == [
-                train[i].labels.tobytes() for i in expect
-            ]
 
 
 class TestDatasetIO:

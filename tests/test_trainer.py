@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import separable_samples
-from fairseg.errors import ConfigError, ProtocolError
+from fairseg.errors import ConfigError, DimensionError, ProtocolError
 from fairseg.model import load_checkpoint, save_checkpoint
 from fairseg.numerics import Rng
 from fairseg.prototypes import PrototypeBank
@@ -104,14 +104,6 @@ class TestTrackedDataset:
         assert tracker.read_counts(1, [0]) == 2
         assert tracker.read_counts(1, [3, 5]) == 1
         assert tracker.read_counts(2, [0]) == 0
-
-    def test_enforcement_can_be_disabled(self, tiny_dataset):
-        train, _ = tiny_dataset
-        tracker = TrackedDataset(train, enforce=False)
-        tracker.begin_step(2, [])
-        tracker.fetch(0)
-        assert tracker.reads == [(2, 0)]
-
 
 class TestEffectiveLabels:
     def protos_with(self, vectors):
@@ -242,6 +234,16 @@ class TestRunStep:
         cfg = tiny_config()
         with pytest.raises(ProtocolError):
             run_step(init_state(cfg), cfg, 1, [])
+
+    def test_mixed_image_sizes_rejected(self):
+        cfg = tiny_config(split=TaskSplit.from_sizes("2", 2))
+        samples = separable_samples(count=2) + separable_samples(
+            count=2, width=14
+        )
+        state = init_state(cfg)
+        with pytest.raises(DimensionError):
+            run_step(state, cfg, 1, [(s.image, s.labels) for s in samples])
+        assert state.iteration == 0
 
     def test_mid_step_resume_matches_uninterrupted(self, tmp_path,
                                                    tiny_dataset):
