@@ -310,7 +310,7 @@ def run_gradcheck(trials=20, seed=20240801, height=8, width=8, dim=4):
             {"features": f0},
         )
 
-    def cons_case(rng, form):
+    def cons_case(rng):
         # Two-region piecewise-constant probability maps: interior pixels
         # have exactly-zero gradients on both sides of the comparison,
         # boundary pixels accumulate sign-coherent contributions bounded
@@ -320,7 +320,7 @@ def run_gradcheck(trials=20, seed=20240801, height=8, width=8, dim=4):
         img = (0.5 + 0.12 * (2.0 * rng.uniforms(n * 3) - 1.0)).reshape(
             height, width, 3
         )
-        cfg = ConsConfig(sigma_color=0.3, sigma_pred=0.6, window=3, form=form)
+        cfg = ConsConfig(sigma_color=0.3, window=3)
         a = b = None
         for _ in range(100):
             a = softmax(rng.normals(dim), axis=-1)
@@ -356,8 +356,7 @@ def run_gradcheck(trials=20, seed=20240801, height=8, width=8, dim=4):
     cases = [
         ("weighted_ce", ce_case),
         ("cluster_loss", cluster_case),
-        ("cons_loss[smooth]", lambda rng: cons_case(rng, "smooth")),
-        ("cons_loss[literal]", lambda rng: cons_case(rng, "literal")),
+        ("cons_loss", cons_case),
         ("distill_loss", distill_case),
     ]
     root = Rng(seed)

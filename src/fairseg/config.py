@@ -33,7 +33,6 @@ DEFAULTS = {
     },
     "split": {
         "steps": "5-3",
-        "protocol": "overlapped",
     },
     "model": {
         "patch_size": "5",
@@ -71,9 +70,7 @@ DEFAULTS = {
     },
     "cons": {
         "sigma_color": "0.1",
-        "sigma_pred": "0.5",
         "window": "3",
-        "form": "smooth",
     },
     "output": {
         "dir": "runs/default",
@@ -141,11 +138,6 @@ class RunConfig:
     def task_split(self, num_classes=None):
         if num_classes is None:
             num_classes = self.get_int("benchmark", "num_classes")
-        protocol = self.get("split", "protocol")
-        if protocol != "overlapped":
-            raise ConfigError(
-                f"unsupported protocol {protocol!r} (only 'overlapped')"
-            )
         return TaskSplit.from_sizes(self.get("split", "steps"), num_classes)
 
     def hidden_sizes(self):
@@ -187,9 +179,7 @@ class RunConfig:
             ),
             cons=ConsConfig(
                 sigma_color=self.get_float("cons", "sigma_color"),
-                sigma_pred=self.get_float("cons", "sigma_pred"),
                 window=self.get_int("cons", "window"),
-                form=self.get("cons", "form"),
             ),
             smoothing=self.get_float("losses", "smoothing"),
             clamp=(

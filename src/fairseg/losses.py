@@ -72,17 +72,13 @@ class ClassDistribution:
 @dataclass
 class ConsConfig:
     sigma_color: float = 0.1
-    sigma_pred: float = 0.5
     window: int = 3
-    form: str = "smooth"  # "smooth" (default) or the paper-literal kernel
 
     def validate(self):
-        if self.sigma_color <= 0 or self.sigma_pred <= 0:
-            raise ConfigError("consistency kernel scales must be > 0")
+        if self.sigma_color <= 0:
+            raise ConfigError("consistency color scale must be > 0")
         if self.window < 3 or self.window % 2 == 0:
             raise ConfigError("window must be odd and >= 3")
-        if self.form not in ("smooth", "literal"):
-            raise ConfigError(f"unknown consistency form {self.form!r}")
         return self
 
 
@@ -238,11 +234,9 @@ def _probs_to_logits_grad(probs, dprobs):
 def cons_loss(image, probs, cfg):
     """Structural consistency over color-similar neighbor pairs.
 
-    The default "smooth" form penalizes squared prediction differences
-    weighted by a Gaussian color-affinity kernel, averaged over ordered
-    neighbor pairs.  The "literal" form is the raw joint Gaussian kernel of
-    color and prediction differences, kept for comparison.  Gradients are
-    returned on probs and, through the softmax Jacobian, on logits.
+    Penalizes squared prediction differences weighted by a Gaussian
+    color-affinity kernel, averaged over ordered neighbor pairs.  Gradients
+    are returned on probs and, through the softmax Jacobian, on logits.
     """
     cfg.validate()
     img = np.asarray(image, dtype=np.float64)
@@ -259,7 +253,6 @@ def cons_loss(image, probs, cfg):
     values = np.zeros(pr.shape[0])
     n_pairs = 0  # per image
     two_s1 = 2.0 * cfg.sigma_color**2
-    two_s2 = 2.0 * cfg.sigma_pred**2
     for dr, dc in _window_offsets(cfg.window):
         r0, r1 = max(0, -dr), min(h, h - dr)
         c0, c1 = max(0, -dc), min(w, w - dc)
@@ -271,18 +264,11 @@ def cons_loss(image, probs, cfg):
         affinity = np.exp(-color2 / two_s1)
         pdiff = pr[a] - pr[b]
         n_pairs += affinity[0].size
-        if cfg.form == "smooth":
-            pdiff2 = np.sum(pdiff**2, axis=-1)
-            values += np.sum(affinity * pdiff2, axis=(1, 2))
-            contrib = 2.0 * affinity[..., None] * pdiff
-            dprobs[a] += contrib
-            dprobs[b] -= contrib
-        else:
-            kern = np.exp(-color2 / two_s1 - np.sum(pdiff**2, axis=-1) / two_s2)
-            values += np.sum(kern, axis=(1, 2))
-            contrib = -kern[..., None] * pdiff / cfg.sigma_pred**2
-            dprobs[a] += contrib
-            dprobs[b] -= contrib
+        pdiff2 = np.sum(pdiff**2, axis=-1)
+        values += np.sum(affinity * pdiff2, axis=(1, 2))
+        contrib = 2.0 * affinity[..., None] * pdiff
+        dprobs[a] += contrib
+        dprobs[b] -= contrib
     dprobs = dprobs.reshape(shape)
     if n_pairs == 0:
         return GradSlot(value=0.0, grads={"probs": dprobs, "logits": dprobs.copy()})

@@ -8,9 +8,11 @@ Forward and backward are exact analytic numpy; there is no autodiff graph.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -19,7 +21,7 @@ from .numerics import RNG_ALGORITHM_ID, Rng, softmax
 from .prototypes import FeatureBank, PrototypeBank, ProtoEntry
 
 CHECKPOINT_MAGIC = b"FCLK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -235,20 +237,39 @@ def backward_batch(params, cache, dfeats, dlogits):
 
 
 @dataclass
-class Checkpoint:
-    """Everything needed to resume a continual run at an epoch boundary."""
+class TrainState:
+    """Everything needed to resume a continual run at an epoch boundary.
 
-    step: int
-    epoch: int  # epochs completed within the step
-    iteration: int  # step-local iteration counter
+    It is also the checkpoint: ``save_checkpoint`` writes it whole and
+    ``load_checkpoint`` returns it.
+    """
+
     params: ModelParams
     momentum: dict  # block name -> velocity array
     protos: PrototypeBank
     bank: FeatureBank
-    bank_capacity: int
-    pixel_counts: dict  # class id -> supervised pixel count for the step
-    rng_state: tuple  # (state, inc, seed)
-    distill: dict = None  # frozen previous-step blocks when distilling, else None
+    step: int = 1
+    epoch: int = 0  # completed epochs within the current step
+    iteration: int = 0  # step-local iteration counter (Algorithm-style)
+    distill_params: Optional[ModelParams] = None  # frozen previous-step model
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode="wb", **kwargs):
+    """Write a temporary file beside ``path`` that replaces it when complete.
+
+    On any exception the temporary file is removed, so a failed write
+    leaves the previous file at ``path`` as it was.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _write_block(fh, name, arr):
@@ -262,61 +283,58 @@ def _write_block(fh, name, arr):
     fh.write(arr.astype("<f8").tobytes())
 
 
-def _blocks_from_checkpoint(ckpt):
+def _blocks_from_state(state):
     blocks = {}
-    p = ckpt.params
+    p = state.params
     blocks["model/shape"] = np.array(
         [p.patch_size, p.feature_dim, len(p.hidden), *p.hidden], dtype=np.float64
     )
     for name in sorted(p.blocks):
         blocks[f"params/{name}"] = p.blocks[name]
-    for name in sorted(ckpt.momentum):
-        blocks[f"momentum/{name}"] = ckpt.momentum[name]
-    if ckpt.distill:
-        for name in sorted(ckpt.distill):
-            blocks[f"distill/{name}"] = ckpt.distill[name]
-    proto_ids = sorted(ckpt.protos.entries)
+    for name in sorted(state.momentum):
+        blocks[f"momentum/{name}"] = state.momentum[name]
+    if state.distill_params is not None:
+        distill = state.distill_params.blocks
+        for name in sorted(distill):
+            blocks[f"distill/{name}"] = distill[name]
+    proto_ids = sorted(state.protos.entries)
     blocks["proto/ids"] = np.array(proto_ids, dtype=np.float64)
     blocks["proto/frozen"] = np.array(
-        [1.0 if ckpt.protos.entries[c].frozen else 0.0 for c in proto_ids]
+        [1.0 if state.protos.entries[c].frozen else 0.0 for c in proto_ids]
     )
     blocks["proto/initialized"] = np.array(
-        [1.0 if ckpt.protos.entries[c].initialized else 0.0 for c in proto_ids]
+        [1.0 if state.protos.entries[c].initialized else 0.0 for c in proto_ids]
     )
     for cid in proto_ids:
-        blocks[f"proto/vec/{cid}"] = ckpt.protos.entries[cid].vector
-    bank_ids = sorted(ckpt.bank.queues)
+        blocks[f"proto/vec/{cid}"] = state.protos.entries[cid].vector
+    bank_ids = sorted(state.bank.queues)
     blocks["bank/ids"] = np.array(bank_ids, dtype=np.float64)
     for cid in bank_ids:
-        blocks[f"bank/queue/{cid}"] = ckpt.bank.queues[cid]
-    count_ids = sorted(ckpt.pixel_counts)
-    blocks["counts/ids"] = np.array(count_ids, dtype=np.float64)
-    blocks["counts/values"] = np.array(
-        [float(ckpt.pixel_counts[c]) for c in count_ids]
-    )
+        blocks[f"bank/queue/{cid}"] = state.bank.queues[cid]
     blocks["trainer/progress"] = np.array(
-        [float(ckpt.epoch), float(ckpt.iteration), float(ckpt.bank_capacity)]
+        [float(state.epoch), float(state.iteration), float(state.bank.capacity)]
     )
     return blocks
 
 
-def save_checkpoint(path, ckpt):
-    """Serialize a Checkpoint; block order is canonical, so bytes are stable."""
-    with open(path, "wb") as fh:
+def save_checkpoint(path, state):
+    """Serialize a TrainState; block order is canonical, so bytes are stable.
+
+    The file is replaced only once fully written (see ``atomic_open``).
+    """
+    with atomic_open(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(CHECKPOINT_VERSION.to_bytes(2, "little"))
         algo = RNG_ALGORITHM_ID.encode("utf-8")
         fh.write(len(algo).to_bytes(1, "little"))
         fh.write(algo)
-        for word in ckpt.rng_state:
-            fh.write(int(word).to_bytes(8, "little"))
-        fh.write(int(ckpt.step).to_bytes(4, "little"))
-        fh.write(len(ckpt.params.class_steps).to_bytes(4, "little"))
-        for step_classes in ckpt.params.class_steps:
+        fh.write(int(state.step).to_bytes(4, "little"))
+        fh.write(len(state.params.class_steps).to_bytes(4, "little"))
+        for step_classes in state.params.class_steps:
             fh.write(len(step_classes).to_bytes(4, "little"))
             for cid in step_classes:
                 fh.write(int(cid).to_bytes(4, "little"))
-        for name, arr in _blocks_from_checkpoint(ckpt).items():
+        for name, arr in _blocks_from_state(state).items():
             _write_block(fh, name, arr)
 
 
@@ -346,10 +364,6 @@ def load_checkpoint(path):
                 f"checkpoint written by PRNG {algo!r}, this build uses "
                 f"{RNG_ALGORITHM_ID!r}"
             )
-        rng_state = tuple(
-            int.from_bytes(_read_exact(fh, 8, "rng state"), "little")
-            for _ in range(3)
-        )
         step = int.from_bytes(_read_exact(fh, 4, "step"), "little")
         n_steps = int.from_bytes(_read_exact(fh, 4, "registry size"), "little")
         class_steps = []
@@ -379,10 +393,10 @@ def load_checkpoint(path):
                 size *= d
             payload = _read_exact(fh, size * 8, f"block '{name}' payload")
             blocks[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
-    return _checkpoint_from_blocks(step, tuple(class_steps), rng_state, blocks)
+    return _state_from_blocks(step, tuple(class_steps), blocks)
 
 
-def _checkpoint_from_blocks(step, class_steps, rng_state, blocks):
+def _state_from_blocks(step, class_steps, blocks):
     try:
         shape = blocks["model/shape"]
         patch_size = int(shape[0])
@@ -428,24 +442,27 @@ def _checkpoint_from_blocks(step, class_steps, rng_state, blocks):
         bank = FeatureBank(feature_dim, capacity)
         for cid in (int(v) for v in blocks["bank/ids"]):
             bank.deposit_many(cid, blocks[f"bank/queue/{cid}"])
-        count_ids = [int(v) for v in blocks["counts/ids"]]
-        count_vals = blocks["counts/values"]
-        pixel_counts = {cid: int(count_vals[i]) for i, cid in enumerate(count_ids)}
     except KeyError as exc:
         raise FormatError(f"checkpoint missing block {exc}") from exc
     for name, arr in params.blocks.items():
         if not np.all(np.isfinite(arr)):
             raise FormatError(f"parameter block {name} has non-finite values")
-    return Checkpoint(
-        step=step,
-        epoch=epoch,
-        iteration=iteration,
+    distill_params = None
+    if distill:
+        distill_params = ModelParams(
+            patch_size=patch_size,
+            feature_dim=feature_dim,
+            hidden=hidden,
+            blocks=distill,
+            class_steps=class_steps[:-1],
+        )
+    return TrainState(
         params=params,
         momentum=momentum,
         protos=protos,
         bank=bank,
-        bank_capacity=capacity,
-        pixel_counts=pixel_counts,
-        rng_state=rng_state,
-        distill=distill or None,
+        step=step,
+        epoch=epoch,
+        iteration=iteration,
+        distill_params=distill_params,
     )

@@ -99,9 +99,6 @@ class Rng:
             items[i], items[j] = items[j], items[i]
         return items
 
-    def state_tuple(self):
-        return (self.state, self.inc, self.seed)
-
 
 @dataclass
 class GradSlot:

@@ -154,7 +154,6 @@ class TaskSplit:
     """Ordered disjoint class-id sets, one per continual step."""
 
     steps: Tuple[Tuple[int, ...], ...]
-    protocol: str = "overlapped"
 
     def validate(self, num_classes=None):
         seen = set()
@@ -167,8 +166,6 @@ class TaskSplit:
                 if c in seen:
                     raise ConfigError(f"class id {c} appears in two steps")
                 seen.add(c)
-        if self.protocol != "overlapped":
-            raise ConfigError(f"unsupported protocol {self.protocol!r}")
         return self
 
     @property

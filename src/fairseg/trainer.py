@@ -17,11 +17,11 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, ProtocolError
+from .errors import ConfigError, DimensionError, FormatError, ProtocolError
 from .losses import (
     ClassDistribution,
     ConsConfig,
@@ -33,12 +33,14 @@ from .losses import (
     weighted_ce,
 )
 from .model import (
-    Checkpoint,
     ModelParams,
+    TrainState,
+    atomic_open,
     backward_batch,
     forward_batch,
     grow_head,
     init_params,
+    load_checkpoint,
     save_checkpoint,
 )
 from .numerics import Rng
@@ -237,19 +239,6 @@ class StepOutcome:
     counters: dict
 
 
-@dataclass
-class TrainState:
-    params: ModelParams
-    momentum: dict
-    protos: PrototypeBank
-    bank: FeatureBank
-    step: int = 1
-    epoch: int = 0  # completed epochs within the current step
-    iteration: int = 0  # step-local iteration counter (Algorithm-style)
-    distill_params: Optional[ModelParams] = None
-    last_counts: dict = field(default_factory=dict)
-
-
 def init_state(cfg):
     initial = sorted(cfg.split.classes_at(1))
     params = init_params(
@@ -292,7 +281,6 @@ def enter_step(state, cfg, step):
     state.step = step
     state.epoch = 0
     state.iteration = 0
-    state.last_counts = {}
     return state
 
 
@@ -309,7 +297,7 @@ def _count_supervised(data, ids):
     return counts
 
 
-def _deposit(bank, protos, features, eff, ce_mask, step, current, cap):
+def _deposit(bank, features, eff, ce_mask, step, current, cap):
     """Feed per-class feature queues from a batch's (B, H, W) pixels.
 
     Current classes deposit from supervised pixels only; the unknown
@@ -319,12 +307,10 @@ def _deposit(bank, protos, features, eff, ce_mask, step, current, cap):
     """
     flat = features.reshape(-1, features.shape[-1])
     eff = eff.reshape(eff.shape[0], -1)
-    picks = [(cid, eff == cid) for cid in current]
-    if not protos.is_frozen(0):
-        zero = eff == 0
-        if step == 1:
-            zero &= ce_mask.reshape(zero.shape)
-        picks.append((0, zero))
+    zero = eff == 0
+    if step == 1:
+        zero &= ce_mask.reshape(zero.shape)
+    picks = [(cid, eff == cid) for cid in current] + [(0, zero)]
     for cid, mask in picks:
         first = mask & (np.cumsum(mask, axis=1) <= cap)
         bank.deposit_many(cid, flat[first.reshape(-1)])
@@ -359,9 +345,10 @@ def run_step(state, cfg, step, data, log_rows=None, on_epoch_end=None):
     counters = {"cluster_skipped_pixels": 0}
     traces = []
     iterations_run = 0
-    state.last_counts = _count_supervised(data, sup_ids)
     dist = ClassDistribution(
-        state.last_counts, smoothing=cfg.smoothing, clamp=cfg.clamp
+        _count_supervised(data, sup_ids),
+        smoothing=cfg.smoothing,
+        clamp=cfg.clamp,
     ).validate()
     row_weights = (
         ce_row_weights(dist, params.row_map(), params.num_rows)
@@ -419,8 +406,8 @@ def run_step(state, cfg, step, data, log_rows=None, on_epoch_end=None):
                 )
             if cfg.use_cluster:
                 _deposit(
-                    state.bank, state.protos, feats, eff, ce_mask,
-                    step, current, cfg.cluster.deposit_per_class,
+                    state.bank, feats, eff, ce_mask, step, current,
+                    cfg.cluster.deposit_per_class,
                 )
             grads = backward_batch(params, cache, dfeats, dlogits)
             sgd_update(
@@ -477,53 +464,6 @@ def run_step(state, cfg, step, data, log_rows=None, on_epoch_end=None):
     )
 
 
-def state_to_checkpoint(state, cfg):
-    return Checkpoint(
-        step=state.step,
-        epoch=state.epoch,
-        iteration=state.iteration,
-        params=state.params,
-        momentum=state.momentum,
-        protos=state.protos,
-        bank=state.bank,
-        bank_capacity=cfg.cluster.bank_capacity,
-        pixel_counts=dict(state.last_counts),
-        rng_state=Rng(cfg.seed).state_tuple(),
-        distill=(
-            dict(state.distill_params.blocks)
-            if state.distill_params is not None
-            else None
-        ),
-    )
-
-
-def state_from_checkpoint(ckpt, cfg):
-    state = TrainState(
-        params=ckpt.params,
-        momentum=ckpt.momentum,
-        protos=ckpt.protos,
-        bank=ckpt.bank,
-        step=ckpt.step,
-        epoch=ckpt.epoch,
-        iteration=ckpt.iteration,
-        last_counts=dict(ckpt.pixel_counts),
-    )
-    for name, arr in ckpt.params.blocks.items():
-        if name not in state.momentum:
-            state.momentum[name] = np.zeros_like(arr)
-    if ckpt.distill:
-        k = len(ckpt.params.class_steps)
-        prev_steps = ckpt.params.class_steps[: k - 1] if k > 1 else ()
-        state.distill_params = ModelParams(
-            patch_size=ckpt.params.patch_size,
-            feature_dim=ckpt.params.feature_dim,
-            hidden=ckpt.params.hidden,
-            blocks={n: a.copy() for n, a in ckpt.distill.items()},
-            class_steps=prev_steps,
-        )
-    return state
-
-
 @dataclass
 class RunResult:
     outcomes: List[StepOutcome]
@@ -534,12 +474,29 @@ class RunResult:
 
 
 def write_loss_log(path, rows):
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=LOG_FIELDS)
         writer.writeheader()
         for row in rows:
             writer.writerow({k: repr(v) if isinstance(v, float) else v
                              for k, v in row.items()})
+
+
+def _read_loss_log(path, before):
+    """The rows of a loss log whose (step, epoch) comes before ``before``."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if tuple(reader.fieldnames or ()) != LOG_FIELDS:
+            raise FormatError(f"{path} does not have the loss log columns")
+        try:
+            rows = [
+                {k: int(v) if k in ("step", "epoch", "iteration") else float(v)
+                 for k, v in row.items()}
+                for row in reader
+            ]
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"malformed row in {path}: {exc}") from exc
+    return [row for row in rows if (row["step"], row["epoch"]) < before]
 
 
 def run_continual(cfg, samples, out_dir=None, test_samples=None,
@@ -550,7 +507,9 @@ def run_continual(cfg, samples, out_dir=None, test_samples=None,
     (step<t>.ckpt), a rolling latest.ckpt after every epoch, and a loss
     CSV.  When ``test_samples`` is given, evaluates after each step.
     ``resume_from`` restarts from a latest.ckpt at the recorded epoch
-    boundary and continues bit-identically.
+    boundary and continues bit-identically; the loss CSV keeps the rows
+    already in ``out_dir`` from before that boundary.  The CSV is
+    rewritten before each latest.ckpt, so the two always agree.
     """
     from .metrics import evaluate_model  # local import to avoid a cycle
 
@@ -562,24 +521,20 @@ def run_continual(cfg, samples, out_dir=None, test_samples=None,
         for t in range(1, n_steps + 1)
     }
     tracker = TrackedDataset(samples)
-    if resume_from is not None:
-        from .model import load_checkpoint
-
-        state = state_from_checkpoint(load_checkpoint(resume_from), cfg)
-    else:
-        state = init_state(cfg)
+    state = init_state(cfg) if resume_from is None else load_checkpoint(resume_from)
     log_rows = []
     outcomes = []
     reports = []
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
+        log_path = os.path.join(out_dir, "losses.csv")
+        if resume_from is not None and os.path.exists(log_path):
+            log_rows = _read_loss_log(log_path, (state.step, state.epoch))
 
     def save_latest(st):
         if out_dir is not None:
-            save_checkpoint(
-                os.path.join(out_dir, "latest.ckpt"),
-                state_to_checkpoint(st, cfg),
-            )
+            write_loss_log(log_path, log_rows)
+            save_checkpoint(os.path.join(out_dir, "latest.ckpt"), st)
 
     for t in range(1, n_steps + 1):
         if t < state.step:
@@ -602,10 +557,7 @@ def run_continual(cfg, samples, out_dir=None, test_samples=None,
         )
         outcomes.append(outcome)
         if out_dir is not None:
-            save_checkpoint(
-                os.path.join(out_dir, f"step{t}.ckpt"),
-                state_to_checkpoint(state, cfg),
-            )
+            save_checkpoint(os.path.join(out_dir, f"step{t}.ckpt"), state)
         if test_samples is not None:
             report, _ = evaluate_model(state.params, test_samples, split, t)
             reports.append(report)
@@ -613,7 +565,7 @@ def run_continual(cfg, samples, out_dir=None, test_samples=None,
         avg = float(np.mean([r.miou_all for r in reports]))
         reports[-1].miou_avg = avg
     if out_dir is not None:
-        write_loss_log(os.path.join(out_dir, "losses.csv"), log_rows)
+        write_loss_log(log_path, log_rows)
     return RunResult(
         outcomes=outcomes,
         state=state,

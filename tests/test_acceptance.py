@@ -272,7 +272,8 @@ def test_criterion_9_determinism_and_resume(grid):
     identical = all(
         (first / name).read_bytes() == (again / name).read_bytes()
         for name in (
-            "step1.ckpt", "step2.ckpt", "report_step2.csv", "summary.txt",
+            "step1.ckpt", "step2.ckpt", "latest.ckpt", "losses.csv",
+            "report_step2.csv", "summary.txt",
         )
     )
     # redoing step 2 from the step-1 checkpoint must land on the same bytes

@@ -146,12 +146,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cfg.hidden_sizes()
 
-    def test_protocol_must_be_overlapped(self):
-        cfg = default_config()
-        cfg.values["split"]["protocol"] = "disjoint"
-        with pytest.raises(ConfigError):
-            cfg.task_split()
-
     def test_train_config_threading(self):
         cfg = default_config()
         tc = cfg.train_config()
@@ -342,7 +336,7 @@ class TestGradcheckCommand:
         code, text = run_cli("gradcheck", "--trials", "2")
         assert code == 0
         lines = [l for l in text.splitlines() if "e-" in l or "e+" in l]
-        assert len(lines) == 5  # ce, cluster, cons both forms, distill
+        assert len(lines) == 4  # ce, cluster, cons, distill
 
     def test_failure_exits_4(self, monkeypatch):
         monkeypatch.setattr(

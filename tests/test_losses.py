@@ -328,15 +328,9 @@ def brute_force_cons(image, probs, cfg):
                         np.sum((image[i, j] - image[ni, nj]) ** 2)
                     )
                     pred2 = float(np.sum((probs[i, j] - probs[ni, nj]) ** 2))
-                    if cfg.form == "smooth":
-                        total += (
-                            math.exp(-color2 / (2 * cfg.sigma_color**2)) * pred2
-                        )
-                    else:
-                        total += math.exp(
-                            -color2 / (2 * cfg.sigma_color**2)
-                            - pred2 / (2 * cfg.sigma_pred**2)
-                        )
+                    total += (
+                        math.exp(-color2 / (2 * cfg.sigma_color**2)) * pred2
+                    )
                     pairs += 1
     return total / pairs
 
@@ -393,13 +387,12 @@ class TestConsLoss:
             brute_force_cons(image, probs, cfg), abs=1e-14
         )
 
-    @pytest.mark.parametrize("form", ["smooth", "literal"])
-    def test_matches_brute_force_on_random_input(self, form):
+    def test_matches_brute_force_on_random_input(self):
         rng = Rng(121)
         h, w, k = 5, 4, 3
         image = rng.uniforms(h * w * 3).reshape(h, w, 3)
         probs = softmax(rng.normals(h * w * k).reshape(h, w, k), axis=-1)
-        cfg = ConsConfig(sigma_color=0.25, sigma_pred=0.7, form=form).validate()
+        cfg = ConsConfig(sigma_color=0.25).validate()
         out = cons_loss(image, probs, cfg)
         assert out.value == pytest.approx(
             brute_force_cons(image, probs, cfg), abs=1e-13
@@ -428,33 +421,31 @@ class TestConsLoss:
         b = softmax(rng.normals(3), axis=-1)
         region = (np.arange(4) < 2)[:, None] & np.ones(4, bool)[None, :]
         probs0 = np.where(region[..., None], a, b)
-        for form in ("smooth", "literal"):
-            cfg = ConsConfig(sigma_color=0.3, sigma_pred=0.6, form=form)
+        cfg = ConsConfig(sigma_color=0.3)
 
-            def loss(params):
-                out = cons_loss(image, params["probs"], cfg)
-                return GradSlot(
-                    value=out.value, grads={"probs": out.grads["probs"]}
-                )
+        def loss(params):
+            out = cons_loss(image, params["probs"], cfg)
+            return GradSlot(
+                value=out.value, grads={"probs": out.grads["probs"]}
+            )
 
-            assert finite_diff_check(loss, {"probs": probs0}) <= 1e-5
+        assert finite_diff_check(loss, {"probs": probs0}) <= 1e-5
 
     def test_logits_gradient_matches_finite_differences(self):
         # verifies the softmax chain: perturb logits, probs follow
         rng = Rng(125)
         image = (0.5 + 0.1 * (2 * rng.uniforms(4 * 4 * 3) - 1)).reshape(4, 4, 3)
         logits0 = rng.normals(4 * 4 * 3).reshape(4, 4, 3)
-        for form in ("smooth", "literal"):
-            cfg = ConsConfig(sigma_color=0.3, sigma_pred=0.6, form=form)
+        cfg = ConsConfig(sigma_color=0.3)
 
-            def loss(params):
-                probs = softmax(params["logits"], axis=-1)
-                out = cons_loss(image, probs, cfg)
-                return GradSlot(
-                    value=out.value, grads={"logits": out.grads["logits"]}
-                )
+        def loss(params):
+            probs = softmax(params["logits"], axis=-1)
+            out = cons_loss(image, probs, cfg)
+            return GradSlot(
+                value=out.value, grads={"logits": out.grads["logits"]}
+            )
 
-            assert finite_diff_check(loss, {"logits": logits0}) <= 1e-4
+        assert finite_diff_check(loss, {"logits": logits0}) <= 1e-4
 
     def test_softmax_jacobian_identity(self):
         rng = Rng(126)
@@ -475,8 +466,6 @@ class TestConsLoss:
             ConsConfig(sigma_color=0.0).validate()
         with pytest.raises(ConfigError):
             ConsConfig(window=4).validate()
-        with pytest.raises(ConfigError):
-            ConsConfig(form="exotic").validate()
 
 
 class TestDistillLoss:
@@ -628,21 +617,14 @@ class TestBatchContract:
             cluster_loss(feats[i], labels[i], protos, cfg, parts)
         assert whole == parts
 
-    @pytest.mark.parametrize("form", ["smooth", "literal"])
-    def test_cons_loss(self, form):
+    def test_cons_loss(self):
         rng = Rng(142)
-        cfg = ConsConfig(sigma_color=0.3, form=form)
+        cfg = ConsConfig(sigma_color=0.3)
         image = rng.uniforms(self.B * self.H * self.W * 3).reshape(
             self.B, self.H, self.W, 3
         )
         probs = softmax(self.normals(rng, self.B, self.H, self.W, 4), axis=-1)
-        if form == "smooth":
-            probs[1] = probs[1, 0, 0]
-        else:
-            # every neighbor pair far apart in color: the kernel is 0
-            image[1] = 1e3 * np.arange(self.H * self.W).reshape(
-                self.H, self.W, 1
-            )
+        probs[1] = probs[1, 0, 0]
         self.assert_batch_is_sum(lambda x, p: cons_loss(x, p, cfg), image, probs)
 
     def test_distill_loss(self):

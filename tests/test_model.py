@@ -12,8 +12,9 @@ from fairseg.losses import (
     weighted_ce,
 )
 from fairseg.prototypes import ClusterConfig
+from fairseg import model
 from fairseg.model import (
-    Checkpoint,
+    TrainState,
     backward_batch,
     forward,
     forward_batch,
@@ -285,6 +286,10 @@ class TestBackward:
 def make_checkpoint(seed=51, with_distill=False):
     rng = Rng(seed)
     params = small_params(seed=seed, classes=(1, 2))
+    distill_params = None
+    if with_distill:
+        distill_params = params.copy()
+        params = grow_head(params, (3,), rng.split("grow"))
     momentum = {k: np.asarray(rng.normals(v.size)).reshape(v.shape) * 0.01
                 for k, v in params.blocks.items()}
     protos = PrototypeBank(params.feature_dim)
@@ -296,21 +301,15 @@ def make_checkpoint(seed=51, with_distill=False):
     bank.deposit(0, rng.normals(params.feature_dim))
     bank.deposit(2, rng.normals(params.feature_dim))
     bank.deposit(2, rng.normals(params.feature_dim))
-    distill = None
-    if with_distill:
-        distill = {k: v.copy() for k, v in params.blocks.items()}
-    return Checkpoint(
-        step=2,
-        epoch=3,
-        iteration=17,
+    return TrainState(
         params=params,
         momentum=momentum,
         protos=protos,
         bank=bank,
-        bank_capacity=7,
-        pixel_counts={0: 120, 1: 30, 2: 9},
-        rng_state=Rng(seed).state_tuple(),
-        distill=distill,
+        step=2,
+        epoch=3,
+        iteration=17,
+        distill_params=distill_params,
     )
 
 
@@ -333,15 +332,16 @@ class TestCheckpoint:
         assert back.step == ckpt.step
         assert back.epoch == ckpt.epoch
         assert back.iteration == ckpt.iteration
-        assert back.rng_state == ckpt.rng_state
         assert back.params.class_steps == ckpt.params.class_steps
         assert back.params.hidden == ckpt.params.hidden
         for name, arr in ckpt.params.blocks.items():
             np.testing.assert_array_equal(back.params.blocks[name], arr)
         for name, arr in ckpt.momentum.items():
             np.testing.assert_array_equal(back.momentum[name], arr)
-        for name, arr in ckpt.distill.items():
-            np.testing.assert_array_equal(back.distill[name], arr)
+        assert back.distill_params.class_steps == ((1, 2),)
+        assert back.distill_params.hidden == ckpt.params.hidden
+        for name, arr in ckpt.distill_params.blocks.items():
+            np.testing.assert_array_equal(back.distill_params.blocks[name], arr)
         assert sorted(back.protos.entries) == [0, 1, 2]
         assert back.protos.is_frozen(1) and back.protos.is_initialized(1)
         np.testing.assert_array_equal(
@@ -351,7 +351,28 @@ class TestCheckpoint:
         np.testing.assert_array_equal(
             back.bank.mean(2), ckpt.bank.mean(2)
         )
-        assert back.pixel_counts == ckpt.pixel_counts
+        assert back.bank.capacity == 7
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "latest.ckpt"
+        save_checkpoint(path, make_checkpoint())
+        before = path.read_bytes()
+        real_write = model._write_block
+        written = []
+
+        def write_then_fail(fh, name, arr):
+            if len(written) == 5:
+                raise OSError("disk full")
+            written.append(name)
+            real_write(fh, name, arr)
+
+        monkeypatch.setattr(model, "_write_block", write_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, make_checkpoint(seed=52))
+        assert len(written) == 5
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["latest.ckpt"]
+        assert load_checkpoint(path).iteration == 17
 
     def test_bank_queue_of_wrong_width_rejected(self, tmp_path):
         path = tmp_path / "bank.ckpt"

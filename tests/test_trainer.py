@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import separable_samples
+from fairseg import trainer
 from fairseg.errors import ConfigError, DimensionError, ProtocolError
 from fairseg.model import load_checkpoint, save_checkpoint
 from fairseg.numerics import Rng
@@ -18,8 +19,6 @@ from fairseg.trainer import (
     run_continual,
     run_step,
     sgd_update,
-    state_from_checkpoint,
-    state_to_checkpoint,
 )
 
 
@@ -258,9 +257,9 @@ class TestRunStep:
         state = init_state(half_cfg)
         run_step(state, half_cfg, 1, data)
         path = tmp_path / "half.ckpt"
-        save_checkpoint(path, state_to_checkpoint(state, half_cfg))
+        save_checkpoint(path, state)
         resumed_cfg = tiny_config(epochs=4)
-        resumed = state_from_checkpoint(load_checkpoint(path), resumed_cfg)
+        resumed = load_checkpoint(path)
         assert resumed.epoch == 2
         run_step(resumed, resumed_cfg, 1, data)
 
@@ -354,6 +353,41 @@ class TestRunContinual:
         )
         assert again.outcomes == []
         assert again.tracker.reads == []
+
+    def test_resume_finished_run_in_place_keeps_loss_log(self, tmp_path,
+                                                         tiny_dataset):
+        train, _ = tiny_dataset
+        cfg = tiny_config()
+        out = tmp_path / "done"
+        run_continual(cfg, train, out_dir=out)
+        log = (out / "losses.csv").read_bytes()
+        run_continual(cfg, train, out_dir=out, resume_from=out / "latest.ckpt")
+        assert (out / "losses.csv").read_bytes() == log
+
+    def test_crash_in_step_two_then_resume_matches_uninterrupted(
+            self, tmp_path, tiny_dataset, monkeypatch):
+        train, _ = tiny_dataset
+        cfg = tiny_config()
+        straight = tmp_path / "straight"
+        run_continual(cfg, train, out_dir=straight)
+
+        out = tmp_path / "crashed"
+        real_save = trainer.save_checkpoint
+
+        def save_or_crash(path, state):
+            if state.step == 2 and state.epoch == 1:
+                raise OSError("killed")
+            real_save(path, state)
+
+        monkeypatch.setattr(trainer, "save_checkpoint", save_or_crash)
+        with pytest.raises(OSError, match="killed"):
+            run_continual(cfg, train, out_dir=out)
+        monkeypatch.undo()
+        assert not (out / "step2.ckpt").exists()
+        assert load_checkpoint(out / "latest.ckpt").step == 2
+        run_continual(cfg, train, out_dir=out, resume_from=out / "latest.ckpt")
+        for name in ("losses.csv", "latest.ckpt", "step2.ckpt"):
+            assert (out / name).read_bytes() == (straight / name).read_bytes()
 
     def test_loss_log_schema(self, tmp_path, tiny_dataset):
         train, _ = tiny_dataset
