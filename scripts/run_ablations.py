@@ -2,7 +2,8 @@
 """Run the loss-ablation grid on the shapes-8 benchmark and tabulate it.
 
 Generates the dataset once, trains every (preset, seed) combination with
-the committed configuration, then prints seed-averaged final-step metrics
+the committed configuration, then prints seed-averaged final-step metrics,
+each with its per-seed min and max so that one collapsed seed shows,
 plus the three directional comparisons the grid exists to demonstrate:
 old-class retention from the clustering term, per-class IoU spread from
 the distribution weighting, and island suppression from the consistency
@@ -65,15 +66,22 @@ def seed_mean(runs, preset, seeds, key):
     return float(np.mean([runs[(preset, s)][key] for s in seeds]))
 
 
+def seed_cell(runs, preset, seeds, key):
+    """'mean [min, max]' over the seeds."""
+    vals = [runs[(preset, s)][key] for s in seeds]
+    return f"{np.mean(vals):.4f} [{min(vals):.4f}, {max(vals):.4f}]"
+
+
 def summarize(runs, presets, seeds):
     print()
-    header = f"{'preset':14s}" + "".join(f"{m:>19s}" for m in METRICS)
+    print("each cell: mean over seeds [per-seed min, max]")
+    header = f"{'preset':14s}" + "".join(f"{m:>27s}" for m in METRICS)
     print(header)
     print("-" * len(header))
     for preset in presets:
         row = f"{preset:14s}"
         for m in METRICS:
-            row += f"{seed_mean(runs, preset, seeds, m):19.4f}"
+            row += f"{seed_cell(runs, preset, seeds, m):>27s}"
         print(row)
     print()
 

@@ -36,12 +36,10 @@ from .prototypes import (  # noqa: F401
     ClusterConfig,
     FeatureBank,
     PrototypeBank,
-    pseudo_label,
     update_prototypes,
 )
 from .model import (  # noqa: F401
     ModelParams,
-    forward,
     init_params,
     load_checkpoint,
     save_checkpoint,

@@ -26,6 +26,7 @@ from .errors import (
     StateError,
     UnavailableError,
 )
+from .fileio import atomic_open
 from .losses import (
     ConsConfig,
     cluster_loss,
@@ -184,19 +185,11 @@ def cmd_train(args):
             f"final total loss {last.get('total', float('nan')):.6f}"
         )
     for report in result.reports:
-        write_report_csv(
-            os.path.join(out_dir, f"report_step{report.step}.csv"), report
-        )
-        write_summary(
-            os.path.join(out_dir, f"summary_step{report.step}.txt"), report
-        )
         print(
             f"step {report.step} eval: mIoU(all) {report.miou_all:.4f}, "
             f"mIoU(initial) {report.miou_initial:.4f}, "
             f"STD {report.iou_std_fg:.4f}"
         )
-    if result.reports:
-        write_summary(os.path.join(out_dir, "summary.txt"), result.reports[-1])
     print(f"run artifacts in {out_dir}")
     return EXIT_OK
 
@@ -500,7 +493,7 @@ def cmd_report(args):
     if args.out is not None:
         import csv
 
-        with open(args.out, "w", newline="") as fh:
+        with atomic_open(args.out, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=header)
             writer.writeheader()
             for row in rows:

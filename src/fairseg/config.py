@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from .errors import ConfigError
+from .fileio import atomic_open
 from .losses import ConsConfig, LossWeights
 from .prototypes import ClusterConfig
 from .synthdata import TaskSplit, shapes_benchmark
@@ -205,7 +206,7 @@ class RunConfig:
         return out.getvalue()
 
     def write(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path, "w", encoding="utf-8") as fh:
             fh.write(self.dump())
 
 

@@ -15,6 +15,7 @@ from typing import Dict
 import numpy as np
 
 from .errors import DimensionError, LabelError, UnavailableError
+from .fileio import atomic_open
 from .model import forward_batch
 from .synthdata import IGNORE_ID, evaluation_labels, write_manifest
 
@@ -307,7 +308,7 @@ def evaluate_model(params, samples, split, step, batch_size=8):
 
 def write_report_csv(path, report):
     """One row per evaluated class: id, pixels, IoU, mean CE error."""
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["class_id", "pixels", "iou", "ce_error"])
         for cid in sorted(report.per_class_iou):

@@ -8,15 +8,14 @@ Forward and backward are exact analytic numpy; there is no autodiff graph.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, FormatError
+from .fileio import atomic_open
 from .numerics import RNG_ALGORITHM_ID, Rng, softmax
 from .prototypes import FeatureBank, PrototypeBank, ProtoEntry
 
@@ -197,12 +196,6 @@ def forward_batch(params, images):
     return preds, cache
 
 
-def forward(params, image):
-    """Forward one image."""
-    preds, _ = forward_batch(params, [image])
-    return preds[0]
-
-
 def backward_batch(params, cache, dfeats, dlogits):
     """Exact parameter gradients from stacked upstream feature/logit grads."""
     if dlogits.shape != cache.logits.shape:
@@ -252,24 +245,6 @@ class TrainState:
     epoch: int = 0  # completed epochs within the current step
     iteration: int = 0  # step-local iteration counter (Algorithm-style)
     distill_params: Optional[ModelParams] = None  # frozen previous-step model
-
-
-@contextlib.contextmanager
-def atomic_open(path, mode="wb", **kwargs):
-    """Write a temporary file beside ``path`` that replaces it when complete.
-
-    On any exception the temporary file is removed, so a failed write
-    leaves the previous file at ``path`` as it was.
-    """
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, mode, **kwargs) as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
 
 
 def _write_block(fh, name, arr):

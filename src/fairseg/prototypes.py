@@ -61,9 +61,6 @@ class PrototypeBank:
                     vector=np.zeros(self.feature_dim, dtype=np.float64)
                 )
 
-    def __contains__(self, cid):
-        return cid in self.entries
-
     def vector(self, cid):
         return self.entries[cid].vector
 
@@ -83,16 +80,6 @@ class PrototypeBank:
             raise UnavailableError("no initialized prototypes")
         return ids, np.stack([self.entries[c].vector for c in ids])
 
-    def snapshot(self):
-        clone = PrototypeBank(self.feature_dim)
-        for cid, entry in self.entries.items():
-            clone.entries[cid] = ProtoEntry(
-                vector=entry.vector.copy(),
-                frozen=entry.frozen,
-                initialized=entry.initialized,
-            )
-        return clone
-
 
 class FeatureBank:
     """Per-class FIFO queues of feature vectors with bounded capacity.
@@ -106,14 +93,6 @@ class FeatureBank:
         self.feature_dim = int(feature_dim)
         self.capacity = int(capacity)
         self.queues = {}
-
-    def deposit(self, class_id, feature):
-        feature = np.asarray(feature, dtype=np.float64)
-        if feature.shape != (self.feature_dim,):
-            raise DimensionError(
-                f"feature shape {feature.shape} != ({self.feature_dim},)"
-            )
-        self.deposit_many(class_id, feature[None, :])
 
     def deposit_many(self, class_id, features):
         """Append (n, D) rows in order; the oldest rows beyond capacity drop out."""
@@ -165,18 +144,6 @@ def update_prototypes(protos, bank, cfg, iteration):
             entry.initialized = True
         else:
             entry.vector = cfg.momentum * entry.vector + (1.0 - cfg.momentum) * mean
-
-
-def pseudo_label(protos, feature):
-    """Class id of the nearest initialized prototype; ties pick the smallest id."""
-    ids, matrix = protos.initialized_matrix()
-    feature = np.asarray(feature, dtype=np.float64)
-    if feature.shape != (protos.feature_dim,):
-        raise DimensionError(
-            f"feature shape {feature.shape} != ({protos.feature_dim},)"
-        )
-    d2 = np.sum((matrix - feature[None, :]) ** 2, axis=1)
-    return ids[int(np.argmin(d2))]
 
 
 def pseudo_label_map(protos, features):

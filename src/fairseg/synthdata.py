@@ -16,6 +16,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import ConfigError, FormatError
+from .fileio import atomic_open
 from .numerics import Rng
 
 IGNORE_ID = 65535
@@ -284,19 +285,23 @@ def generate(spec):
     return train, test
 
 
+def _keep_only(sample, ids):
+    """Labels outside ``ids`` become background; the ignore sentinel passes."""
+    keep = np.zeros(IGNORE_ID + 1, dtype=bool)
+    keep[sorted(ids)] = True
+    keep[IGNORE_ID] = True
+    labels = sample.labels
+    collapsed = np.where(keep[labels], labels, np.uint16(BACKGROUND_ID))
+    return SegSample(image=sample.image, labels=collapsed.astype(np.uint16))
+
+
 def collapse_labels(sample, split, step):
     """Collapse labels outside the step's class set into background.
 
     Current-step classes keep their ids; the ignore sentinel passes through;
     everything else becomes background.  The image is shared, not copied.
     """
-    split._check_step(step)
-    keep = np.zeros(IGNORE_ID + 1, dtype=bool)
-    keep[list(split.steps[step - 1])] = True
-    keep[IGNORE_ID] = True
-    labels = sample.labels
-    collapsed = np.where(keep[labels], labels, np.uint16(BACKGROUND_ID))
-    return SegSample(image=sample.image, labels=collapsed.astype(np.uint16))
+    return _keep_only(sample, split.classes_at(step))
 
 
 def evaluation_labels(sample, split, step):
@@ -307,13 +312,7 @@ def evaluation_labels(sample, split, step):
     introduced at any step up to t; classes from future steps collapse into
     background.
     """
-    split._check_step(step)
-    keep = np.zeros(IGNORE_ID + 1, dtype=bool)
-    keep[sorted(split.known_through(step))] = True
-    keep[IGNORE_ID] = True
-    labels = sample.labels
-    collapsed = np.where(keep[labels], labels, np.uint16(BACKGROUND_ID))
-    return SegSample(image=sample.image, labels=collapsed.astype(np.uint16))
+    return _keep_only(sample, split.known_through(step))
 
 
 def select_step_indices(samples, split, step):
@@ -346,7 +345,7 @@ def _read_exact(fh, n, what):
 
 def write_dataset(samples, path, num_classes, manifest=None):
     """Write samples in the binary dataset format; optional sidecar manifest."""
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(DATASET_MAGIC)
         fh.write(DATASET_VERSION.to_bytes(2, "little"))
         fh.write(int(num_classes).to_bytes(2, "little"))
@@ -414,7 +413,7 @@ def read_dataset(path):
 
 
 def write_manifest(path, fields):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         for key, value in fields.items():
             fh.write(f"{key}={value}\n")
 

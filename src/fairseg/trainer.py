@@ -32,10 +32,11 @@ from .losses import (
     distill_loss,
     weighted_ce,
 )
+from .fileio import atomic_open
+from .metrics import evaluate_model, write_report_csv, write_summary
 from .model import (
     ModelParams,
     TrainState,
-    atomic_open,
     backward_batch,
     forward_batch,
     grow_head,
@@ -56,6 +57,7 @@ from .synthdata import (
     IGNORE_ID,
     TaskSplit,
     collapse_labels,
+    read_manifest,
     select_step_indices,
 )
 
@@ -164,9 +166,6 @@ class TrackedDataset:
         self._step = None
         self._allowed = frozenset()
 
-    def __len__(self):
-        return len(self._samples)
-
     def begin_step(self, step, allowed_indices):
         self._step = int(step)
         self._allowed = frozenset(int(i) for i in allowed_indices)
@@ -233,8 +232,7 @@ def sgd_update(params, momentum, grads, lr, mu, weight_decay):
 class StepOutcome:
     step: int
     params: ModelParams
-    proto_snapshot: PrototypeBank
-    loss_trace: List[dict]
+    loss_trace: List[dict]  # one loss-log row (LOG_FIELDS) per epoch
     iterations: int
     counters: dict
 
@@ -316,13 +314,14 @@ def _deposit(bank, features, eff, ce_mask, step, current, cap):
         bank.deposit_many(cid, flat[first.reshape(-1)])
 
 
-def run_step(state, cfg, step, data, log_rows=None, on_epoch_end=None):
+def run_step(state, cfg, step, data, on_epoch_end=None):
     """Train the current step over its image subset.
 
     ``data`` is a list of (image, collapsed labels) pairs for the step, all
     of one image size.  Each iteration stacks its batch and calls every
-    loss once on it.  Resumes from state.epoch when it is nonzero.  Returns
-    a StepOutcome with per-epoch mean loss terms.
+    loss once on it.  Resumes from state.epoch when it is nonzero.  Each
+    epoch makes one loss-log row of per-epoch mean loss terms, passed to
+    ``on_epoch_end(state, row)``; the StepOutcome holds them in order.
     """
     if not data:
         raise ProtocolError(f"step {step} has no training images")
@@ -343,7 +342,7 @@ def run_step(state, cfg, step, data, log_rows=None, on_epoch_end=None):
     n = len(data)
     per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
     counters = {"cluster_skipped_pixels": 0}
-    traces = []
+    loss_trace = []
     iterations_run = 0
     dist = ClassDistribution(
         _count_supervised(data, sup_ids),
@@ -424,41 +423,28 @@ def run_step(state, cfg, step, data, log_rows=None, on_epoch_end=None):
                     state.protos, state.bank, cfg.cluster,
                     epoch * per_epoch + b + 1,
                 )
-        trace = {k: v / per_epoch for k, v in sums.items()}
-        trace["total"] = (
-            trace["ce"]
-            + cfg.weights.lambda_cluster * trace["cluster"]
-            + cfg.weights.lambda_cons * trace["cons"]
-            + cfg.weights.lambda_distill * trace["distill"]
+        row = {"step": step, "epoch": epoch, "iteration": state.iteration,
+               "lr": lr}
+        row.update((k, v / per_epoch) for k, v in sums.items())
+        row["total"] = (
+            row["ce"]
+            + cfg.weights.lambda_cluster * row["cluster"]
+            + cfg.weights.lambda_cons * row["cons"]
+            + cfg.weights.lambda_distill * row["distill"]
         )
-        for key, val in trace.items():
-            if not np.isfinite(val):
+        for key in ("ce", "cluster", "cons", "distill", "total"):
+            if not np.isfinite(row[key]):
                 raise ProtocolError(
                     f"non-finite {key} loss at step {step} epoch {epoch}"
                 )
-        traces.append(trace)
+        loss_trace.append(row)
         state.epoch = epoch + 1
-        if log_rows is not None:
-            log_rows.append(
-                {
-                    "step": step,
-                    "epoch": epoch,
-                    "iteration": state.iteration,
-                    "lr": lr,
-                    "ce": trace["ce"],
-                    "cluster": trace["cluster"],
-                    "cons": trace["cons"],
-                    "distill": trace["distill"],
-                    "total": trace["total"],
-                }
-            )
         if on_epoch_end is not None:
-            on_epoch_end(state, epoch, trace)
+            on_epoch_end(state, row)
     return StepOutcome(
         step=step,
         params=state.params.copy(),
-        proto_snapshot=state.protos.snapshot(),
-        loss_trace=traces,
+        loss_trace=loss_trace,
         iterations=iterations_run,
         counters=counters,
     )
@@ -470,7 +456,6 @@ class RunResult:
     state: TrainState
     reports: list
     tracker: TrackedDataset
-    log_rows: List[dict]
 
 
 def write_loss_log(path, rows):
@@ -499,20 +484,38 @@ def _read_loss_log(path, before):
     return [row for row in rows if (row["step"], row["epoch"]) < before]
 
 
+def _read_step_miou(out_dir, step):
+    """The mIoU(all) an earlier process of this run wrote for ``step``."""
+    if out_dir is None:
+        raise FormatError(
+            f"resuming after step {step} needs its summary, but there is "
+            "no run directory"
+        )
+    path = os.path.join(out_dir, f"summary_step{step}.txt")
+    try:
+        return float(read_manifest(path)["miou_all"])
+    except (OSError, KeyError, ValueError) as exc:
+        raise FormatError(
+            f"cannot read the step {step} mIoU(all) from {path}: {exc!r}"
+        ) from exc
+
+
 def run_continual(cfg, samples, out_dir=None, test_samples=None,
                   resume_from=None):
-    """Run every step of the split in sequence.
+    """Run every step of the split in sequence; the only writer of ``out_dir``.
 
     When ``out_dir`` is given, writes per-step checkpoints
     (step<t>.ckpt), a rolling latest.ckpt after every epoch, and a loss
-    CSV.  When ``test_samples`` is given, evaluates after each step.
-    ``resume_from`` restarts from a latest.ckpt at the recorded epoch
-    boundary and continues bit-identically; the loss CSV keeps the rows
-    already in ``out_dir`` from before that boundary.  The CSV is
-    rewritten before each latest.ckpt, so the two always agree.
+    CSV.  When ``test_samples`` is given, evaluates after each step and
+    writes report_step<t>.csv and summary_step<t>.txt at once, then
+    summary.txt after the last step.  ``resume_from`` restarts from a
+    checkpoint at its recorded epoch boundary and continues
+    bit-identically: each step from the checkpoint's on trains the epochs
+    it has left, then takes the same step end as a fresh run.  The loss
+    CSV keeps the rows already in ``out_dir`` from before that boundary,
+    and the mIoU(all) of earlier steps is read back from their summaries.
+    The CSV is rewritten before each latest.ckpt, so the two always agree.
     """
-    from .metrics import evaluate_model  # local import to avoid a cycle
-
     cfg.validate()
     split = cfg.split
     n_steps = split.num_steps
@@ -525,6 +528,9 @@ def run_continual(cfg, samples, out_dir=None, test_samples=None,
     log_rows = []
     outcomes = []
     reports = []
+    mious = []  # mIoU(all) of every evaluated step, earlier processes included
+    if test_samples is not None:
+        mious = [_read_step_miou(out_dir, s) for s in range(1, state.step)]
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         log_path = os.path.join(out_dir, "losses.csv")
@@ -536,40 +542,47 @@ def run_continual(cfg, samples, out_dir=None, test_samples=None,
             write_loss_log(log_path, log_rows)
             save_checkpoint(os.path.join(out_dir, "latest.ckpt"), st)
 
-    for t in range(1, n_steps + 1):
-        if t < state.step:
-            continue
+    def end_epoch(st, row):
+        log_rows.append(row)
+        save_latest(st)
+
+    for t in range(state.step, n_steps + 1):
         if t > state.step:
             enter_step(state, cfg, t)
             save_latest(state)
-        if state.epoch >= cfg.epochs:
-            continue  # resumed past this step's training; nothing left to run
-        tracker.begin_step(t, allowed[t])
-        data = []
-        for idx in allowed[t]:
-            sample = tracker.fetch(idx)
-            data.append(
-                (sample.image, collapse_labels(sample, split, t).labels)
+        if state.epoch < cfg.epochs:
+            tracker.begin_step(t, allowed[t])
+            data = []
+            for idx in allowed[t]:
+                sample = tracker.fetch(idx)
+                data.append(
+                    (sample.image, collapse_labels(sample, split, t).labels)
+                )
+            outcomes.append(
+                run_step(state, cfg, t, data, on_epoch_end=end_epoch)
             )
-        outcome = run_step(
-            state, cfg, t, data, log_rows=log_rows,
-            on_epoch_end=lambda st, e, tr: save_latest(st),
-        )
-        outcomes.append(outcome)
         if out_dir is not None:
             save_checkpoint(os.path.join(out_dir, f"step{t}.ckpt"), state)
         if test_samples is not None:
             report, _ = evaluate_model(state.params, test_samples, split, t)
+            mious.append(report.miou_all)
+            if t == n_steps:
+                report.miou_avg = float(np.mean(mious))
             reports.append(report)
-    if reports:
-        avg = float(np.mean([r.miou_all for r in reports]))
-        reports[-1].miou_avg = avg
+            if out_dir is not None:
+                write_report_csv(
+                    os.path.join(out_dir, f"report_step{t}.csv"), report
+                )
+                write_summary(
+                    os.path.join(out_dir, f"summary_step{t}.txt"), report
+                )
     if out_dir is not None:
         write_loss_log(log_path, log_rows)
+        if reports:
+            write_summary(os.path.join(out_dir, "summary.txt"), reports[-1])
     return RunResult(
         outcomes=outcomes,
         state=state,
         reports=reports,
         tracker=tracker,
-        log_rows=log_rows,
     )

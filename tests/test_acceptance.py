@@ -22,7 +22,7 @@ from fairseg.prototypes import (
     ClusterConfig,
     FeatureBank,
     PrototypeBank,
-    pseudo_label,
+    pseudo_label_map,
     update_prototypes,
 )
 from fairseg.synthdata import read_dataset, select_step_indices
@@ -133,7 +133,7 @@ def test_criterion_3_update_schedule_oracle():
     for i in range(1, 81):
         cid = int(rng.randint(3))
         vec = np.asarray(rng.normals(dim))
-        bank.deposit(cid, vec)
+        bank.deposit_many(cid, vec[None])
         queues[cid].append(vec.copy())
         queues[cid] = queues[cid][-cfg.bank_capacity:]
         update_prototypes(protos, bank, cfg, i)
@@ -178,7 +178,7 @@ def test_criterion_4_pseudo_label_oracle():
             f = protos.vector(pick).copy()
         else:
             f = np.asarray(rng.normals(dim))
-        got = pseudo_label(protos, f)
+        got = pseudo_label_map(protos, f[None])[0]
         dists = [float(np.linalg.norm(f - protos.vector(c))) for c in ids]
         best = min(dists)
         brute = min(c for c, d in zip(ids, dists) if d == best)
@@ -279,13 +279,15 @@ def test_criterion_9_determinism_and_resume(grid):
     # redoing step 2 from the step-1 checkpoint must land on the same bytes
     cfg = load_config(ACCEPTANCE_INI).train_config(num_classes=8)
     train, _ = read_dataset(str(grid["data"] / "train.bin"))
+    test, _ = read_dataset(str(grid["data"] / "test.bin"))
     run_continual(
-        cfg, train, out_dir=str(resumed),
+        cfg, train, out_dir=str(resumed), test_samples=test,
         resume_from=str(first / "step1.ckpt"),
     )
-    resumed_ok = (resumed / "step2.ckpt").read_bytes() == (
-        first / "step2.ckpt"
-    ).read_bytes()
+    resumed_ok = all(
+        (resumed / name).read_bytes() == (first / name).read_bytes()
+        for name in ("step2.ckpt", "report_step2.csv", "summary.txt")
+    )
     ok = identical and resumed_ok
     report(
         "criterion 9",

@@ -16,7 +16,6 @@ from fairseg import model
 from fairseg.model import (
     TrainState,
     backward_batch,
-    forward,
     forward_batch,
     grow_head,
     init_params,
@@ -43,11 +42,16 @@ def random_image(rng, h, w):
     return rng.uniforms(h * w * 3).reshape(h, w, 3)
 
 
+def forward_one(params, image):
+    preds, _ = forward_batch(params, [image])
+    return preds[0]
+
+
 class TestForward:
     def test_constant_image_constant_output(self):
         params = small_params()
         image = np.full((7, 9, 3), 0.4)
-        pred = forward(params, image)
+        pred = forward_one(params, image)
         first_feat = pred.features[0, 0]
         first_prob = pred.probs[0, 0]
         assert np.all(pred.features == first_feat)
@@ -57,13 +61,13 @@ class TestForward:
         params = small_params()
         for name in params.blocks:
             params.blocks[name] = np.zeros_like(params.blocks[name])
-        pred = forward(params, random_image(Rng(3), 6, 6))
+        pred = forward_one(params, random_image(Rng(3), 6, 6))
         k = params.num_rows
         np.testing.assert_allclose(pred.probs, 1.0 / k, atol=1e-15)
 
     def test_probs_are_distributions(self):
         params = small_params()
-        pred = forward(params, random_image(Rng(4), 8, 5))
+        pred = forward_one(params, random_image(Rng(4), 8, 5))
         sums = pred.probs.sum(axis=2)
         np.testing.assert_allclose(sums, 1.0, atol=1e-9)
 
@@ -71,10 +75,10 @@ class TestForward:
         params = small_params(patch_size=5)
         rng = Rng(6)
         image = random_image(rng, 12, 12)
-        base = forward(params, image)
+        base = forward_one(params, image)
         bumped = image.copy()
         bumped[6, 7] += 0.05
-        after = forward(params, bumped)
+        after = forward_one(params, bumped)
         changed = np.any(base.features != after.features, axis=2)
         rr, cc = np.nonzero(changed)
         assert len(rr) > 0
@@ -87,15 +91,15 @@ class TestForward:
         images = [random_image(rng, 6, 6) for _ in range(3)]
         preds, _ = forward_batch(params, images)
         for img, joint in zip(images, preds):
-            alone = forward(params, img)
+            alone = forward_one(params, img)
             np.testing.assert_array_equal(alone.features, joint.features)
             np.testing.assert_array_equal(alone.logits, joint.logits)
 
     def test_deterministic(self):
         params = small_params()
         image = random_image(Rng(8), 6, 6)
-        a = forward(params, image)
-        b = forward(params, image)
+        a = forward_one(params, image)
+        b = forward_one(params, image)
         assert np.array_equal(a.logits, b.logits)
 
     def test_even_patch_rejected(self):
@@ -105,7 +109,7 @@ class TestForward:
     def test_patch_larger_than_image_rejected(self):
         params = small_params(patch_size=5)
         with pytest.raises(ConfigError):
-            forward(params, np.zeros((4, 4, 3)))
+            forward_one(params, np.zeros((4, 4, 3)))
 
 
 class TestPatchMatrix:
@@ -148,9 +152,9 @@ class TestGrowHead:
     def test_old_logits_unchanged(self):
         params = small_params()
         image = random_image(Rng(10), 6, 6)
-        before = forward(params, image)
+        before = forward_one(params, image)
         grown = grow_head(params, (3,), Rng(1))
-        after = forward(grown, image)
+        after = forward_one(grown, image)
         np.testing.assert_array_equal(
             before.logits, after.logits[:, :, : params.num_rows]
         )
@@ -298,9 +302,9 @@ def make_checkpoint(seed=51, with_distill=False):
     protos.entries[1].initialized = True
     protos.entries[1].frozen = True
     bank = FeatureBank(params.feature_dim, 7)
-    bank.deposit(0, rng.normals(params.feature_dim))
-    bank.deposit(2, rng.normals(params.feature_dim))
-    bank.deposit(2, rng.normals(params.feature_dim))
+    bank.deposit_many(0, [rng.normals(params.feature_dim)])
+    bank.deposit_many(2, [rng.normals(params.feature_dim)])
+    bank.deposit_many(2, [rng.normals(params.feature_dim)])
     return TrainState(
         params=params,
         momentum=momentum,

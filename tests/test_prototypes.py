@@ -17,7 +17,6 @@ from fairseg.prototypes import (
     FeatureBank,
     PrototypeBank,
     freeze_previous,
-    pseudo_label,
     pseudo_label_map,
     update_prototypes,
 )
@@ -40,7 +39,7 @@ class TestFeatureBank:
     def test_fifo_eviction(self):
         bank = FeatureBank(feature_dim=1, capacity=3)
         for v in (1.0, 2.0, 3.0, 4.0):
-            bank.deposit(5, np.array([v]))
+            bank.deposit_many(5, [[v]])
         held = [float(f[0]) for f in bank.queues[5]]
         assert held == [2.0, 3.0, 4.0]
         assert bank.size(5) == 3
@@ -48,7 +47,7 @@ class TestFeatureBank:
     def test_unseen_class_creates_queue(self):
         bank = FeatureBank(feature_dim=2, capacity=4)
         assert bank.size(9) == 0
-        bank.deposit(9, np.array([1.5, -0.5]))
+        bank.deposit_many(9, [[1.5, -0.5]])
         assert bank.size(9) == 1
 
     def test_mean_matches_brute_force(self):
@@ -67,7 +66,7 @@ class TestFeatureBank:
         for lo, hi in ((0, 3), (3, 3), (3, 9), (9, 11)):
             chunked.deposit_many(1, rows[lo:hi])
         for row in rows:
-            single.deposit(1, row)
+            single.deposit_many(1, row[None])
         held = chunked.queues[1].tobytes()
         assert held == rows[-4:].tobytes() == single.queues[1].tobytes()
         rows[:] = 0.0
@@ -80,11 +79,11 @@ class TestFeatureBank:
     def test_dimension_mismatch(self):
         bank = FeatureBank(feature_dim=2, capacity=2)
         with pytest.raises(DimensionError):
-            bank.deposit(1, np.ones(3))
+            bank.deposit_many(1, np.ones((1, 3)))
 
     def test_reset_clears_everything(self):
         bank = FeatureBank(feature_dim=1, capacity=2)
-        bank.deposit(1, np.ones(1))
+        bank.deposit_many(1, np.ones((1, 1)))
         bank.reset()
         assert bank.size(1) == 0 and bank.mean(1) is None
 
@@ -95,7 +94,7 @@ class TestFeatureBank:
     def test_deposit_copies_input(self):
         bank = FeatureBank(feature_dim=2, capacity=2)
         v = np.array([1.0, 2.0])
-        bank.deposit(1, v)
+        bank.deposit_many(1, v[None])
         v[0] = 99.0
         assert bank.mean(1)[0] == 1.0
 
@@ -107,8 +106,8 @@ class TestUpdateSchedule:
     def test_first_update_sets_mean(self):
         protos = make_protos(2, [0, 1])
         bank = FeatureBank(2, 10)
-        bank.deposit(1, np.array([1.0, 1.0]))
-        bank.deposit(1, np.array([3.0, 3.0]))
+        bank.deposit_many(1, [[1.0, 1.0]])
+        bank.deposit_many(1, [[3.0, 3.0]])
         update_prototypes(protos, bank, self.cfg(period=4), iteration=4)
         assert protos.is_initialized(1)
         np.testing.assert_allclose(protos.vector(1), [2.0, 2.0], atol=1e-15)
@@ -117,14 +116,14 @@ class TestUpdateSchedule:
         protos = make_protos(2, [1])
         set_proto(protos, 1, [2.0, 2.0])
         bank = FeatureBank(2, 10)
-        bank.deposit(1, np.array([4.0, 4.0]))
+        bank.deposit_many(1, [[4.0, 4.0]])
         update_prototypes(protos, bank, self.cfg(period=4), iteration=8)
         np.testing.assert_allclose(protos.vector(1), [2.02, 2.02], atol=1e-12)
 
     def test_off_schedule_iterations_are_noops(self):
         protos = make_protos(1, [1])
         bank = FeatureBank(1, 4)
-        bank.deposit(1, np.array([5.0]))
+        bank.deposit_many(1, [[5.0]])
         for i in (1, 2, 3, 5, 6, 7, 9):
             update_prototypes(protos, bank, self.cfg(period=4), iteration=i)
         assert not protos.is_initialized(1)
@@ -133,14 +132,14 @@ class TestUpdateSchedule:
         protos = make_protos(1, [1])
         set_proto(protos, 1, [7.0], frozen=True)
         bank = FeatureBank(1, 4)
-        bank.deposit(1, np.array([0.0]))
+        bank.deposit_many(1, [[0.0]])
         update_prototypes(protos, bank, self.cfg(period=2), iteration=2)
         assert protos.vector(1)[0] == 7.0
 
     def test_empty_queue_skipped(self):
         protos = make_protos(1, [1, 2])
         bank = FeatureBank(1, 4)
-        bank.deposit(1, np.array([1.0]))
+        bank.deposit_many(1, [[1.0]])
         update_prototypes(protos, bank, self.cfg(period=2), iteration=2)
         assert protos.is_initialized(1)
         assert not protos.is_initialized(2)
@@ -149,7 +148,7 @@ class TestUpdateSchedule:
         protos = make_protos(1, [2])
         bank = FeatureBank(1, 4)
         update_prototypes(protos, bank, self.cfg(period=2), iteration=2)
-        bank.deposit(2, np.array([3.0]))
+        bank.deposit_many(2, [[3.0]])
         update_prototypes(protos, bank, self.cfg(period=2), iteration=4)
         assert protos.is_initialized(2)
         assert protos.vector(2)[0] == 3.0
@@ -161,7 +160,7 @@ class TestUpdateSchedule:
         set_proto(protos, 1, p0)
         m = np.array([1.0, 1.0])
         bank = FeatureBank(2, 4)
-        bank.deposit(1, m)
+        bank.deposit_many(1, m[None])
         gap0 = np.linalg.norm(p0 - m)
         for n in range(1, 30):
             update_prototypes(protos, bank, cfg, iteration=n)
@@ -229,7 +228,7 @@ class TestAlgorithmOracle:
             for _ in range(rng.randint(3)):
                 cid = rng.randint(4)
                 vec = rng.normals(dim)
-                bank.deposit(cid, vec)
+                bank.deposit_many(cid, vec[None])
                 events.append(("deposit", cid, vec.copy()))
             update_prototypes(protos, bank, cfg, iteration=i)
             events.append(("update", i))
@@ -252,23 +251,23 @@ class TestPseudoLabel:
         protos = make_protos(2, [0, 3])
         set_proto(protos, 0, [5.0, 5.0])
         set_proto(protos, 3, [1.0, -1.0])
-        assert pseudo_label(protos, np.array([1.0, -1.0])) == 3
+        assert pseudo_label_map(protos, np.array([[1.0, -1.0]]))[0] == 3
 
     def test_tie_prefers_smallest_id(self):
         protos = make_protos(1, [0, 2])
         set_proto(protos, 0, [1.0])
         set_proto(protos, 2, [3.0])
-        assert pseudo_label(protos, np.array([2.0])) == 0
+        assert pseudo_label_map(protos, np.array([[2.0]]))[0] == 0
 
     def test_unavailable_without_initialized(self):
         protos = make_protos(2, [0, 1])
         with pytest.raises(UnavailableError):
-            pseudo_label(protos, np.zeros(2))
+            pseudo_label_map(protos, np.zeros((1, 2)))
 
     def test_uninitialized_entries_excluded(self):
         protos = make_protos(1, [0, 1, 2])
         set_proto(protos, 2, [0.0])
-        assert pseudo_label(protos, np.array([100.0])) == 2
+        assert pseudo_label_map(protos, np.array([[100.0]]))[0] == 2
 
     def test_matches_brute_force_scan(self):
         rng = Rng(606)
@@ -284,9 +283,9 @@ class TestPseudoLabel:
                 d = float(np.linalg.norm(f - centers[cid]))
                 if best_d is None or d < best_d:
                     best, best_d = cid, d
-            assert pseudo_label(protos, f) == best
+            assert pseudo_label_map(protos, f[None])[0] == best
 
-    def test_map_agrees_with_scalar_version(self):
+    def test_map_agrees_with_pairwise_scan(self):
         rng = Rng(607)
         dim = 4
         protos = make_protos(dim, [0, 2, 5])
@@ -297,13 +296,14 @@ class TestPseudoLabel:
         feats[7] = 0.5 * (protos.vector(0) + protos.vector(5))
         out = pseudo_label_map(protos, feats)
         for i in range(50):
-            assert out[i] == pseudo_label(protos, feats[i])
+            d2 = {c: float(np.sum((feats[i] - protos.vector(c)) ** 2))
+                  for c in (0, 2, 5)}
+            best = min(d2.values())
+            assert out[i] == min(c for c, d in d2.items() if d == best)
 
     def test_dimension_mismatch(self):
         protos = make_protos(3, [0])
         set_proto(protos, 0, [0.0, 0.0, 0.0])
-        with pytest.raises(DimensionError):
-            pseudo_label(protos, np.zeros(2))
         with pytest.raises(DimensionError):
             pseudo_label_map(protos, np.zeros((4, 2)))
 
@@ -328,13 +328,6 @@ class TestFreeze:
         set_proto(protos, 0, [0.0])
         with pytest.raises(StateError):
             freeze_previous(protos, {0})
-
-    def test_snapshot_is_independent(self):
-        protos = make_protos(2, [0, 1])
-        set_proto(protos, 1, [1.0, 2.0])
-        snap = protos.snapshot()
-        protos.entries[1].vector[0] = 99.0
-        assert snap.vector(1)[0] == 1.0
 
 
 class TestClusterConfig:
@@ -373,7 +366,7 @@ class TestClusterConfig:
 def test_bank_never_exceeds_capacity(deposits, capacity):
     bank = FeatureBank(feature_dim=1, capacity=capacity)
     for cid, v in deposits:
-        bank.deposit(cid, np.array([v]))
+        bank.deposit_many(cid, [[v]])
     for cid in set(c for c, _ in deposits):
         assert bank.size(cid) <= capacity
         tail = [v for c, v in deposits if c == cid][-capacity:]

@@ -23,6 +23,7 @@ from fairseg.synthdata import (
     select_step_indices,
     shapes_benchmark,
     write_dataset,
+    write_manifest,
     zipf_frequencies,
 )
 
@@ -281,6 +282,31 @@ class TestDatasetIO:
         assert sidecar.exists()
         text = sidecar.read_text()
         assert "seed=11" in text and "role=t" in text
+
+    @pytest.mark.parametrize("name", ["summary.txt", "train.bin"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, tiny_dataset,
+                                              name):
+        train, _ = tiny_dataset
+        path = tmp_path / name
+
+        class Unwritable:
+            def __format__(self, spec):
+                raise RuntimeError("interrupted")
+
+        if name == "summary.txt":
+            write_manifest(path, {"step": "1", "miou_all": "0.5"})
+            before = path.read_bytes()
+            # the first line is written before the second one fails
+            with pytest.raises(RuntimeError):
+                write_manifest(path, {"step": "2", "miou_all": Unwritable()})
+        else:
+            write_dataset(train[:2], path, num_classes=4)
+            before = path.read_bytes()
+            # the header and two samples are written before the third fails
+            with pytest.raises(AttributeError):
+                write_dataset(train[:2] + [None], path, num_classes=4)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
 @given(st.integers(2, 12), st.integers(1, 4))

@@ -1,11 +1,18 @@
 """Continual training loop: determinism, resume, protocol enforcement."""
 
+import os
+
 import numpy as np
 import pytest
 
 from conftest import separable_samples
 from fairseg import trainer
-from fairseg.errors import ConfigError, DimensionError, ProtocolError
+from fairseg.errors import (
+    ConfigError,
+    DimensionError,
+    FormatError,
+    ProtocolError,
+)
 from fairseg.model import load_checkpoint, save_checkpoint
 from fairseg.numerics import Rng
 from fairseg.prototypes import PrototypeBank
@@ -34,6 +41,14 @@ def tiny_config(**overrides):
     )
     kwargs.update(overrides)
     return TrainConfig(**kwargs).validate()
+
+
+# every file a run with test samples writes, config aside
+RUN_FILES = (
+    "step1.ckpt", "step2.ckpt", "latest.ckpt", "losses.csv",
+    "report_step1.csv", "report_step2.csv",
+    "summary_step1.txt", "summary_step2.txt", "summary.txt",
+)
 
 
 def final_bytes(tmp_path, name, cfg, samples, **kwargs):
@@ -293,7 +308,8 @@ class TestRunContinual:
         assert result.tracker.read_counts(2, step1_only) == 0
         assert result.tracker.read_counts(1, step1_only) > 0
 
-    def test_frozen_prototypes_constant_through_step_two(self, tiny_dataset):
+    def test_frozen_prototypes_constant_through_step_two(self, tmp_path,
+                                                          tiny_dataset):
         train, _ = tiny_dataset
         # period 1 so step-1 prototypes actually initialize in a short run
         from fairseg.prototypes import ClusterConfig
@@ -301,10 +317,10 @@ class TestRunContinual:
         cfg = tiny_config(
             cluster=ClusterConfig(update_period=2, bank_capacity=64)
         )
-        result = run_continual(cfg, train)
+        result = run_continual(cfg, train, out_dir=tmp_path)
         assert len(result.outcomes) == 2
-        after_step1 = result.outcomes[0].proto_snapshot
-        after_step2 = result.outcomes[1].proto_snapshot
+        after_step1 = load_checkpoint(tmp_path / "step1.ckpt").protos
+        after_step2 = load_checkpoint(tmp_path / "step2.ckpt").protos
         for cid in (1, 2):
             if after_step1.is_initialized(cid):
                 assert after_step2.is_frozen(cid)
@@ -327,7 +343,7 @@ class TestRunContinual:
         assert frozen.class_steps == step1_params.class_steps
         for name, arr in step1_params.blocks.items():
             np.testing.assert_array_equal(arr, frozen.blocks[name])
-        assert result.log_rows[-1]["distill"] > 0.0
+        assert result.outcomes[-1].loss_trace[-1]["distill"] > 0.0
 
     def test_resume_from_step_boundary_matches(self, tmp_path, tiny_dataset):
         train, _ = tiny_dataset
@@ -366,10 +382,10 @@ class TestRunContinual:
 
     def test_crash_in_step_two_then_resume_matches_uninterrupted(
             self, tmp_path, tiny_dataset, monkeypatch):
-        train, _ = tiny_dataset
+        train, test = tiny_dataset
         cfg = tiny_config()
         straight = tmp_path / "straight"
-        run_continual(cfg, train, out_dir=straight)
+        done = run_continual(cfg, train, out_dir=straight, test_samples=test)
 
         out = tmp_path / "crashed"
         real_save = trainer.save_checkpoint
@@ -381,13 +397,56 @@ class TestRunContinual:
 
         monkeypatch.setattr(trainer, "save_checkpoint", save_or_crash)
         with pytest.raises(OSError, match="killed"):
-            run_continual(cfg, train, out_dir=out)
+            run_continual(cfg, train, out_dir=out, test_samples=test)
         monkeypatch.undo()
         assert not (out / "step2.ckpt").exists()
         assert load_checkpoint(out / "latest.ckpt").step == 2
-        run_continual(cfg, train, out_dir=out, resume_from=out / "latest.ckpt")
-        for name in ("losses.csv", "latest.ckpt", "step2.ckpt"):
+        resumed = run_continual(cfg, train, out_dir=out, test_samples=test,
+                                resume_from=out / "latest.ckpt")
+        assert resumed.reports[-1].miou_avg == done.reports[-1].miou_avg
+        for name in RUN_FILES:
             assert (out / name).read_bytes() == (straight / name).read_bytes()
+
+    def test_crash_after_last_epoch_then_resume_matches_uninterrupted(
+            self, tmp_path, tiny_dataset, monkeypatch):
+        train, test = tiny_dataset
+        cfg = tiny_config()
+        straight = tmp_path / "straight"
+        done = run_continual(cfg, train, out_dir=straight, test_samples=test)
+
+        out = tmp_path / "crashed"
+        real_save = trainer.save_checkpoint
+
+        def save_or_crash(path, state):
+            if os.path.basename(path) == "step1.ckpt":
+                raise OSError("killed")
+            real_save(path, state)
+
+        monkeypatch.setattr(trainer, "save_checkpoint", save_or_crash)
+        with pytest.raises(OSError, match="killed"):
+            run_continual(cfg, train, out_dir=out, test_samples=test)
+        monkeypatch.undo()
+        assert not (out / "step1.ckpt").exists()
+        latest = load_checkpoint(out / "latest.ckpt")
+        assert (latest.step, latest.epoch) == (1, cfg.epochs)
+        resumed = run_continual(cfg, train, out_dir=out, test_samples=test,
+                                resume_from=out / "latest.ckpt")
+        assert resumed.reports[-1].miou_avg == done.reports[-1].miou_avg
+        for name in RUN_FILES:
+            assert (out / name).read_bytes() == (straight / name).read_bytes()
+
+    def test_resume_without_earlier_summary_rejected(self, tmp_path,
+                                                     tiny_dataset):
+        train, test = tiny_dataset
+        cfg = tiny_config()
+        out = tmp_path / "run"
+        run_continual(cfg, train, out_dir=out)
+        latest = out / "latest.ckpt"
+        with pytest.raises(FormatError, match="summary_step1.txt"):
+            run_continual(cfg, train, out_dir=out, test_samples=test,
+                          resume_from=latest)
+        with pytest.raises(FormatError, match="no run directory"):
+            run_continual(cfg, train, test_samples=test, resume_from=latest)
 
     def test_loss_log_schema(self, tmp_path, tiny_dataset):
         train, _ = tiny_dataset
