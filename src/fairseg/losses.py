@@ -195,21 +195,22 @@ def cluster_loss(features, labels, protos, cfg, counters=None):
         counters["cluster_skipped_pixels"] += int(np.count_nonzero(uninit))
     loss = np.zeros(b * n)  # per pixel
     delta = cfg.margin
+    diff, sq = np.empty_like(f), np.empty_like(f)
     for cid in init_ids:
-        p = protos.vector(cid)
-        diff = f - p[None, :]
-        dist = np.sqrt(np.sum(diff**2, axis=1))
+        np.subtract(f, protos.vector(cid), out=diff)
+        dist = np.sqrt(np.sum(np.square(diff, out=sq), axis=1))
         match = live & (y == cid)
-        other = live & (y != cid)
-        if match.any():
-            loss[match] += dist[match]
-            nz = match & (dist > 0)
-            grad[nz] += diff[nz] / dist[nz, None]
-        if other.any():
-            active = other & (dist < delta)
-            loss[active] += delta - dist[active]
-            nz = active & (dist > 0)
-            grad[nz] -= diff[nz] / dist[nz, None]
+        active = live & ~match & (dist < delta)
+        loss += np.where(match, dist, np.where(active, delta - dist, 0.0))
+        # dense accumulation: +1 pulls a pixel toward its own prototype, -1
+        # pushes it off a near other one, 0 leaves it (and distance 0) alone
+        sign = match.astype(np.float64) - active
+        zero = dist == 0
+        sign[zero] = 0.0
+        dist[zero] = 1.0
+        diff /= dist[:, None]
+        diff *= sign[:, None]
+        grad += diff
     n_live = np.maximum(n_live, 1)
     value = float(np.sum(loss.reshape(b, n).sum(axis=1) / n_live))
     grad = grad.reshape(b, n, d) / n_live[:, None, None]
@@ -253,6 +254,7 @@ def cons_loss(image, probs, cfg):
     values = np.zeros(pr.shape[0])
     n_pairs = 0  # per image
     two_s1 = 2.0 * cfg.sigma_color**2
+    mirrored = {}  # offset -> (image values, pair count, contribution)
     for dr, dc in _window_offsets(cfg.window):
         r0, r1 = max(0, -dr), min(h, h - dr)
         c0, c1 = max(0, -dc), min(w, w - dc)
@@ -260,15 +262,26 @@ def cons_loss(image, probs, cfg):
             continue
         a = (slice(None), slice(r0, r1), slice(c0, c1))
         b = (slice(None), slice(r0 + dr, r1 + dr), slice(c0 + dc, c1 + dc))
+        if (-dr, -dc) in mirrored:
+            # the pairs of the opposite offset, swapped: the same affinities
+            # and squared differences, and the negated contribution
+            pair_values, pairs, contrib = mirrored.pop((-dr, -dc))
+            n_pairs += pairs
+            values += pair_values
+            dprobs[a] -= contrib
+            dprobs[b] += contrib
+            continue
         color2 = np.sum((img[a] - img[b]) ** 2, axis=-1)
         affinity = np.exp(-color2 / two_s1)
         pdiff = pr[a] - pr[b]
         n_pairs += affinity[0].size
         pdiff2 = np.sum(pdiff**2, axis=-1)
-        values += np.sum(affinity * pdiff2, axis=(1, 2))
+        pair_values = np.sum(affinity * pdiff2, axis=(1, 2))
+        values += pair_values
         contrib = 2.0 * affinity[..., None] * pdiff
         dprobs[a] += contrib
         dprobs[b] -= contrib
+        mirrored[(dr, dc)] = (pair_values, affinity[0].size, contrib)
     dprobs = dprobs.reshape(shape)
     if n_pairs == 0:
         return GradSlot(value=0.0, grads={"probs": dprobs, "logits": dprobs.copy()})

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Dict
 
 import numpy as np
@@ -276,8 +277,15 @@ def evaluate_model(params, samples, split, step, batch_size=8):
     for cid in known:
         if cid in rm:
             id_to_row[cid] = rm[cid]
-    for start in range(0, len(samples), batch_size):
-        chunk = samples[start : start + batch_size]
+    # forward_batch takes one image size: split each batch into same-size runs
+    chunks = [
+        list(run)
+        for start in range(0, len(samples), batch_size)
+        for _, run in groupby(
+            samples[start : start + batch_size], key=lambda s: s.image.shape
+        )
+    ]
+    for chunk in chunks:
         preds, _ = forward_batch(params, [s.image for s in chunk])
         for sample, pred in zip(chunk, preds):
             ref = evaluation_labels(sample, split, step).labels

@@ -133,66 +133,65 @@ def grow_head(params, new_classes, rng):
     )
 
 
-def patch_matrix(image, patch_size):
-    """(H*W, k*k*3) matrix of flattened reflect-padded neighborhoods."""
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 3 or image.shape[2] != 3:
-        raise DimensionError(f"image must be (H, W, 3), got {image.shape}")
-    h, w, _ = image.shape
+def patch_matrix(images, patch_size):
+    """(B*H*W, k*k*3) flattened reflect-padded neighborhoods of a (B, H, W, 3)
+    batch; rows are the images' pixels in order, row-major per image."""
+    images = np.asarray(images, dtype=np.float64)
+    if images.ndim != 4 or images.shape[3] != 3:
+        raise DimensionError(f"images must be (B, H, W, 3), got {images.shape}")
+    b, h, w, _ = images.shape
     k = patch_size
     if k % 2 == 0 or k > min(h, w):
         raise ConfigError(
             f"patch size {k} must be odd and <= min(H, W) = {min(h, w)}"
         )
     r = k // 2
-    padded = np.pad(image, ((r, r), (r, r), (0, 0)), mode="reflect")
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(0, 1))
-    # (H, W, 3, k, k) -> (H, W, k, k, 3) so flattening is (dr, dc, channel)
-    patches = np.ascontiguousarray(windows.transpose(0, 1, 3, 4, 2))
-    return patches.reshape(h * w, k * k * 3)
+    padded = np.pad(images, ((0, 0), (r, r), (r, r), (0, 0)), mode="reflect")
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(1, 2))
+    # (B, H, W, 3, k, k) -> (B, H, W, k, k, 3) so flattening is (dr, dc, channel)
+    patches = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
+    return patches.reshape(b * h * w, k * k * 3)
 
 
 @dataclass
 class BatchCache:
+    """Stacked forward outputs, one row per pixel of the batch."""
+
     x: np.ndarray
-    pre: list  # pre-activation per hidden layer, stacked over the batch
-    act: list  # ReLU output per hidden layer
+    act: list  # ReLU output per hidden layer; its > 0 mask is the derivative
     feats: np.ndarray
     logits: np.ndarray
     probs: np.ndarray
 
 
 def forward_batch(params, images):
-    """Forward a sequence of images through one stacked set of matmuls.
+    """Forward equal-size images through one stacked set of matmuls.
 
-    The cache rows are the images' pixels in order, row-major per image.
+    Each bias and ReLU is applied in place on its matmul output.  The cache
+    rows are the images' pixels in order, row-major per image.  Mixed sizes
+    raise DimensionError.
     """
-    mats = [patch_matrix(img, params.patch_size) for img in images]
-    x = np.vstack(mats) if len(mats) > 1 else mats[0]
+    sizes = {np.shape(img) for img in images}
+    if len(sizes) > 1:
+        raise DimensionError(f"batch images must share one size, got {sorted(sizes)}")
+    batch = np.asarray(images, dtype=np.float64)
+    x = patch_matrix(batch, params.patch_size)
     a = x
-    pre, act = [], []
+    act = []
     for i in range(len(params.hidden)):
-        z = a @ params.blocks[f"enc{i}.W"].T + params.blocks[f"enc{i}.b"]
-        a = np.maximum(z, 0.0)
-        pre.append(z)
+        a = a @ params.blocks[f"enc{i}.W"].T
+        a += params.blocks[f"enc{i}.b"]
+        np.maximum(a, 0.0, out=a)
         act.append(a)
-    feats = a @ params.blocks["feat.W"].T + params.blocks["feat.b"]
-    logits = feats @ params.blocks["head.W"].T + params.blocks["head.b"]
+    feats = a @ params.blocks["feat.W"].T
+    feats += params.blocks["feat.b"]
+    logits = feats @ params.blocks["head.W"].T
+    logits += params.blocks["head.b"]
     probs = softmax(logits, axis=1)
-    cache = BatchCache(x=x, pre=pre, act=act, feats=feats, logits=logits, probs=probs)
-    preds = []
-    lo = 0
-    for img in images:
-        h, w = img.shape[:2]
-        hi = lo + h * w
-        preds.append(
-            Prediction(
-                features=feats[lo:hi].reshape(h, w, -1),
-                logits=logits[lo:hi].reshape(h, w, -1),
-                probs=probs[lo:hi].reshape(h, w, -1),
-            )
-        )
-        lo = hi
+    cache = BatchCache(x=x, act=act, feats=feats, logits=logits, probs=probs)
+    grid = batch.shape[:3]
+    views = (feats.reshape(*grid, -1), logits.reshape(*grid, -1), probs.reshape(*grid, -1))
+    preds = [Prediction(*per_image) for per_image in zip(*views)]
     return preds, cache
 
 
@@ -209,18 +208,19 @@ def backward_batch(params, cache, dfeats, dlogits):
     grads = {}
     grads["head.W"] = dlogits.T @ cache.feats
     grads["head.b"] = dlogits.sum(axis=0)
-    df = dfeats + dlogits @ params.blocks["head.W"]
+    df = dlogits @ params.blocks["head.W"]
+    df += dfeats
     last_act = cache.act[-1] if cache.act else cache.x
     grads["feat.W"] = df.T @ last_act
     grads["feat.b"] = df.sum(axis=0)
-    da = df @ params.blocks["feat.W"]
+    dz = df @ params.blocks["feat.W"]
     for i in range(len(params.hidden) - 1, -1, -1):
-        dz = da * (cache.pre[i] > 0)
+        dz *= cache.act[i] > 0  # act > 0 exactly where pre-activation > 0
         below = cache.act[i - 1] if i > 0 else cache.x
         grads[f"enc{i}.W"] = dz.T @ below
         grads[f"enc{i}.b"] = dz.sum(axis=0)
         if i > 0:
-            da = dz @ params.blocks[f"enc{i}.W"]
+            dz = dz @ params.blocks[f"enc{i}.W"]
     return grads
 
 

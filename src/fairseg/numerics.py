@@ -113,9 +113,10 @@ def softmax(logits, axis=-1):
     z = np.asarray(logits, dtype=np.float64)
     if z.size == 0:
         raise DimensionError("softmax of empty input")
-    z = z - np.max(z, axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    z = z - np.max(z, axis=axis, keepdims=True)  # the one new array
+    np.exp(z, out=z)
+    z /= np.sum(z, axis=axis, keepdims=True)
+    return z
 
 
 def log_softmax(logits, axis=-1):

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError, StateError, UnavailableError
 
 UNKNOWN_ID = 0
+LABEL_CHUNK = 2048  # pixels per pseudo-labelling pass: bounds its difference array
 
 
 @dataclass
@@ -66,9 +67,6 @@ class PrototypeBank:
 
     def is_initialized(self, cid):
         return cid in self.entries and self.entries[cid].initialized
-
-    def is_frozen(self, cid):
-        return cid in self.entries and self.entries[cid].frozen
 
     def initialized_ids(self):
         return sorted(c for c, e in self.entries.items() if e.initialized)
@@ -147,16 +145,19 @@ def update_prototypes(protos, bank, cfg, iteration):
 
 
 def pseudo_label_map(protos, features):
-    """Vectorized nearest-prototype lookup for an (N, D) feature array."""
+    """Nearest-prototype ids for an (N, D) feature array, LABEL_CHUNK rows at a time."""
     ids, matrix = protos.initialized_matrix()
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != protos.feature_dim:
         raise DimensionError(f"features must be (N, {protos.feature_dim})")
-    # direct-difference distances so exact ties match a per-pair scan;
-    # ids ascending, so argmin's first-hit rule is the smallest-id tie break
-    d2 = np.sum((features[:, None, :] - matrix[None, :, :]) ** 2, axis=2)
-    id_arr = np.array(ids, dtype=np.int64)
-    return id_arr[np.argmin(d2, axis=1)]
+    nearest = np.empty(len(features), dtype=np.int64)
+    for lo in range(0, len(features), LABEL_CHUNK):
+        part = features[lo : lo + LABEL_CHUNK]
+        # direct-difference distances so exact ties match a per-pair scan;
+        # ids ascending, so argmin's first-hit rule is the smallest-id tie break
+        d2 = np.sum((part[:, None, :] - matrix[None, :, :]) ** 2, axis=2)
+        nearest[lo : lo + LABEL_CHUNK] = np.argmin(d2, axis=1)
+    return np.array(ids, dtype=np.int64)[nearest]
 
 
 def freeze_previous(protos, old_classes):

@@ -21,7 +21,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, FormatError, ProtocolError
+from .errors import ConfigError, FormatError, ProtocolError
 from .losses import (
     ClassDistribution,
     ConsConfig,
@@ -318,7 +318,8 @@ def run_step(state, cfg, step, data, on_epoch_end=None):
     """Train the current step over its image subset.
 
     ``data`` is a list of (image, collapsed labels) pairs for the step, all
-    of one image size.  Each iteration stacks its batch and calls every
+    of one image size (a batch of mixed sizes raises DimensionError when it
+    is reached).  Each iteration stacks its batch and calls every
     loss once on it.  Resumes from state.epoch when it is nonzero.  Each
     epoch makes one loss-log row of per-epoch mean loss terms, passed to
     ``on_epoch_end(state, row)``; the StepOutcome holds them in order.
@@ -327,11 +328,6 @@ def run_step(state, cfg, step, data, on_epoch_end=None):
         raise ProtocolError(f"step {step} has no training images")
     if step != state.step:
         raise ProtocolError(f"state is at step {state.step}, not {step}")
-    sizes = {image.shape for image, _ in data}
-    if len(sizes) > 1:
-        raise DimensionError(
-            f"step {step} images must share one size, got {sorted(sizes)}"
-        )
     current = sorted(cfg.split.classes_at(step))
     sup_ids = _supervised_ids(cfg.split, step)
     lr = cfg.lr_initial if step == 1 else cfg.lr_continual
@@ -360,11 +356,13 @@ def run_step(state, cfg, step, data, on_epoch_end=None):
         sums = {"ce": 0.0, "cluster": 0.0, "cons": 0.0, "distill": 0.0}
         for b in range(per_epoch):
             picked = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            images = np.stack([data[i][0] for i in picked])
+            images = [data[i][0] for i in picked]
+            # forward_batch raises DimensionError on mixed image sizes
+            _, cache = forward_batch(params, images)
+            images = np.stack(images)
             labels = np.stack([data[i][1] for i in picked])
             grid = labels.shape  # (B, H, W)
             bsz = grid[0]
-            _, cache = forward_batch(params, images)
             feats = cache.feats.reshape(*grid, -1)
             eff, ce_mask = build_effective_labels(labels, feats, state.protos, step)
             if cfg.ce_on_pseudo and step > 1:

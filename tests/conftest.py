@@ -22,6 +22,12 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+def same_bytes(a, b):
+    """Equal shape, dtype and bytes (so -0.0 and 0.0 differ)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def tiny_spec(**overrides):
     """A 4-class 16x16 benchmark small enough for per-test generation."""
     kwargs = dict(

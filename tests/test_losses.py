@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import same_bytes
 from fairseg.errors import ConfigError, DimensionError, LabelError
 from fairseg.losses import (
     IGNORE_ID,
@@ -633,3 +634,163 @@ class TestBatchContract:
         prev = self.normals(rng, self.B, self.H, self.W, 3)
         prev[1] = now[1]
         self.assert_batch_is_sum(distill_loss, now, prev)
+
+
+def loop_cluster_loss(features, labels, protos, cfg):
+    """Per-prototype boolean gather/scatter form of ``cluster_loss``."""
+    shape = features.shape
+    b, n, d = shape[0], shape[1] * shape[2], shape[3]
+    f = features.reshape(b * n, d)
+    y = labels.reshape(-1)
+    grad = np.zeros_like(f)
+    live = y != IGNORE_ID
+    n_live = np.count_nonzero(live.reshape(b, n), axis=1)
+    loss = np.zeros(b * n)
+    delta = cfg.margin
+    for cid in protos.initialized_ids():
+        p = protos.vector(cid)
+        diff = f - p[None, :]
+        dist = np.sqrt(np.sum(diff**2, axis=1))
+        match = live & (y == cid)
+        other = live & (y != cid)
+        if match.any():
+            loss[match] += dist[match]
+            nz = match & (dist > 0)
+            grad[nz] += diff[nz] / dist[nz, None]
+        if other.any():
+            active = other & (dist < delta)
+            loss[active] += delta - dist[active]
+            nz = active & (dist > 0)
+            grad[nz] -= diff[nz] / dist[nz, None]
+    n_live = np.maximum(n_live, 1)
+    value = float(np.sum(loss.reshape(b, n).sum(axis=1) / n_live))
+    grad = grad.reshape(b, n, d) / n_live[:, None, None]
+    return value, grad.reshape(shape)
+
+
+def loop_cons_loss(image, probs, cfg):
+    """``cons_loss`` computing every ordered offset on its own."""
+    h, w = probs.shape[1:3]
+    dprobs = np.zeros_like(probs)
+    values = np.zeros(probs.shape[0])
+    n_pairs = 0
+    two_s1 = 2.0 * cfg.sigma_color**2
+    r = cfg.window // 2
+    for dr in range(-r, r + 1):
+        for dc in range(-r, r + 1):
+            if (dr, dc) == (0, 0):
+                continue
+            r0, r1 = max(0, -dr), min(h, h - dr)
+            c0, c1 = max(0, -dc), min(w, w - dc)
+            if r0 >= r1 or c0 >= c1:
+                continue
+            a = (slice(None), slice(r0, r1), slice(c0, c1))
+            b = (slice(None), slice(r0 + dr, r1 + dr), slice(c0 + dc, c1 + dc))
+            color2 = np.sum((image[a] - image[b]) ** 2, axis=-1)
+            affinity = np.exp(-color2 / two_s1)
+            pdiff = probs[a] - probs[b]
+            n_pairs += affinity[0].size
+            pdiff2 = np.sum(pdiff**2, axis=-1)
+            values += np.sum(affinity * pdiff2, axis=(1, 2))
+            contrib = 2.0 * affinity[..., None] * pdiff
+            dprobs[a] += contrib
+            dprobs[b] -= contrib
+    if n_pairs == 0:
+        return 0.0, dprobs, dprobs.copy()
+    dprobs /= n_pairs
+    dlogits = _probs_to_logits_grad(probs, dprobs)
+    return float(np.sum(values / n_pairs)), dprobs, dlogits
+
+
+class TestBitIdentity:
+    """The dense cluster and mirrored consistency kernels give the loop bytes."""
+
+    def normals(self, rng, *shape):
+        return rng.normals(int(np.prod(shape))).reshape(shape)
+
+    def cluster_case(self, seed, b=3, h=6, w=5, d=4):
+        rng = Rng(seed)
+        protos = make_protos(
+            {c: rng.normals(d) * 1.5 for c in range(4)}, uninitialized=[4]
+        )
+        feats = self.normals(rng, b, h, w, d)
+        labels = np.array(
+            [rng.randint(5) for _ in range(b * h * w)], dtype=np.int64
+        ).reshape(b, h, w)
+        labels[0, 0, :2] = IGNORE_ID
+        labels[1] = IGNORE_ID  # an image with no live pixels
+        # pixels exactly on a prototype: their own (attraction at distance
+        # 0) and another class's (repulsion at distance 0)
+        feats[0, 1, 0] = protos.vector(2)
+        labels[0, 1, 0] = 2
+        feats[2, 3, 4] = protos.vector(1)
+        labels[2, 3, 4] = 3
+        feats[2, 0, 0] = protos.vector(0)
+        labels[2, 0, 0] = 4  # uninitialized class, repulsion only
+        # a pixel that differs from its prototype, at a distance that
+        # underflows to 0: it gets no gradient
+        protos.vector(3)[0] = 0.0
+        feats[0, 2, 0] = protos.vector(3)
+        feats[0, 2, 0, 0] = 1e-170
+        labels[0, 2, 0] = 3
+        return feats, labels, protos
+
+    @pytest.mark.parametrize("seed", [150, 151, 152])
+    @pytest.mark.parametrize("margin", [0.5, 2.0, 10.0])
+    def test_cluster_loss_equals_loop(self, seed, margin):
+        feats, labels, protos = self.cluster_case(seed)
+        cfg = ClusterConfig(margin=margin).validate()
+        got = cluster_loss(feats, labels, protos, cfg)
+        value, grad = loop_cluster_loss(feats, labels, protos, cfg)
+        assert got.value == value
+        assert same_bytes(got.grads["features"], grad)
+
+    def test_cluster_loss_with_uninitialized_prototypes_equals_loop(self):
+        feats, labels, protos = self.cluster_case(153)
+        protos.entries[1].initialized = False
+        protos.entries[3].initialized = False
+        cfg = ClusterConfig(margin=3.0).validate()
+        got = cluster_loss(feats, labels, protos, cfg)
+        value, grad = loop_cluster_loss(feats, labels, protos, cfg)
+        assert got.value == value
+        assert same_bytes(got.grads["features"], grad)
+
+    @pytest.mark.parametrize("label", [IGNORE_ID, 4, 1])
+    def test_cluster_loss_non_finite_feature(self, label):
+        """The dense form gives a non-finite feature a NaN gradient row
+        whatever its label; the loop form does so only on a live pixel of an
+        initialized class (1) and leaves ignore and uninitialized-class (4)
+        pixels at 0.  The value and every other row keep the loop bytes."""
+        feats, labels, protos = self.cluster_case(154)
+        feats[2, 4, 1, 0] = np.inf
+        labels[2, 4, 1] = label
+        cfg = ClusterConfig(margin=3.0).validate()
+        with np.errstate(invalid="ignore"):
+            got = cluster_loss(feats, labels, protos, cfg)
+            value, grad = loop_cluster_loss(feats, labels, protos, cfg)
+        assert got.value == value
+        dense = got.grads["features"].copy()
+        assert np.isnan(dense[2, 4, 1]).any()
+        assert np.isnan(grad[2, 4, 1]).any() == (label == 1)
+        dense[2, 4, 1] = grad[2, 4, 1] = 0.0
+        assert same_bytes(dense, grad)
+
+    def cons_case(self, seed, b, h, w, k=4):
+        rng = Rng(seed)
+        image = rng.uniforms(b * h * w * 3).reshape(b, h, w, 3)
+        probs = softmax(self.normals(rng, b, h, w, k), axis=-1)
+        # equal neighbours: zero differences in both directions
+        image[0, : h // 2] = image[0, 0, 0]
+        probs[0, : h // 2] = probs[0, 0, 0]
+        return image, probs
+
+    @pytest.mark.parametrize("window", [3, 5])
+    @pytest.mark.parametrize("grid", [(3, 7, 6), (2, 5, 1), (2, 1, 6), (1, 2, 2), (1, 1, 1)])
+    def test_cons_loss_equals_loop(self, window, grid):
+        image, probs = self.cons_case(160 + window, *grid)
+        cfg = ConsConfig(sigma_color=0.3, window=window).validate()
+        got = cons_loss(image, probs, cfg)
+        value, dprobs, dlogits = loop_cons_loss(image, probs, cfg)
+        assert got.value == value
+        assert same_bytes(got.grads["probs"], dprobs)
+        assert same_bytes(got.grads["logits"], dlogits)

@@ -342,6 +342,24 @@ class TestEvaluateModel:
         }
         assert report.per_class_iou[1] == 1.0
 
+    def test_mixed_image_sizes_evaluate_like_one_by_one(self):
+        samples = self.samples()
+        mixed = [
+            samples[0],
+            constant_sample(6, 7, (0.2, 0.6, 0.1), 1),
+            samples[2],
+            constant_sample(5, 9, (0.05, 0.3, 0.3), 0),
+            samples[1],
+        ]
+        report, cm = evaluate_model(oracle_params(), mixed, self.split(), step=2)
+        alone, cm_alone = evaluate_model(
+            oracle_params(), mixed, self.split(), step=2, batch_size=1
+        )
+        assert cm.total() == 3 * 64 + 42 + 45
+        assert np.array_equal(cm.matrix, cm_alone.matrix)
+        assert report.miou_all == alone.miou_all == 1.0
+        assert report.per_class_ce == pytest.approx(alone.per_class_ce)
+
     def test_fairness_gap_from_per_class_ce(self):
         report, _ = evaluate_model(
             oracle_params(), self.samples(), self.split(), step=2

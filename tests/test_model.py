@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import same_bytes
 from fairseg.errors import ConfigError, DimensionError, FormatError
 from fairseg.losses import (
     ConsConfig,
@@ -106,6 +107,12 @@ class TestForward:
         with pytest.raises(ConfigError):
             init_params(1, (1,), patch_size=4)
 
+    def test_mixed_sizes_rejected(self):
+        params = small_params()
+        rng = Rng(97)
+        with pytest.raises(DimensionError, match="one size"):
+            forward_batch(params, [random_image(rng, 6, 6), random_image(rng, 6, 7)])
+
     def test_patch_larger_than_image_rejected(self):
         params = small_params(patch_size=5)
         with pytest.raises(ConfigError):
@@ -117,7 +124,7 @@ class TestPatchMatrix:
         rng = Rng(9)
         image = random_image(rng, 5, 6)
         k = 3
-        mats = patch_matrix(image, k)
+        mats = patch_matrix(image[None], k)
         padded = np.pad(image, ((1, 1), (1, 1), (0, 0)), mode="reflect")
         for r in (0, 2, 4):
             for c in (0, 3, 5):
@@ -127,12 +134,111 @@ class TestPatchMatrix:
                 )
 
     def test_shape(self):
-        mats = patch_matrix(np.zeros((8, 9, 3)), 5)
-        assert mats.shape == (72, 75)
+        mats = patch_matrix(np.zeros((2, 8, 9, 3)), 5)
+        assert mats.shape == (144, 75)
 
     def test_bad_image_shape(self):
         with pytest.raises(DimensionError):
-            patch_matrix(np.zeros((8, 9, 4)), 3)
+            patch_matrix(np.zeros((1, 8, 9, 4)), 3)
+        with pytest.raises(DimensionError):  # one image, not a batch
+            patch_matrix(np.zeros((8, 9, 3)), 3)
+
+
+def patch_matrix_one(image, patch_size):
+    """Per-image patch rows, the form the batch matrix must reproduce."""
+    h, w, _ = image.shape
+    k = patch_size
+    r = k // 2
+    padded = np.pad(image, ((r, r), (r, r), (0, 0)), mode="reflect")
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(0, 1))
+    patches = np.ascontiguousarray(windows.transpose(0, 1, 3, 4, 2))
+    return patches.reshape(h * w, k * k * 3)
+
+
+def reference_forward(params, images):
+    """Fresh-array forward pass keeping the pre-activations; returns a dict."""
+    x = np.vstack([patch_matrix_one(img, params.patch_size) for img in images])
+    a = x
+    pre, act = [], []
+    for i in range(len(params.hidden)):
+        z = a @ params.blocks[f"enc{i}.W"].T + params.blocks[f"enc{i}.b"]
+        a = np.maximum(z, 0.0)
+        pre.append(z)
+        act.append(a)
+    feats = a @ params.blocks["feat.W"].T + params.blocks["feat.b"]
+    logits = feats @ params.blocks["head.W"].T + params.blocks["head.b"]
+    e = np.exp(logits - np.max(logits, axis=1, keepdims=True))
+    return dict(x=x, pre=pre, act=act, feats=feats, logits=logits,
+                probs=e / np.sum(e, axis=1, keepdims=True))
+
+
+def reference_backward(params, ref, dfeats, dlogits):
+    """Backward pass masking with ``pre > 0`` and fresh arrays throughout."""
+    grads = {}
+    grads["head.W"] = dlogits.T @ ref["feats"]
+    grads["head.b"] = dlogits.sum(axis=0)
+    df = dfeats + dlogits @ params.blocks["head.W"]
+    last_act = ref["act"][-1] if ref["act"] else ref["x"]
+    grads["feat.W"] = df.T @ last_act
+    grads["feat.b"] = df.sum(axis=0)
+    da = df @ params.blocks["feat.W"]
+    for i in range(len(params.hidden) - 1, -1, -1):
+        dz = da * (ref["pre"][i] > 0)
+        below = ref["act"][i - 1] if i > 0 else ref["x"]
+        grads[f"enc{i}.W"] = dz.T @ below
+        grads[f"enc{i}.b"] = dz.sum(axis=0)
+        if i > 0:
+            da = dz @ params.blocks[f"enc{i}.W"]
+    return grads
+
+
+class TestBitIdentity:
+    """The batched, in-place model gives the per-image, fresh-array bytes."""
+
+    @pytest.mark.parametrize("shape", [(3, 7, 6), (2, 5, 5), (1, 9, 5)])
+    @pytest.mark.parametrize("patch_size", [3, 5])
+    def test_patch_matrix_equals_per_image_vstack(self, shape, patch_size):
+        b, h, w = shape
+        rng = Rng(90 + h)
+        images = [random_image(rng, h, w) for _ in range(b)]
+        want = np.vstack([patch_matrix_one(img, patch_size) for img in images])
+        assert same_bytes(patch_matrix(np.stack(images), patch_size), want)
+
+    @pytest.mark.parametrize("hidden", [(6,), (7, 5), ()])
+    def test_forward_and_backward_equal_reference(self, hidden):
+        params = small_params(seed=93, classes=(1, 2, 3), hidden=hidden)
+        rng = Rng(94)
+        images = [random_image(rng, 6, 5) for _ in range(3)]
+        # a bias shift that zeroes many ReLU units, so the mask matters
+        for i in range(len(hidden)):
+            params.blocks[f"enc{i}.b"] = rng.normals(hidden[i]) - 0.5
+        preds, cache = forward_batch(params, images)
+        ref = reference_forward(params, images)
+        for name in ("x", "feats", "logits", "probs"):
+            assert same_bytes(getattr(cache, name), ref[name]), name
+        assert len(cache.act) == len(hidden)
+        for got, want in zip(cache.act, ref["act"]):
+            assert same_bytes(got, want)
+        for i, pred in enumerate(preds):
+            rows = slice(i * 30, (i + 1) * 30)
+            assert same_bytes(pred.probs, ref["probs"][rows].reshape(6, 5, -1))
+        dfeats = rng.normals(cache.feats.size).reshape(cache.feats.shape)
+        dlogits = rng.normals(cache.logits.size).reshape(cache.logits.shape)
+        dfeats[::4] = 0.0
+        grads = backward_batch(params, cache, dfeats, dlogits)
+        want = reference_backward(params, ref, dfeats, dlogits)
+        assert sorted(grads) == sorted(want)
+        for name in want:
+            assert same_bytes(grads[name], want[name]), name
+
+    def test_relu_mask_from_activations_equals_pre_activation_mask(self):
+        params = small_params(seed=95, hidden=(8, 6))
+        images = [random_image(Rng(96), 7, 7)]
+        _, cache = forward_batch(params, images)
+        ref = reference_forward(params, images)
+        for act, pre in zip(cache.act, ref["pre"]):
+            assert np.array_equal(act > 0, pre > 0)
+            assert (pre <= 0).any() and (pre > 0).any()
 
 
 class TestGrowHead:
@@ -347,7 +453,7 @@ class TestCheckpoint:
         for name, arr in ckpt.distill_params.blocks.items():
             np.testing.assert_array_equal(back.distill_params.blocks[name], arr)
         assert sorted(back.protos.entries) == [0, 1, 2]
-        assert back.protos.is_frozen(1) and back.protos.is_initialized(1)
+        assert back.protos.entries[1].frozen and back.protos.is_initialized(1)
         np.testing.assert_array_equal(
             back.protos.vector(1), ckpt.protos.vector(1)
         )

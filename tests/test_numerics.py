@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import same_bytes
 from fairseg.errors import DeterminismError, DimensionError
 from fairseg.numerics import (
     GradSlot,
@@ -133,6 +134,15 @@ class TestSoftmax:
         assert abs(p.sum() - 1.0) < 1e-12
         order = np.argsort(np.array(v), kind="stable")
         assert np.all(np.diff(p[order]) >= -1e-15)
+
+    def test_equals_fresh_array_form_and_leaves_input(self):
+        logits = Rng(21).normals(7 * 5).reshape(7, 5) * 30.0
+        before = logits.copy()
+        z = logits - np.max(logits, axis=1, keepdims=True)
+        e = np.exp(z)
+        fresh = e / np.sum(e, axis=1, keepdims=True)
+        assert same_bytes(softmax(logits, axis=1), fresh)
+        assert same_bytes(logits, before)
 
     def test_log_softmax_consistency(self):
         v = np.array([0.3, -1.2, 2.0, 0.0])

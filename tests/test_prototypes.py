@@ -11,6 +11,7 @@ from fairseg.errors import (
     StateError,
     UnavailableError,
 )
+from fairseg import prototypes
 from fairseg.numerics import Rng
 from fairseg.prototypes import (
     ClusterConfig,
@@ -243,7 +244,7 @@ class TestAlgorithmOracle:
                         rtol=0,
                     )
             # frozen class 3 never moves no matter the schedule
-            assert protos.is_frozen(3)
+            assert protos.entries[3].frozen
 
 
 class TestPseudoLabel:
@@ -301,6 +302,23 @@ class TestPseudoLabel:
             best = min(d2.values())
             assert out[i] == min(c for c, d in d2.items() if d == best)
 
+    @pytest.mark.parametrize("chunk", [1, 7, 50, 2048])
+    def test_chunks_agree_with_one_pass(self, chunk, monkeypatch):
+        monkeypatch.setattr(prototypes, "LABEL_CHUNK", chunk)
+        rng = Rng(608)
+        dim = 4
+        protos = make_protos(dim, [0, 2, 5])
+        set_proto(protos, 0, [1.0, 0.0, 0.0, 0.0])
+        set_proto(protos, 2, rng.normals(dim))
+        set_proto(protos, 5, [-1.0, 0.0, 0.0, 0.0])
+        feats = rng.normals(101 * dim).reshape(101, dim)
+        feats[::10, 0] = 0.0  # exact ties between ids 0 and 5
+        d2 = np.stack([np.sum((feats - protos.vector(c)) ** 2, axis=1)
+                       for c in (0, 2, 5)], axis=1)
+        want = np.array([0, 2, 5])[np.argmin(d2, axis=1)]
+        assert np.array_equal(pseudo_label_map(protos, feats), want)
+        assert set(want[::10]) <= {0, 2} and 0 in want[::10]
+
     def test_dimension_mismatch(self):
         protos = make_protos(3, [0])
         set_proto(protos, 0, [0.0, 0.0, 0.0])
@@ -315,8 +333,8 @@ class TestFreeze:
         set_proto(protos, 2, [2.0])
         freeze_previous(protos, {1, 2})
         freeze_previous(protos, {1, 2})
-        assert protos.is_frozen(1) and protos.is_frozen(2)
-        assert not protos.is_frozen(0)
+        assert protos.entries[1].frozen and protos.entries[2].frozen
+        assert not protos.entries[0].frozen
 
     def test_freeze_uninitialized_rejected(self):
         protos = make_protos(1, [0, 1])

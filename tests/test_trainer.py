@@ -323,7 +323,7 @@ class TestRunContinual:
         after_step2 = load_checkpoint(tmp_path / "step2.ckpt").protos
         for cid in (1, 2):
             if after_step1.is_initialized(cid):
-                assert after_step2.is_frozen(cid)
+                assert after_step2.entries[cid].frozen
                 np.testing.assert_array_equal(
                     after_step1.vector(cid), after_step2.vector(cid)
                 )
