@@ -21,7 +21,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from fairseg.cli import main as fairseg_main
 from fairseg.synthdata import read_manifest
 
-PRESETS = ("fine-tune", "cluster", "cluster-class", "full")
+PRESETS = ("fine-tune", "distill", "cluster", "cluster-class", "full")
 METRICS = ("miou_initial", "miou_later", "miou_all", "iou_std_fg",
            "fairness_gap", "islands_per_image")
 

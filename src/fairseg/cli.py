@@ -53,7 +53,7 @@ from .synthdata import (
     read_manifest,
     write_dataset,
 )
-from .trainer import run_continual
+from .trainer import ABLATIONS, TOGGLES, run_continual
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -146,12 +146,7 @@ def cmd_train(args):
     tc = rc.train_config(num_classes=num_classes)
     if args.ablation is not None:
         tc = tc.ablation(args.ablation)
-        for key, value in (
-            ("use_cluster", tc.use_cluster),
-            ("use_class_weighting", tc.use_class_weighting),
-            ("use_cons", tc.use_cons),
-            ("use_distill", tc.use_distill),
-        ):
+        for key, value in zip(TOGGLES, ABLATIONS[args.ablation]):
             rc.set("train", key, str(value).lower())
     if args.print_config:
         sys.stdout.write(rc.dump())
@@ -245,7 +240,7 @@ def _bounded_offsets(rng, count, dim, lo=0.3, hi=0.8):
     return (mag * signs).reshape(count, dim)
 
 
-def run_gradcheck(trials=20, seed=20240801, height=8, width=8, dim=4):
+def run_gradcheck(trials, seed, height=8, width=8, dim=4):
     """Finite-difference check for every loss; returns [(name, max_err)].
 
     Instances are random but bounded away from gradient degeneracies
@@ -384,7 +379,7 @@ def cmd_gradcheck(args):
 # ---------------------------------------------------------------------------
 
 
-def run_prop1(trials=1000, seed=20240802, dims=(4, 16, 32),
+def run_prop1(trials, seed, dims=(4, 16, 32),
               proto_counts=(2, 8, 20), pixels=16):
     """Random upper-bound trials; returns a dict of aggregates."""
     root = Rng(seed)
@@ -532,8 +527,7 @@ def build_parser():
                    help="test dataset for per-step evaluation")
     p.add_argument("--out", default=None, help="override [output] dir")
     p.add_argument("--ablation", default=None,
-                   help="loss-toggle preset: fine-tune, distill, cluster, "
-                        "cluster-class, cluster-cons, full")
+                   help="loss-toggle preset: " + ", ".join(ABLATIONS))
     p.add_argument("--steps", default=None,
                    help="override [split] steps, e.g. 5-3 or 4-2-2")
     p.add_argument("--seed", type=int, default=None,

@@ -1,16 +1,19 @@
 """Run configuration: INI sections with strict keys and full defaults.
 
-Every knob lives in one of eight sections; missing keys fall back to the
-documented defaults, unknown sections or keys are rejected outright, and
-the fully resolved configuration can be dumped back out so a run
-directory always records exactly what it ran with.
+Every knob lives in one of eight sections; missing keys fall back to their
+defaults, unknown sections or keys are rejected outright, and the fully
+resolved configuration can be dumped back out so a run directory always
+records exactly what it ran with.  The keys of the [model], [train],
+[losses], [cluster] and [cons] sections are the fields of the config
+dataclasses: each key has its field's name, and its field's default gives
+the key's default and type.
 """
 
 from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Dict
 
 from .errors import ConfigError
@@ -18,7 +21,30 @@ from .fileio import atomic_open
 from .losses import ConsConfig, LossWeights
 from .prototypes import ClusterConfig
 from .synthdata import TaskSplit, shapes_benchmark
-from .trainer import TrainConfig
+from .trainer import MODEL_KEY, TrainConfig
+
+
+def _keyed_fields(cls):
+    return [f for f in fields(cls) if f.default is not MISSING]
+
+
+# The dataclass fields behind each section, in dump order.
+_SECTION_FIELDS = {
+    "model": [f for f in _keyed_fields(TrainConfig) if f.metadata == MODEL_KEY],
+    "train": [f for f in _keyed_fields(TrainConfig) if f.metadata != MODEL_KEY],
+    "losses": _keyed_fields(LossWeights),
+    "cluster": _keyed_fields(ClusterConfig),
+    "cons": _keyed_fields(ConsConfig),
+}
+
+
+def _ini(value):
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
 
 DEFAULTS = {
     "benchmark": {
@@ -32,50 +58,12 @@ DEFAULTS = {
         "zipf_exponent": "1.5",
         "seed": "7",
     },
-    "split": {
-        "steps": "5-3",
+    "split": {"steps": "5-3"},
+    **{
+        section: {f.name: _ini(f.default) for f in keyed}
+        for section, keyed in _SECTION_FIELDS.items()
     },
-    "model": {
-        "patch_size": "5",
-        "feature_dim": "16",
-        "hidden": "64,32",
-    },
-    "train": {
-        "epochs": "10",
-        "batch_size": "6",
-        "lr_initial": "0.05",
-        "lr_continual": "0.005",
-        "sgd_momentum": "0.9",
-        "weight_decay": "1e-4",
-        "seed": "1",
-        "use_cluster": "true",
-        "use_class_weighting": "true",
-        "use_cons": "true",
-        "use_distill": "false",
-        "ce_on_pseudo": "false",
-    },
-    "losses": {
-        "lambda_cluster": "0.001",
-        "lambda_cons": "0.01",
-        "lambda_distill": "1.0",
-        "smoothing": "1.0",
-        "clamp_min": "0.1",
-        "clamp_max": "10.0",
-    },
-    "cluster": {
-        "margin": "10.0",
-        "momentum": "0.99",
-        "update_period": "50",
-        "bank_capacity": "500",
-        "deposit_per_class": "32",
-    },
-    "cons": {
-        "sigma_color": "0.1",
-        "window": "3",
-    },
-    "output": {
-        "dir": "runs/default",
-    },
+    "output": {"dir": "runs/default"},
 }
 
 _TRUE = {"1", "true", "yes", "on"}
@@ -151,48 +139,22 @@ class RunConfig:
             raise ConfigError(f"[model] hidden sizes must be >= 1, got {raw!r}")
         return sizes
 
+    def _section(self, section):
+        """A dataclass-backed section as field values, typed by their defaults."""
+        parse = {bool: self.get_bool, int: self.get_int, float: self.get_float,
+                 tuple: lambda *_: self.hidden_sizes()}  # [model] hidden
+        return {f.name: parse[type(f.default)](section, f.name)
+                for f in _SECTION_FIELDS[section]}
+
     def train_config(self, num_classes=None):
-        split = self.task_split(num_classes)
-        cfg = TrainConfig(
-            split=split,
-            epochs=self.get_int("train", "epochs"),
-            batch_size=self.get_int("train", "batch_size"),
-            lr_initial=self.get_float("train", "lr_initial"),
-            lr_continual=self.get_float("train", "lr_continual"),
-            sgd_momentum=self.get_float("train", "sgd_momentum"),
-            weight_decay=self.get_float("train", "weight_decay"),
-            use_cluster=self.get_bool("train", "use_cluster"),
-            use_class_weighting=self.get_bool("train", "use_class_weighting"),
-            use_cons=self.get_bool("train", "use_cons"),
-            use_distill=self.get_bool("train", "use_distill"),
-            ce_on_pseudo=self.get_bool("train", "ce_on_pseudo"),
-            weights=LossWeights(
-                lambda_cluster=self.get_float("losses", "lambda_cluster"),
-                lambda_cons=self.get_float("losses", "lambda_cons"),
-                lambda_distill=self.get_float("losses", "lambda_distill"),
-            ),
-            cluster=ClusterConfig(
-                margin=self.get_float("cluster", "margin"),
-                momentum=self.get_float("cluster", "momentum"),
-                update_period=self.get_int("cluster", "update_period"),
-                bank_capacity=self.get_int("cluster", "bank_capacity"),
-                deposit_per_class=self.get_int("cluster", "deposit_per_class"),
-            ),
-            cons=ConsConfig(
-                sigma_color=self.get_float("cons", "sigma_color"),
-                window=self.get_int("cons", "window"),
-            ),
-            smoothing=self.get_float("losses", "smoothing"),
-            clamp=(
-                self.get_float("losses", "clamp_min"),
-                self.get_float("losses", "clamp_max"),
-            ),
-            patch_size=self.get_int("model", "patch_size"),
-            feature_dim=self.get_int("model", "feature_dim"),
-            hidden=self.hidden_sizes(),
-            seed=self.get_int("train", "seed"),
-        )
-        return cfg.validate()
+        return TrainConfig(
+            split=self.task_split(num_classes),
+            **self._section("model"),
+            **self._section("train"),
+            weights=LossWeights(**self._section("losses")),
+            cluster=ClusterConfig(**self._section("cluster")),
+            cons=ConsConfig(**self._section("cons")),
+        ).validate()
 
     # -- serialization ----------------------------------------------------
     def dump(self):
@@ -211,9 +173,7 @@ class RunConfig:
 
 
 def default_config():
-    return RunConfig(
-        values={s: dict(kv) for s, kv in DEFAULTS.items()}
-    )
+    return RunConfig({s: dict(kv) for s, kv in DEFAULTS.items()})
 
 
 def load_config(path=None, overrides=None):
@@ -236,9 +196,7 @@ def load_config(path=None, overrides=None):
             if section not in DEFAULTS:
                 raise ConfigError(f"unknown config section [{section}]")
             for key, value in parser.items(section):
-                if key not in DEFAULTS[section]:
-                    raise ConfigError(f"unknown config key [{section}] {key}")
-                cfg.values[section][key] = value
+                cfg.set(section, key, value)
     for section, key, value in overrides or ():
         cfg.set(section, key, value)
     return cfg

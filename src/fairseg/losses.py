@@ -33,17 +33,8 @@ class ClassDistribution:
     """
 
     pixel_counts: dict
-    smoothing: float = 1.0
-    clamp: Tuple[float, float] = (0.1, 10.0)
-
-    def validate(self):
-        if any(v < 0 for v in self.pixel_counts.values()):
-            raise ConfigError("pixel counts must be >= 0")
-        if self.smoothing < 0:
-            raise ConfigError("smoothing must be >= 0")
-        if self.clamp[0] > self.clamp[1] or self.clamp[0] < 0:
-            raise ConfigError(f"invalid clamp range {self.clamp}")
-        return self
+    smoothing: float
+    clamp: Tuple[float, float]
 
     @property
     def num_classes(self):
@@ -85,12 +76,25 @@ class ConsConfig:
 @dataclass
 class LossWeights:
     lambda_cluster: float = 1e-3
-    lambda_cons: float = 1e-2
+    # The consistency term sits two orders of magnitude below cross-entropy;
+    # lighter weights leave prediction speckles in smooth regions.
+    lambda_cons: float = 10.0
     lambda_distill: float = 1.0
+    smoothing: float = 1.0  # ClassDistribution's smoothing and clamp range
+    clamp_min: float = 0.1
+    # 10x minority weights oscillate at the default learning rates; 5x keeps
+    # the fairness pressure without destabilizing the rarest classes.
+    clamp_max: float = 5.0
 
     def validate(self):
         if min(self.lambda_cluster, self.lambda_cons, self.lambda_distill) < 0:
             raise ConfigError("loss weights must be >= 0")
+        if self.smoothing < 0:
+            raise ConfigError("smoothing must be >= 0")
+        if not 0 <= self.clamp_min <= self.clamp_max:
+            raise ConfigError(
+                f"invalid clamp range [{self.clamp_min}, {self.clamp_max}]"
+            )
         return self
 
 

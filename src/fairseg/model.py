@@ -77,8 +77,7 @@ def _glorot(rng, shape):
     return (2.0 * u - 1.0) * bound
 
 
-def init_params(seed, initial_classes, patch_size=5, feature_dim=16,
-                hidden=(64, 32)):
+def init_params(seed, initial_classes, patch_size, feature_dim, hidden):
     """Glorot-uniform initialization; head gets 1 + len(initial_classes) rows."""
     if patch_size % 2 == 0 or patch_size < 1:
         raise ConfigError(f"patch_size must be odd and positive, got {patch_size}")

@@ -113,7 +113,7 @@ class BenchmarkSpec:
         }
 
 
-def zipf_frequencies(num_classes, exponent=1.5):
+def zipf_frequencies(num_classes, exponent):
     """Frequencies proportional to rank^-exponent, normalized to sum 1."""
     ranks = np.arange(1, num_classes + 1, dtype=np.float64)
     f = ranks**-exponent
@@ -134,10 +134,9 @@ def default_palette(num_classes):
     return tuple(palette)
 
 
-def shapes_benchmark(num_classes=8, image_size=(32, 32), noise_sigma=0.04,
-                     train_count=200, test_count=50, seed=7,
-                     zipf_exponent=1.5):
-    """The default desk benchmark: skewed shape classes on small canvases."""
+def shapes_benchmark(num_classes, image_size, noise_sigma, train_count,
+                     test_count, seed, zipf_exponent):
+    """A desk benchmark: skewed shape classes on small canvases."""
     return BenchmarkSpec(
         num_classes=num_classes,
         image_size=image_size,

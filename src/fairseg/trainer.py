@@ -74,29 +74,46 @@ LOG_FIELDS = (
 )
 
 
+# The loss toggles each ``--ablation`` preset sets, in TOGGLES order.
+TOGGLES = ("use_cluster", "use_class_weighting", "use_cons", "use_distill")
+ABLATIONS = {
+    "fine-tune": (False, False, False, False),
+    "distill": (False, False, False, True),
+    "cluster": (True, False, False, False),
+    "cluster-class": (True, True, False, False),
+    "full": (True, True, True, False),
+}
+
+# metadata of the TrainConfig fields read from [model]; the rest are [train]
+MODEL_KEY = {"section": "model"}
+
+
 @dataclass
 class TrainConfig:
+    """A run's [split], [model] and [train] settings and its loss sections."""
+
     split: TaskSplit
+    patch_size: int = field(default=5, metadata=MODEL_KEY)
+    feature_dim: int = field(default=16, metadata=MODEL_KEY)
+    hidden: Tuple[int, ...] = field(default=(64, 32), metadata=MODEL_KEY)
     epochs: int = 10
     batch_size: int = 6
     lr_initial: float = 0.05
     lr_continual: float = 0.005
     sgd_momentum: float = 0.9
     weight_decay: float = 1e-4
+    seed: int = 1
     use_cluster: bool = True
     use_class_weighting: bool = True
     use_cons: bool = True
     use_distill: bool = False
-    ce_on_pseudo: bool = False
+    # Pseudo-labels feed cross-entropy as well as clustering; without this
+    # the desk-scale model has no supervision on background pixels after
+    # step 1, and the new-class head rows take over every pixel.
+    ce_on_pseudo: bool = True
     weights: LossWeights = field(default_factory=LossWeights)
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     cons: ConsConfig = field(default_factory=ConsConfig)
-    smoothing: float = 1.0
-    clamp: Tuple[float, float] = (0.1, 10.0)
-    patch_size: int = 5
-    feature_dim: int = 16
-    hidden: Tuple[int, ...] = (64, 32)
-    seed: int = 1
 
     def validate(self):
         self.split.validate()
@@ -113,43 +130,15 @@ class TrainConfig:
         self.weights.validate()
         self.cluster.validate()
         self.cons.validate()
-        if self.smoothing < 0:
-            raise ConfigError("smoothing must be >= 0")
         return self
 
     def ablation(self, preset):
-        """Named loss-toggle presets for the standard comparison grid."""
-        presets = {
-            "fine-tune": dict(
-                use_cluster=False, use_class_weighting=False,
-                use_cons=False, use_distill=False,
-            ),
-            "distill": dict(
-                use_cluster=False, use_class_weighting=False,
-                use_cons=False, use_distill=True,
-            ),
-            "cluster": dict(
-                use_cluster=True, use_class_weighting=False,
-                use_cons=False, use_distill=False,
-            ),
-            "cluster-class": dict(
-                use_cluster=True, use_class_weighting=True,
-                use_cons=False, use_distill=False,
-            ),
-            "cluster-cons": dict(
-                use_cluster=True, use_class_weighting=False,
-                use_cons=True, use_distill=False,
-            ),
-            "full": dict(
-                use_cluster=True, use_class_weighting=True,
-                use_cons=True, use_distill=False,
-            ),
-        }
-        if preset not in presets:
+        """This config with the loss toggles of a named ABLATIONS preset."""
+        if preset not in ABLATIONS:
             raise ConfigError(
-                f"unknown ablation {preset!r}; choose from {sorted(presets)}"
+                f"unknown ablation {preset!r}; choose from {sorted(ABLATIONS)}"
             )
-        return replace(self, **presets[preset])
+        return replace(self, **dict(zip(TOGGLES, ABLATIONS[preset])))
 
 
 class TrackedDataset:
@@ -342,9 +331,9 @@ def run_step(state, cfg, step, data, on_epoch_end=None):
     iterations_run = 0
     dist = ClassDistribution(
         _count_supervised(data, sup_ids),
-        smoothing=cfg.smoothing,
-        clamp=cfg.clamp,
-    ).validate()
+        cfg.weights.smoothing,
+        (cfg.weights.clamp_min, cfg.weights.clamp_max),
+    )
     row_weights = (
         ce_row_weights(dist, params.row_map(), params.num_rows)
         if cfg.use_class_weighting
@@ -467,18 +456,18 @@ def write_loss_log(path, rows):
 
 def _read_loss_log(path, before):
     """The rows of a loss log whose (step, epoch) comes before ``before``."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != LOG_FIELDS:
-            raise FormatError(f"{path} does not have the loss log columns")
-        try:
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            if tuple(reader.fieldnames or ()) != LOG_FIELDS:
+                raise FormatError(f"{path} does not have the loss log columns")
             rows = [
                 {k: int(v) if k in ("step", "epoch", "iteration") else float(v)
                  for k, v in row.items()}
                 for row in reader
             ]
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"malformed row in {path}: {exc}") from exc
+    except (OSError, TypeError, ValueError) as exc:
+        raise FormatError(f"cannot read the loss log {path}: {exc!r}") from exc
     return [row for row in rows if (row["step"], row["epoch"]) < before]
 
 
@@ -511,7 +500,8 @@ def run_continual(cfg, samples, out_dir=None, test_samples=None,
     bit-identically: each step from the checkpoint's on trains the epochs
     it has left, then takes the same step end as a fresh run.  The loss
     CSV keeps the rows already in ``out_dir`` from before that boundary,
-    and the mIoU(all) of earlier steps is read back from their summaries.
+    and the mIoU(all) of earlier steps is read back from their summaries;
+    a missing loss CSV or summary raises FormatError.
     The CSV is rewritten before each latest.ckpt, so the two always agree.
     """
     cfg.validate()
@@ -532,7 +522,7 @@ def run_continual(cfg, samples, out_dir=None, test_samples=None,
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         log_path = os.path.join(out_dir, "losses.csv")
-        if resume_from is not None and os.path.exists(log_path):
+        if resume_from is not None:
             log_rows = _read_loss_log(log_path, (state.step, state.epoch))
 
     def save_latest(st):

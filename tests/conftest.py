@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fairseg.config import default_config
 from fairseg.synthdata import (
     SegSample,
     TaskSplit,
@@ -37,6 +38,7 @@ def tiny_spec(**overrides):
         train_count=24,
         test_count=8,
         seed=11,
+        zipf_exponent=1.5,
     )
     kwargs.update(overrides)
     return shapes_benchmark(**kwargs)
@@ -55,7 +57,7 @@ def tiny_split():
 @pytest.fixture(scope="session")
 def shapes8_dataset():
     """The default committed benchmark, generated once per session."""
-    return generate(shapes_benchmark())
+    return generate(default_config().benchmark_spec())
 
 
 def constant_sample(height, width, color, class_id):

@@ -9,6 +9,7 @@ minutes on one CPU core.
 import contextlib
 import io
 import os
+import shutil
 import time
 
 import numpy as np
@@ -276,7 +277,10 @@ def test_criterion_9_determinism_and_resume(grid):
             "report_step2.csv", "summary.txt",
         )
     )
-    # redoing step 2 from the step-1 checkpoint must land on the same bytes
+    # redoing step 2 from the step-1 checkpoint, next to the run's loss log,
+    # must land on the same bytes
+    resumed.mkdir()
+    shutil.copy(first / "losses.csv", resumed / "losses.csv")
     cfg = load_config(ACCEPTANCE_INI).train_config(num_classes=8)
     train, _ = read_dataset(str(grid["data"] / "train.bin"))
     test, _ = read_dataset(str(grid["data"] / "test.bin"))
@@ -286,7 +290,9 @@ def test_criterion_9_determinism_and_resume(grid):
     )
     resumed_ok = all(
         (resumed / name).read_bytes() == (first / name).read_bytes()
-        for name in ("step2.ckpt", "report_step2.csv", "summary.txt")
+        for name in (
+            "step2.ckpt", "losses.csv", "report_step2.csv", "summary.txt",
+        )
     )
     ok = identical and resumed_ok
     report(

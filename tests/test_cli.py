@@ -13,6 +13,8 @@ import pytest
 from fairseg import cli
 from fairseg.config import DEFAULTS, default_config, load_config
 from fairseg.errors import ConfigError
+from fairseg.synthdata import TaskSplit
+from fairseg.trainer import TrainConfig
 
 SMALL_INI = """\
 [benchmark]
@@ -179,6 +181,27 @@ class TestConfig:
             assert set(parser.options(section)) == set(keys)
             for key, default in keys.items():
                 assert parser.get(section, key) == default, (section, key)
+
+    def test_defaults_are_the_acceptance_values(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[output]\ndir = runs/defaults\n")
+        tc = load_config(str(path)).train_config(num_classes=8)
+        accepted = load_config(os.path.join(REPO, "configs", "acceptance.ini"))
+        assert tc == accepted.train_config(num_classes=8)
+        assert load_config(None).train_config(num_classes=8) == TrainConfig(
+            split=TaskSplit.from_sizes("5-3", 8)
+        )
+
+    @pytest.mark.parametrize("losses", [
+        "clamp_min = 5\nclamp_max = 1\n",
+        "smoothing = -0.5\n",
+    ], ids=["clamp-range", "negative-smoothing"])
+    def test_losses_validated_at_load(self, tmp_path, losses):
+        path = tmp_path / "run.ini"
+        path.write_text("[losses]\n" + losses)
+        cfg = load_config(str(path))
+        with pytest.raises(ConfigError):
+            cfg.train_config()
 
     def test_acceptance_config_loads(self):
         cfg = load_config(os.path.join(REPO, "configs", "acceptance.ini"))

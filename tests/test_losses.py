@@ -40,47 +40,39 @@ def make_protos(vectors, frozen=(), uninitialized=()):
 
 class TestClassDistribution:
     def test_balanced_weights_are_one(self):
-        dist = ClassDistribution({1: 50, 2: 50, 3: 50, 4: 50}).validate()
+        dist = ClassDistribution({1: 50, 2: 50, 3: 50, 4: 50}, 1.0, (0.1, 10.0))
         for cid in (1, 2, 3, 4):
             assert dist.weight(cid) == pytest.approx(1.0, abs=1e-12)
 
     def test_raw_weight_arithmetic(self):
         dist = ClassDistribution(
-            {0: 700, 1: 100, 2: 100, 3: 100}, smoothing=0.0
-        ).validate()
+            {0: 700, 1: 100, 2: 100, 3: 100}, 0.0, (0.1, 10.0)
+        )
         assert dist.raw_weight(0) == pytest.approx(0.25 / 0.7, abs=1e-12)
         for cid in (1, 2, 3):
             assert dist.raw_weight(cid) == pytest.approx(2.5, abs=1e-12)
 
     def test_probabilities_sum_to_one(self):
-        dist = ClassDistribution({1: 3, 2: 0, 5: 11}, smoothing=1.0)
+        dist = ClassDistribution({1: 3, 2: 0, 5: 11}, 1.0, (0.1, 10.0))
         total = sum(dist.probability(c) for c in (1, 2, 5))
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_mass_class_clamps_high(self):
-        dist = ClassDistribution({1: 100, 2: 0}, smoothing=0.0)
+        dist = ClassDistribution({1: 100, 2: 0}, 0.0, (0.1, 10.0))
         assert math.isinf(dist.raw_weight(2))
         assert dist.weight(2) == 10.0
 
     def test_majority_clamps_low(self):
         dist = ClassDistribution(
-            {1: 10_000_000, 2: 1}, smoothing=0.0, clamp=(0.1, 10.0)
+            {1: 10_000_000, 2: 1}, 0.0, (0.1, 10.0)
         )
         assert dist.weight(1) == pytest.approx(0.5, abs=1e-6)
         assert dist.weight(2) == 10.0
 
     def test_unknown_class_rejected(self):
-        dist = ClassDistribution({1: 5})
+        dist = ClassDistribution({1: 5}, 1.0, (0.1, 10.0))
         with pytest.raises(LabelError):
             dist.probability(9)
-
-    def test_validation_errors(self):
-        with pytest.raises(ConfigError):
-            ClassDistribution({1: -1}).validate()
-        with pytest.raises(ConfigError):
-            ClassDistribution({1: 1}, smoothing=-0.5).validate()
-        with pytest.raises(ConfigError):
-            ClassDistribution({1: 1}, clamp=(5.0, 1.0)).validate()
 
 
 class TestWeightedCE:
@@ -163,7 +155,7 @@ class TestWeightedCE:
         assert out.grads["logits"].shape == (4, 4, 3)
 
     def test_row_weight_vector_assembly(self):
-        dist = ClassDistribution({0: 700, 3: 100}, smoothing=0.0).validate()
+        dist = ClassDistribution({0: 700, 3: 100}, 0.0, (0.1, 10.0))
         row_map = {0: 0, 3: 1, 7: 2}
         weights = ce_row_weights(dist, row_map, num_rows=3)
         assert weights[0] == pytest.approx(0.5 / 0.875, abs=1e-12)
@@ -554,6 +546,12 @@ def test_loss_weights_validation():
     LossWeights().validate()
     with pytest.raises(ConfigError):
         LossWeights(lambda_cluster=-0.1).validate()
+    with pytest.raises(ConfigError):
+        LossWeights(smoothing=-0.5).validate()
+    with pytest.raises(ConfigError):
+        LossWeights(clamp_min=5.0, clamp_max=1.0).validate()
+    with pytest.raises(ConfigError):
+        LossWeights(clamp_min=-0.1).validate()
 
 
 class TestBatchContract:

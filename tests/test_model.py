@@ -105,7 +105,7 @@ class TestForward:
 
     def test_even_patch_rejected(self):
         with pytest.raises(ConfigError):
-            init_params(1, (1,), patch_size=4)
+            init_params(1, (1,), patch_size=4, feature_dim=4, hidden=(6,))
 
     def test_mixed_sizes_rejected(self):
         params = small_params()
@@ -243,7 +243,7 @@ class TestBitIdentity:
 
 class TestGrowHead:
     def test_rows_preserved(self):
-        params = init_params(2, (1, 2, 3, 4, 5))
+        params = small_params(2, (1, 2, 3, 4, 5))
         assert params.num_rows == 6
         grown = grow_head(params, (6, 7, 8), Rng(77).split("grow/step2"))
         assert grown.num_rows == 9
@@ -278,7 +278,7 @@ class TestGrowHead:
             grow_head(small_params(), (), Rng(1))
 
     def test_row_lookup(self):
-        params = init_params(2, (4, 9))
+        params = small_params(2, (4, 9))
         grown = grow_head(params, (2,), Rng(5))
         assert grown.row_map() == {0: 0, 4: 1, 9: 2, 2: 3}
         assert grown.class_of_row(3) == 2

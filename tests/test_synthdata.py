@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tiny_spec
+from fairseg.config import default_config
 from fairseg.errors import ConfigError, FormatError
 from fairseg.metrics import normalized_entropy
 from fairseg.synthdata import (
@@ -21,7 +22,6 @@ from fairseg.synthdata import (
     generate,
     read_dataset,
     select_step_indices,
-    shapes_benchmark,
     write_dataset,
     write_manifest,
     zipf_frequencies,
@@ -36,7 +36,7 @@ def make_sample(labels):
 
 class TestSpecValidation:
     def test_default_benchmark_is_valid(self):
-        spec = shapes_benchmark()
+        spec = default_config().benchmark_spec()
         assert spec.num_classes == 8
         assert abs(sum(spec.class_frequencies) - 1.0) < 1e-9
 

@@ -1,6 +1,7 @@
 """Continual training loop: determinism, resume, protocol enforcement."""
 
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -77,7 +78,6 @@ class TestTrainConfig:
             "distill": (False, False, False, True),
             "cluster": (True, False, False, False),
             "cluster-class": (True, True, False, False),
-            "cluster-cons": (True, False, True, False),
             "full": (True, True, True, False),
         }
         for preset, toggles in grid.items():
@@ -353,19 +353,36 @@ class TestRunContinual:
         straight = (out / "step2.ckpt").read_bytes()
 
         redo = tmp_path / "redo"
+        redo.mkdir()
+        shutil.copy(out / "losses.csv", redo / "losses.csv")
         run_continual(
             cfg, train, out_dir=redo, resume_from=out / "step1.ckpt"
         )
         assert (redo / "step2.ckpt").read_bytes() == straight
+        assert (redo / "losses.csv").read_bytes() == (
+            out / "losses.csv"
+        ).read_bytes()
+
+    def test_resume_without_loss_log_rejected(self, tmp_path, tiny_dataset):
+        train, _ = tiny_dataset
+        cfg = tiny_config()
+        run_continual(cfg, train, out_dir=tmp_path / "a")
+        with pytest.raises(FormatError, match="losses.csv"):
+            run_continual(
+                cfg, train, out_dir=tmp_path / "b",
+                resume_from=tmp_path / "a" / "step1.ckpt",
+            )
 
     def test_resume_from_finished_run_is_noop(self, tmp_path, tiny_dataset):
         train, _ = tiny_dataset
         cfg = tiny_config()
         out = tmp_path / "done"
         run_continual(cfg, train, out_dir=out)
+        noop = tmp_path / "noop"
+        noop.mkdir()
+        shutil.copy(out / "losses.csv", noop / "losses.csv")
         again = run_continual(
-            cfg, train, out_dir=tmp_path / "noop",
-            resume_from=out / "latest.ckpt",
+            cfg, train, out_dir=noop, resume_from=out / "latest.ckpt",
         )
         assert again.outcomes == []
         assert again.tracker.reads == []
