@@ -36,6 +36,12 @@ class ClassDistribution:
     smoothing: float
     clamp: Tuple[float, float]
 
+    def validate(self):
+        """Smoothing and the clamp range are checked by LossWeights."""
+        if any(v < 0 for v in self.pixel_counts.values()):
+            raise ConfigError("pixel counts must be >= 0")
+        return self
+
     @property
     def num_classes(self):
         return len(self.pixel_counts)

@@ -333,7 +333,7 @@ def run_step(state, cfg, step, data, on_epoch_end=None):
         _count_supervised(data, sup_ids),
         cfg.weights.smoothing,
         (cfg.weights.clamp_min, cfg.weights.clamp_max),
-    )
+    ).validate()
     row_weights = (
         ce_row_weights(dist, params.row_map(), params.num_rows)
         if cfg.use_class_weighting

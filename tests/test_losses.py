@@ -74,6 +74,18 @@ class TestClassDistribution:
         with pytest.raises(LabelError):
             dist.probability(9)
 
+    def test_validation_errors(self):
+        with pytest.raises(ConfigError):
+            ClassDistribution({1: -1}, 1.0, (0.1, 10.0)).validate()
+        # Smoothing and the clamp range are validated with the other
+        # [losses] values, before any ClassDistribution is built.
+        with pytest.raises(ConfigError):
+            LossWeights(smoothing=-0.5).validate()
+        with pytest.raises(ConfigError):
+            LossWeights(clamp_min=5.0, clamp_max=1.0).validate()
+        with pytest.raises(ConfigError):
+            LossWeights(clamp_min=-0.1).validate()
+
 
 class TestWeightedCE:
     def test_uniform_weights_equal_plain_ce(self):
@@ -546,12 +558,6 @@ def test_loss_weights_validation():
     LossWeights().validate()
     with pytest.raises(ConfigError):
         LossWeights(lambda_cluster=-0.1).validate()
-    with pytest.raises(ConfigError):
-        LossWeights(smoothing=-0.5).validate()
-    with pytest.raises(ConfigError):
-        LossWeights(clamp_min=5.0, clamp_max=1.0).validate()
-    with pytest.raises(ConfigError):
-        LossWeights(clamp_min=-0.1).validate()
 
 
 class TestBatchContract:
