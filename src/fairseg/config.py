@@ -135,8 +135,8 @@ class RunConfig:
             sizes = tuple(int(part) for part in raw.split(",") if part.strip())
         except ValueError:
             raise ConfigError(f"[model] hidden must be comma-separated ints, got {raw!r}")
-        if not sizes or any(s < 1 for s in sizes):
-            raise ConfigError(f"[model] hidden sizes must be >= 1, got {raw!r}")
+        if not sizes:
+            raise ConfigError(f"[model] hidden must list at least one width, got {raw!r}")
         return sizes
 
     def _section(self, section):

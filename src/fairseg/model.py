@@ -78,11 +78,10 @@ def _glorot(rng, shape):
 
 
 def init_params(seed, initial_classes, patch_size, feature_dim, hidden):
-    """Glorot-uniform initialization; head gets 1 + len(initial_classes) rows."""
-    if patch_size % 2 == 0 or patch_size < 1:
-        raise ConfigError(f"patch_size must be odd and positive, got {patch_size}")
-    if feature_dim < 1 or any(h < 1 for h in hidden):
-        raise ConfigError("feature_dim and hidden widths must be >= 1")
+    """Glorot-uniform initialization; head gets 1 + len(initial_classes) rows.
+
+    The sizes are those of a validated ``TrainConfig``.
+    """
     root = Rng(seed)
     blocks = {}
     in_dim = patch_size * patch_size * 3

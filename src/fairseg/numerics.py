@@ -4,7 +4,10 @@ All training math runs in 64-bit floats on plain numpy arrays.  Image-like
 data ("grids") are C-contiguous float64 arrays of shape (H, W, C).  Random
 numbers come from a fixed, documented PCG32 generator so that runs are
 bit-reproducible across platforms; sub-streams are derived by hashing
-(seed, label) and are therefore independent of call order.
+(seed, label) and are therefore independent of call order.  Array draws
+(``u32s``, ``uniforms``, ``normals``) are computed a block at a time by LCG
+jump-ahead: the same stream, bit for bit, as one ``next_u32`` call per
+output.
 """
 
 from __future__ import annotations
@@ -20,6 +23,24 @@ RNG_ALGORITHM_ID = "pcg32-xsh-rr-v1"
 
 _PCG_MULT = 6364136223846793005
 _MASK64 = (1 << 64) - 1
+
+# Outputs computed per array block by ``Rng.u32s``.
+BLOCK = 4096
+
+
+def _jump_tables(n):
+    """M^i and sum_{j<i} M^j mod 2^64 for i = 0..n, as uint64 arrays.
+
+    i LCG steps take state s to ``mul[i] * s + add[i] * inc`` (mod 2^64).
+    """
+    mul, add = [1], [0]
+    for _ in range(n):
+        mul.append(mul[-1] * _PCG_MULT & _MASK64)
+        add.append((add[-1] * _PCG_MULT + 1) & _MASK64)
+    return np.array(mul, dtype=np.uint64), np.array(add, dtype=np.uint64)
+
+
+_JUMP_MUL, _JUMP_ADD = _jump_tables(BLOCK)
 
 
 class Rng:
@@ -62,21 +83,35 @@ class Rng:
         """Uniform double in [0, 1)."""
         return self.next_u32() * 2.0**-32
 
-    def uniforms(self, n):
-        out = np.empty(n, dtype=np.float64)
-        nxt = self.next_u32
-        for i in range(n):
-            out[i] = nxt() * 2.0**-32
+    def u32s(self, n):
+        """The next n outputs as one uint64 array, equal to n ``next_u32`` calls.
+
+        Each block of m outputs takes its old states from the jump tables in
+        wrapping uint64 arithmetic, then steps ``state`` m ahead with Python
+        ints, so the state ends where the n scalar calls would leave it.
+        """
+        out = np.empty(n, dtype=np.uint64)
+        for start in range(0, n, BLOCK):
+            m = min(BLOCK, n - start)
+            old = _JUMP_MUL[:m] * np.uint64(self.state)
+            old += _JUMP_ADD[:m] * np.uint64(self.inc)
+            self.state = (int(_JUMP_MUL[m]) * self.state
+                          + int(_JUMP_ADD[m]) * self.inc) & _MASK64
+            xorshifted = (((old >> 18) ^ old) >> 27) & 0xFFFFFFFF
+            rot = old >> 59
+            out[start:start + m] = (
+                (xorshifted >> rot) | (xorshifted << ((32 - rot) & 31))
+            ) & 0xFFFFFFFF
         return out
+
+    def uniforms(self, n):
+        return self.u32s(n) * 2.0**-32
 
     def normals(self, n):
         """n standard normals via Box-Muller on the PCG32 stream."""
         pairs = (n + 1) // 2
-        u = np.empty(2 * pairs, dtype=np.float64)
-        nxt = self.next_u32
-        for i in range(2 * pairs):
-            # shift into (0, 1] so log() is safe
-            u[i] = (nxt() + 1.0) * 2.0**-32
+        # shift into (0, 1] so log() is safe
+        u = (self.u32s(2 * pairs) + 1.0) * 2.0**-32
         r = np.sqrt(-2.0 * np.log(u[:pairs]))
         theta = 2.0 * np.pi * u[pairs:]
         z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])
@@ -84,8 +119,8 @@ class Rng:
 
     def randint(self, bound):
         """Unbiased integer in [0, bound) via rejection sampling."""
-        if bound <= 0:
-            raise DimensionError("randint bound must be positive")
+        if not 0 < bound <= 1 << 32:
+            raise DimensionError(f"randint bound must be in [1, 2**32], got {bound}")
         threshold = (1 << 32) % bound
         while True:
             r = self.next_u32()

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import List, Tuple
 
 import numpy as np
@@ -117,6 +117,12 @@ class TrainConfig:
 
     def validate(self):
         self.split.validate()
+        if self.patch_size < 1 or self.patch_size % 2 == 0:
+            raise ConfigError(
+                f"patch_size must be odd and positive, got {self.patch_size}"
+            )
+        if self.feature_dim < 1 or any(h < 1 for h in self.hidden):
+            raise ConfigError("feature_dim and hidden widths must be >= 1")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -512,7 +518,21 @@ def run_continual(cfg, samples, out_dir=None, test_samples=None,
         for t in range(1, n_steps + 1)
     }
     tracker = TrackedDataset(samples)
-    state = init_state(cfg) if resume_from is None else load_checkpoint(resume_from)
+    if resume_from is None:
+        state = init_state(cfg)
+    else:
+        state = load_checkpoint(resume_from)
+        differ = [
+            f"{f.name} (checkpoint {getattr(state.params, f.name)}, "
+            f"config {getattr(cfg, f.name)})"
+            for f in fields(cfg) if f.metadata == MODEL_KEY
+            and getattr(state.params, f.name) != getattr(cfg, f.name)
+        ]
+        if differ:
+            raise ConfigError(
+                f"{resume_from}: checkpoint model differs from [model] in "
+                + ", ".join(differ)
+            )
     log_rows = []
     outcomes = []
     reports = []

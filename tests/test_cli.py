@@ -203,6 +203,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cfg.train_config()
 
+    @pytest.mark.parametrize("key, value", [
+        ("patch_size", "4"), ("patch_size", "0"), ("patch_size", "-3"),
+        ("feature_dim", "0"), ("hidden", "0"), ("hidden", "8,0"),
+    ], ids=["patch-even", "patch-zero", "patch-negative", "feature-dim-zero",
+            "hidden-zero", "hidden-second-zero"])
+    def test_model_validated_at_load(self, key, value):
+        cfg = load_config(None, [("model", key, value)])
+        with pytest.raises(ConfigError, match=key):
+            cfg.train_config(num_classes=8)
+
     def test_acceptance_config_loads(self):
         cfg = load_config(os.path.join(REPO, "configs", "acceptance.ini"))
         tc = cfg.train_config()

@@ -103,10 +103,6 @@ class TestForward:
         b = forward_one(params, image)
         assert np.array_equal(a.logits, b.logits)
 
-    def test_even_patch_rejected(self):
-        with pytest.raises(ConfigError):
-            init_params(1, (1,), patch_size=4, feature_dim=4, hidden=(6,))
-
     def test_mixed_sizes_rejected(self):
         params = small_params()
         rng = Rng(97)

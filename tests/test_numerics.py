@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import same_bytes
 from fairseg.errors import DeterminismError, DimensionError
 from fairseg.numerics import (
+    BLOCK,
     GradSlot,
     Rng,
     finite_diff_check,
@@ -95,11 +96,76 @@ class TestRng:
         with pytest.raises(DimensionError):
             Rng(1).randint(0)
 
+    def test_randint_rejects_bound_above_32_bits(self):
+        # the rejection threshold of a larger bound is one no draw reaches
+        rng = Rng(1)
+        with pytest.raises(DimensionError):
+            rng.randint(2**32 + 1)
+        assert rng.randint(2**32) == Rng(1).next_u32()
+
     def test_shuffle_is_a_permutation(self):
         items = list(range(40))
         out = Rng(8).shuffle(list(items))
         assert sorted(out) == items
         assert out != items
+
+
+# The one-draw-at-a-time forms the block path replaced, kept as oracles.
+def scalar_u32s(rng, n):
+    return np.array([rng.next_u32() for _ in range(n)], dtype=np.uint64)
+
+
+def scalar_uniforms(rng, n):
+    out = np.empty(n, dtype=np.float64)
+    for i in range(n):
+        out[i] = rng.next_u32() * 2.0**-32
+    return out
+
+
+def scalar_normals(rng, n):
+    pairs = (n + 1) // 2
+    u = np.empty(2 * pairs, dtype=np.float64)
+    for i in range(2 * pairs):
+        u[i] = (rng.next_u32() + 1.0) * 2.0**-32
+    r = np.sqrt(-2.0 * np.log(u[:pairs]))
+    theta = 2.0 * np.pi * u[pairs:]
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+
+
+# the odd sizes leave normals() one unpaired draw
+BLOCK_SIZES = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]
+STREAMS = {
+    "seed0": lambda: Rng(0),
+    "seed2^64-1": lambda: Rng(2**64 - 1),
+    "split": lambda: Rng(2**64 - 1).split("init/enc0.W"),
+}
+
+
+class TestBlockDraws:
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    @pytest.mark.parametrize("stream", sorted(STREAMS))
+    @pytest.mark.parametrize("draw, oracle", [
+        ("u32s", scalar_u32s),
+        ("uniforms", scalar_uniforms),
+        ("normals", scalar_normals),
+    ], ids=["u32s", "uniforms", "normals"])
+    def test_equals_scalar_path(self, draw, oracle, stream, n):
+        block, scalar = STREAMS[stream](), STREAMS[stream]()
+        assert same_bytes(getattr(block, draw)(n), oracle(scalar, n))
+        assert block.state == scalar.state
+        assert [block.next_u32() for _ in range(3)] == [
+            scalar.next_u32() for _ in range(3)
+        ]
+        assert block.randint(1000) == scalar.randint(1000)
+
+    def test_reference_sequence(self):
+        assert Rng(42, stream=54).u32s(6).tolist() == PCG32_REFERENCE
+
+    def test_consecutive_blocks_continue_the_stream(self):
+        block, scalar = Rng(3), Rng(3)
+        got = np.concatenate([block.u32s(5), block.u32s(BLOCK), block.u32s(2)])
+        assert same_bytes(got, scalar_u32s(scalar, BLOCK + 7))
+
 
 class TestSoftmax:
     def test_symmetric_input(self):

@@ -1,5 +1,6 @@
 """Benchmark generation, continual splits, label collapse, dataset I/O."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +26,11 @@ from fairseg.synthdata import (
     write_dataset,
     write_manifest,
     zipf_frequencies,
+)
+
+
+DEFAULT_BENCHMARK_SHA256 = (
+    "5f48208a6aa5f02634294f12293fab3aa467eb21b99bf4a702c2a79571d29bc7"
 )
 
 
@@ -65,6 +71,17 @@ class TestGeneration:
         for a, b in zip(a_train + a_test, b_train + b_test):
             assert np.array_equal(a.image, b.image)
             assert np.array_equal(a.labels, b.labels)
+
+    def test_default_benchmark_digest_is_pinned(self, shapes8_dataset):
+        # sha256 of every array of the default benchmark with its dtype and
+        # shape; a change to the RNG streams or the painting moves it
+        train, test = shapes8_dataset
+        h = hashlib.sha256()
+        for s in train + test:
+            for arr in (s.image, s.labels):
+                h.update(f"{arr.dtype.str}{arr.shape}".encode())
+                h.update(arr.tobytes())
+        assert h.hexdigest() == DEFAULT_BENCHMARK_SHA256
 
     def test_different_seed_differs(self):
         a_train, _ = generate(tiny_spec())

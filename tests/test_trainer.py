@@ -373,6 +373,16 @@ class TestRunContinual:
                 resume_from=tmp_path / "a" / "step1.ckpt",
             )
 
+    def test_resume_with_other_model_rejected(self, tmp_path, tiny_dataset):
+        train, _ = tiny_dataset
+        run_continual(tiny_config(), train, out_dir=tmp_path / "a")
+        other = tiny_config(hidden=(16, 16), feature_dim=8)
+        with pytest.raises(ConfigError, match="feature_dim.*hidden"):
+            run_continual(
+                other, train, out_dir=tmp_path / "a",
+                resume_from=tmp_path / "a" / "step1.ckpt",
+            )
+
     def test_resume_from_finished_run_is_noop(self, tmp_path, tiny_dataset):
         train, _ = tiny_dataset
         cfg = tiny_config()
