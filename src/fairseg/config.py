@@ -131,13 +131,12 @@ class RunConfig:
 
     def hidden_sizes(self):
         raw = self.get("model", "hidden")
-        try:
-            sizes = tuple(int(part) for part in raw.split(",") if part.strip())
+        if not raw.strip():
+            raise ConfigError(f"[model] hidden must list at least one width, got {raw!r}")
+        try:  # an empty part ("8,,4", "64,32,") is an error, not skipped
+            return tuple(int(part) for part in raw.split(","))
         except ValueError:
             raise ConfigError(f"[model] hidden must be comma-separated ints, got {raw!r}")
-        if not sizes:
-            raise ConfigError(f"[model] hidden must list at least one width, got {raw!r}")
-        return sizes
 
     def _section(self, section):
         """A dataclass-backed section as field values, typed by their defaults."""

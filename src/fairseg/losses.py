@@ -19,7 +19,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import ConfigError, DimensionError, LabelError
-from .numerics import GradSlot, log_softmax
+from .numerics import GradSlot, channel_sum, log_softmax
 from .synthdata import IGNORE_ID
 
 
@@ -184,31 +184,30 @@ def cluster_loss(features, labels, protos, cfg, counters=None):
     shape = np.asarray(features).shape
     fb = _flatten_pixels(features, "features", channels=protos.feature_dim)
     b, n, d = fb.shape
-    f = fb.reshape(b * n, d)
     y = np.asarray(labels).reshape(-1)
     if y.size != b * n:
         raise DimensionError("labels size does not match features")
-    grad = np.zeros_like(f)
     live = y != IGNORE_ID
     n_live = np.count_nonzero(live.reshape(b, n), axis=1)
     if counters is not None:
         counters.setdefault("cluster_skipped_pixels", 0)
-    if not live.any():
-        return GradSlot(value=0.0, grads={"features": grad.reshape(shape)})
     init_ids = protos.initialized_ids()
-    if not init_ids:
+    if not live.any() or not init_ids:
         if counters is not None:
             counters["cluster_skipped_pixels"] += int(n_live.sum())
-        return GradSlot(value=0.0, grads={"features": grad.reshape(shape)})
+        return GradSlot(value=0.0, grads={"features": np.zeros(shape)})
     if counters is not None:
         uninit = live & ~np.isin(y, np.array(init_ids, dtype=y.dtype))
         counters["cluster_skipped_pixels"] += int(np.count_nonzero(uninit))
     loss = np.zeros(b * n)  # per pixel
     delta = cfg.margin
+    # feature-major (D, N): every per-pixel step runs over contiguous rows
+    f = np.ascontiguousarray(fb.reshape(b * n, d).T)
+    grad = np.zeros_like(f)
     diff, sq = np.empty_like(f), np.empty_like(f)
     for cid in init_ids:
-        np.subtract(f, protos.vector(cid), out=diff)
-        dist = np.sqrt(np.sum(np.square(diff, out=sq), axis=1))
+        np.subtract(f, protos.vector(cid)[:, None], out=diff)
+        dist = np.sqrt(channel_sum(np.square(diff, out=sq).T))
         match = live & (y == cid)
         active = live & ~match & (dist < delta)
         loss += np.where(match, dist, np.where(active, delta - dist, 0.0))
@@ -218,13 +217,14 @@ def cluster_loss(features, labels, protos, cfg, counters=None):
         zero = dist == 0
         sign[zero] = 0.0
         dist[zero] = 1.0
-        diff /= dist[:, None]
-        diff *= sign[:, None]
+        diff /= dist
+        diff *= sign
         grad += diff
     n_live = np.maximum(n_live, 1)
     value = float(np.sum(loss.reshape(b, n).sum(axis=1) / n_live))
-    grad = grad.reshape(b, n, d) / n_live[:, None, None]
-    return GradSlot(value=value, grads={"features": grad.reshape(shape)})
+    out = np.empty((b, n, d))  # pixel-major again, in the one division
+    np.divide(grad.T.reshape(b, n, d), n_live[:, None, None], out=out)
+    return GradSlot(value=value, grads={"features": out.reshape(shape)})
 
 
 def _window_offsets(window):
@@ -238,7 +238,7 @@ def _window_offsets(window):
 
 
 def _probs_to_logits_grad(probs, dprobs):
-    inner = np.sum(dprobs * probs, axis=-1, keepdims=True)
+    inner = channel_sum(dprobs * probs)[..., None]
     return probs * (dprobs - inner)
 
 
@@ -281,11 +281,11 @@ def cons_loss(image, probs, cfg):
             dprobs[a] -= contrib
             dprobs[b] += contrib
             continue
-        color2 = np.sum((img[a] - img[b]) ** 2, axis=-1)
+        color2 = channel_sum((img[a] - img[b]) ** 2)
         affinity = np.exp(-color2 / two_s1)
         pdiff = pr[a] - pr[b]
         n_pairs += affinity[0].size
-        pdiff2 = np.sum(pdiff**2, axis=-1)
+        pdiff2 = channel_sum(pdiff**2)
         pair_values = np.sum(affinity * pdiff2, axis=(1, 2))
         values += pair_values
         contrib = 2.0 * affinity[..., None] * pdiff

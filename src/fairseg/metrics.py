@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DimensionError, LabelError, UnavailableError
 from .fileio import atomic_open
 from .model import forward_batch
+from .numerics import softmax
 from .synthdata import IGNORE_ID, evaluation_labels, write_manifest
 
 
@@ -297,7 +298,7 @@ def evaluate_model(params, samples, split, step, batch_size=8):
             ref_rows = np.where(valid, id_to_row[np.where(valid, ref, 0)], -1)
             sel = ref_rows >= 0
             if sel.any():
-                p = pred.probs[sel]
+                p = softmax(pred.logits[sel])
                 r = ref_rows[sel]
                 ce = -np.log(np.maximum(p[np.arange(r.size), r], 1e-300))
                 np.add.at(ce_sums, ref[sel].astype(np.int64), ce)

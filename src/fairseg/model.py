@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, FormatError
 from .fileio import atomic_open
-from .numerics import RNG_ALGORITHM_ID, Rng, softmax
+from .numerics import RNG_ALGORITHM_ID, Rng
 from .prototypes import FeatureBank, PrototypeBank, ProtoEntry
 
 CHECKPOINT_MAGIC = b"FCLK"
@@ -67,7 +67,6 @@ class ModelParams:
 class Prediction:
     features: np.ndarray  # (H, W, D)
     logits: np.ndarray  # (H, W, K)
-    probs: np.ndarray  # (H, W, K)
 
 
 def _glorot(rng, shape):
@@ -159,7 +158,6 @@ class BatchCache:
     act: list  # ReLU output per hidden layer; its > 0 mask is the derivative
     feats: np.ndarray
     logits: np.ndarray
-    probs: np.ndarray
 
 
 def forward_batch(params, images):
@@ -185,10 +183,9 @@ def forward_batch(params, images):
     feats += params.blocks["feat.b"]
     logits = feats @ params.blocks["head.W"].T
     logits += params.blocks["head.b"]
-    probs = softmax(logits, axis=1)
-    cache = BatchCache(x=x, act=act, feats=feats, logits=logits, probs=probs)
+    cache = BatchCache(x=x, act=act, feats=feats, logits=logits)
     grid = batch.shape[:3]
-    views = (feats.reshape(*grid, -1), logits.reshape(*grid, -1), probs.reshape(*grid, -1))
+    views = (feats.reshape(*grid, -1), logits.reshape(*grid, -1))
     preds = [Prediction(*per_image) for per_image in zip(*views)]
     return preds, cache
 

@@ -1,4 +1,5 @@
-"""Deterministic numeric substrate: seeded PRNG, softmax, gradient checking.
+"""Deterministic numeric substrate: seeded PRNG, channel reductions, softmax,
+gradient checking.
 
 All training math runs in 64-bit floats on plain numpy arrays.  Image-like
 data ("grids") are C-contiguous float64 arrays of shape (H, W, C).  Random
@@ -8,6 +9,19 @@ bit-reproducible across platforms; sub-streams are derived by hashing
 (``u32s``, ``uniforms``, ``normals``) are computed a block at a time by LCG
 jump-ahead: the same stream, bit for bit, as one ``next_u32`` call per
 output.
+
+Channel reductions.  ``np.sum(a, axis=-1)`` and ``np.max(a, axis=-1)`` run
+one inner loop per pixel over a short channel axis (3 colours, K classes,
+D features), which costs more than the arithmetic.  ``channel_sum`` and
+``channel_max`` give the same bytes with one whole-array add or maximum per
+channel.  Floating-point addition is not associative, so ``channel_sum``
+adds in NumPy's own order for one contiguous row (its pairwise sum): from
++0.0, a running sum below 8 channels; eight interleaved partial sums
+combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the leftover
+channels, from 8 to 128; halves of a multiple of 8 above that.  Every
+kernel that moved from ``np.sum`` to these helpers therefore keeps the run
+bytes.  ``tests/test_numerics.py::TestChannelReductions`` pins the rule
+against ``np.sum`` and ``np.max`` for 1..300 channels.
 """
 
 from __future__ import annotations
@@ -143,23 +157,85 @@ class GradSlot:
     grads: dict = field(default_factory=dict)
 
 
+def _pairwise_sum(a, lo, n):
+    """NumPy's pairwise sum of channels lo..lo+n-1, as a new array."""
+    if n < 8:
+        total = a[..., lo] + 0.0  # NumPy's running sum starts from +0.0
+        for c in range(lo + 1, lo + n):
+            total += a[..., c]
+        return total
+    if n <= 128:
+        blocks = n - n % 8
+        if blocks > 8:
+            r = [a[..., lo + j] + a[..., lo + 8 + j] for j in range(8)]
+            for i in range(lo + 16, lo + blocks, 8):
+                for j in range(8):
+                    r[j] += a[..., i + j]
+        else:
+            r = [a[..., lo + j] for j in range(8)]
+        total = r[0] + r[1]
+        total += r[2] + r[3]
+        upper = r[4] + r[5]
+        upper += r[6] + r[7]
+        total += upper
+        for c in range(lo + blocks, lo + n):
+            total += a[..., c]
+        return total
+    half = n // 2
+    half -= half % 8
+    total = _pairwise_sum(a, lo, half)
+    total += _pairwise_sum(a, lo + half, n - half)
+    return total
+
+
+def channel_sum(a):
+    """``np.sum`` over the last axis, in NumPy's order for a contiguous row.
+
+    The same bytes as ``np.sum(np.ascontiguousarray(a), axis=-1)``, with one
+    whole-array add per channel.  A NaN result is NaN in both; its sign and
+    payload are unspecified where a row adds a NaN and makes another
+    (inf - inf), as NumPy's compiled loop does not fix its operand order.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    total = _pairwise_sum(a, 0, a.shape[-1])
+    if a.shape[-1] >= 8:
+        total += 0.0  # NumPy adds the row to +0.0: an all -0.0 row sums to +0.0
+    return total
+
+
+def channel_max(a):
+    """``np.max`` over the last axis, with one whole-array maximum per channel.
+
+    The same bytes as ``np.max(a, axis=-1)``, except the sign of a zero
+    maximum that a row holds as both +0.0 and -0.0: NumPy's answer depends
+    on its SIMD lane layout.  Subtracting either from the row gives the same
+    exponentials, so ``softmax`` and ``log_softmax`` keep their bytes.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    top = np.array(a[..., 0])
+    for c in range(1, a.shape[-1]):
+        np.maximum(top, a[..., c], out=top)
+    return top
+
+
 def softmax(logits, axis=-1):
     """Numerically stable softmax (max-subtracted) along ``axis``."""
-    z = np.asarray(logits, dtype=np.float64)
+    z = np.moveaxis(np.asarray(logits, dtype=np.float64), axis, -1)
     if z.size == 0:
         raise DimensionError("softmax of empty input")
-    z = z - np.max(z, axis=axis, keepdims=True)  # the one new array
+    z = z - channel_max(z)[..., None]  # the output; exp and division in place
     np.exp(z, out=z)
-    z /= np.sum(z, axis=axis, keepdims=True)
-    return z
+    z /= channel_sum(z)[..., None]
+    return np.moveaxis(z, -1, axis)
 
 
 def log_softmax(logits, axis=-1):
-    z = np.asarray(logits, dtype=np.float64)
+    z = np.moveaxis(np.asarray(logits, dtype=np.float64), axis, -1)
     if z.size == 0:
         raise DimensionError("log_softmax of empty input")
-    z = z - np.max(z, axis=axis, keepdims=True)
-    return z - np.log(np.sum(np.exp(z), axis=axis, keepdims=True))
+    z = z - channel_max(z)[..., None]
+    z -= np.log(channel_sum(np.exp(z)))[..., None]
+    return np.moveaxis(z, -1, axis)
 
 
 def relative_error(analytic, fd):

@@ -44,7 +44,7 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
-from .numerics import Rng
+from .numerics import Rng, softmax
 from .prototypes import (
     ClusterConfig,
     FeatureBank,
@@ -380,7 +380,8 @@ def run_step(state, cfg, step, data, on_epoch_end=None):
                     / bsz
                 )
             if cfg.use_cons:
-                co = cons_loss(images, cache.probs.reshape(*grid, -1), cfg.cons)
+                probs = softmax(cache.logits).reshape(*grid, -1)
+                co = cons_loss(images, probs, cfg.cons)
                 sums["cons"] += co.value / bsz
                 dlogits += (
                     cfg.weights.lambda_cons

@@ -206,8 +206,10 @@ class TestConfig:
     @pytest.mark.parametrize("key, value", [
         ("patch_size", "4"), ("patch_size", "0"), ("patch_size", "-3"),
         ("feature_dim", "0"), ("hidden", "0"), ("hidden", "8,0"),
+        ("hidden", "8,,4"), ("hidden", "64,32,"), ("hidden", ",8"),
     ], ids=["patch-even", "patch-zero", "patch-negative", "feature-dim-zero",
-            "hidden-zero", "hidden-second-zero"])
+            "hidden-zero", "hidden-second-zero", "hidden-empty-middle",
+            "hidden-empty-last", "hidden-empty-first"])
     def test_model_validated_at_load(self, key, value):
         cfg = load_config(None, [("model", key, value)])
         with pytest.raises(ConfigError, match=key):

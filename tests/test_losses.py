@@ -702,7 +702,7 @@ def loop_cons_loss(image, probs, cfg):
     if n_pairs == 0:
         return 0.0, dprobs, dprobs.copy()
     dprobs /= n_pairs
-    dlogits = _probs_to_logits_grad(probs, dprobs)
+    dlogits = probs * (dprobs - np.sum(dprobs * probs, axis=-1, keepdims=True))
     return float(np.sum(values / n_pairs)), dprobs, dlogits
 
 
@@ -743,6 +743,17 @@ class TestBitIdentity:
     @pytest.mark.parametrize("margin", [0.5, 2.0, 10.0])
     def test_cluster_loss_equals_loop(self, seed, margin):
         feats, labels, protos = self.cluster_case(seed)
+        cfg = ClusterConfig(margin=margin).validate()
+        got = cluster_loss(feats, labels, protos, cfg)
+        value, grad = loop_cluster_loss(feats, labels, protos, cfg)
+        assert got.value == value
+        assert same_bytes(got.grads["features"], grad)
+
+    @pytest.mark.parametrize("d", [9, 16])
+    @pytest.mark.parametrize("margin", [2.0, 10.0])
+    def test_cluster_loss_equals_loop_wide_features(self, d, margin):
+        """D >= 8 takes the eight-partial-sum order of the distance sum."""
+        feats, labels, protos = self.cluster_case(155 + d, d=d)
         cfg = ClusterConfig(margin=margin).validate()
         got = cluster_loss(feats, labels, protos, cfg)
         value, grad = loop_cluster_loss(feats, labels, protos, cfg)
@@ -792,6 +803,19 @@ class TestBitIdentity:
     @pytest.mark.parametrize("grid", [(3, 7, 6), (2, 5, 1), (2, 1, 6), (1, 2, 2), (1, 1, 1)])
     def test_cons_loss_equals_loop(self, window, grid):
         image, probs = self.cons_case(160 + window, *grid)
+        cfg = ConsConfig(sigma_color=0.3, window=window).validate()
+        got = cons_loss(image, probs, cfg)
+        value, dprobs, dlogits = loop_cons_loss(image, probs, cfg)
+        assert got.value == value
+        assert same_bytes(got.grads["probs"], dprobs)
+        assert same_bytes(got.grads["logits"], dlogits)
+
+    @pytest.mark.parametrize("window", [3, 5])
+    @pytest.mark.parametrize("k", [6, 9])
+    def test_cons_loss_equals_loop_many_classes(self, window, k):
+        """K = 6 keeps a running sum over classes; K = 9 takes the
+        eight-partial-sum order and one leftover class."""
+        image, probs = self.cons_case(170 + k, 3, 7, 6, k=k)
         cfg = ConsConfig(sigma_color=0.3, window=window).validate()
         got = cons_loss(image, probs, cfg)
         value, dprobs, dlogits = loop_cons_loss(image, probs, cfg)

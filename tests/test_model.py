@@ -24,7 +24,7 @@ from fairseg.model import (
     patch_matrix,
     save_checkpoint,
 )
-from fairseg.numerics import GradSlot, Rng, finite_diff_check
+from fairseg.numerics import GradSlot, Rng, finite_diff_check, softmax
 from fairseg.prototypes import FeatureBank, PrototypeBank
 
 
@@ -53,10 +53,11 @@ class TestForward:
         params = small_params()
         image = np.full((7, 9, 3), 0.4)
         pred = forward_one(params, image)
+        probs = softmax(pred.logits)
         first_feat = pred.features[0, 0]
-        first_prob = pred.probs[0, 0]
+        first_prob = probs[0, 0]
         assert np.all(pred.features == first_feat)
-        assert np.all(pred.probs == first_prob)
+        assert np.all(probs == first_prob)
 
     def test_zero_params_uniform_probs(self):
         params = small_params()
@@ -64,12 +65,12 @@ class TestForward:
             params.blocks[name] = np.zeros_like(params.blocks[name])
         pred = forward_one(params, random_image(Rng(3), 6, 6))
         k = params.num_rows
-        np.testing.assert_allclose(pred.probs, 1.0 / k, atol=1e-15)
+        np.testing.assert_allclose(softmax(pred.logits), 1.0 / k, atol=1e-15)
 
     def test_probs_are_distributions(self):
         params = small_params()
         pred = forward_one(params, random_image(Rng(4), 8, 5))
-        sums = pred.probs.sum(axis=2)
+        sums = softmax(pred.logits).sum(axis=2)
         np.testing.assert_allclose(sums, 1.0, atol=1e-9)
 
     def test_locality(self):
@@ -210,14 +211,15 @@ class TestBitIdentity:
             params.blocks[f"enc{i}.b"] = rng.normals(hidden[i]) - 0.5
         preds, cache = forward_batch(params, images)
         ref = reference_forward(params, images)
-        for name in ("x", "feats", "logits", "probs"):
+        for name in ("x", "feats", "logits"):
             assert same_bytes(getattr(cache, name), ref[name]), name
+        assert same_bytes(softmax(cache.logits), ref["probs"])
         assert len(cache.act) == len(hidden)
         for got, want in zip(cache.act, ref["act"]):
             assert same_bytes(got, want)
         for i, pred in enumerate(preds):
             rows = slice(i * 30, (i + 1) * 30)
-            assert same_bytes(pred.probs, ref["probs"][rows].reshape(6, 5, -1))
+            assert same_bytes(pred.logits, ref["logits"][rows].reshape(6, 5, -1))
         dfeats = rng.normals(cache.feats.size).reshape(cache.feats.shape)
         dlogits = rng.normals(cache.logits.size).reshape(cache.logits.shape)
         dfeats[::4] = 0.0
@@ -373,7 +375,7 @@ class TestBackward:
                 row_weights=row_weights,
             )
             clu = cluster_loss(feats, labels, protos, ccfg)
-            con = cons_loss(image, cache.probs.reshape(h, w, -1), ncfg)
+            con = cons_loss(image, softmax(cache.logits).reshape(h, w, -1), ncfg)
             dis = distill_loss(feats, feats_prev)
             value = ce.value + 0.5 * clu.value + 0.25 * con.value + dis.value
             dfeats = (

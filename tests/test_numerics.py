@@ -1,4 +1,4 @@
-"""Numeric substrate: PRNG, softmax, the gradient checker."""
+"""Numeric substrate: PRNG, channel reductions, softmax, the gradient checker."""
 
 import numpy as np
 import pytest
@@ -11,6 +11,8 @@ from fairseg.numerics import (
     BLOCK,
     GradSlot,
     Rng,
+    channel_max,
+    channel_sum,
     finite_diff_check,
     log_softmax,
     relative_error,
@@ -167,6 +169,77 @@ class TestBlockDraws:
         assert same_bytes(got, scalar_u32s(scalar, BLOCK + 7))
 
 
+def scattered(seed, shape, specials=()):
+    """Normals with +-0.0 and ``specials`` scattered in; the first row is all
+    -0.0 and the second all zeros of both signs."""
+    rng = Rng(seed)
+    n = int(np.prod(shape))
+    a = rng.normals(n)
+    u = rng.uniforms(n)
+    a[u < 0.1] = -0.0
+    a[(u >= 0.1) & (u < 0.15)] = 0.0
+    for i, value in enumerate(specials):
+        a[(u >= 0.15 + 0.03 * i) & (u < 0.18 + 0.03 * i)] = value
+    a = a.reshape(shape)
+    a[(0,) * (a.ndim - 1)] = -0.0
+    a[(0,) * (a.ndim - 2) + (1,)] = np.where(u[: a.shape[-1]] < 0.5, 0.0, -0.0)
+    return a
+
+
+def layouts(a):
+    """A (B, H, W, C) array, two strided slices of it, and a channel-major view."""
+    major = np.ascontiguousarray(np.moveaxis(a, -1, 0))
+    return [a, a[:, 1::2, ::2], a[1:, :, 1:, ::2], np.moveaxis(major, 0, -1)]
+
+
+CHANNELS = range(1, 301)
+
+
+class TestChannelReductions:
+    """channel_sum / channel_max give np.sum / np.max bytes over the last axis.
+
+    The order is NumPy's for a contiguous row, so a channel-major view is
+    compared with NumPy's sum of the same values made contiguous.
+    """
+
+    @pytest.mark.parametrize("specials", [(), (np.inf, -np.inf), (np.nan,)],
+                             ids=["finite", "inf", "nan"])
+    def test_sum_same_bytes(self, specials):
+        for c in CHANNELS:
+            for a in layouts(scattered(c, (3, 4, 5, c), specials)):
+                with np.errstate(invalid="ignore"):
+                    want = np.sum(np.ascontiguousarray(a), axis=-1)
+                    assert same_bytes(channel_sum(a), want), c
+
+    def test_sum_with_nan_and_inf_together(self):
+        """inf - inf makes a NaN whose bits differ from a NaN input's; which
+        one a row keeps is unspecified, every other byte is NumPy's."""
+        for c in CHANNELS:
+            a = scattered(c, (3, 4, 5, c), (np.nan, np.inf, -np.inf))
+            with np.errstate(invalid="ignore"):
+                got, want = channel_sum(a), np.sum(a, axis=-1)
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan), c
+            assert same_bytes(got[~nan], want[~nan]), c
+
+    def test_max_same_bytes(self):
+        """Exact, but for a zero maximum held with both signs, whose sign
+        NumPy picks by its SIMD lanes."""
+        for c in CHANNELS:
+            for a in layouts(scattered(c, (3, 4, 5, c), (np.nan, np.inf, -np.inf))):
+                got, want = channel_max(a), np.max(a, axis=-1)
+                zero = a == 0
+                either = (want == 0) & np.any(zero & np.signbit(a), axis=-1)
+                either &= np.any(zero & ~np.signbit(a), axis=-1)
+                assert np.array_equal(got[either], want[either]), c
+                assert same_bytes(got[~either], want[~either]), c
+
+    def test_one_row(self):
+        v = scattered(5, (3, 20))[2]
+        assert same_bytes(channel_sum(v), np.sum(v))
+        assert same_bytes(channel_max(v), np.max(v))
+
+
 class TestSoftmax:
     def test_symmetric_input(self):
         np.testing.assert_allclose(
@@ -209,6 +282,26 @@ class TestSoftmax:
         fresh = e / np.sum(e, axis=1, keepdims=True)
         assert same_bytes(softmax(logits, axis=1), fresh)
         assert same_bytes(logits, before)
+
+    @pytest.mark.parametrize("k", range(1, 21))
+    def test_equal_the_max_and_sum_forms(self, k):
+        logits = scattered(30 + k, (40, k), (-np.inf,)) * 30.0
+        logits[:, 0] = np.maximum(logits[:, 0], -1e3)  # no row of only -inf
+        z = logits - np.max(logits, axis=1, keepdims=True)
+        e = np.exp(z)
+        assert same_bytes(softmax(logits, axis=1), e / np.sum(e, axis=1, keepdims=True))
+        log_p = z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
+        assert same_bytes(log_softmax(logits, axis=1), log_p)
+
+    def test_any_axis(self):
+        logits = Rng(22).normals(4 * 5 * 3).reshape(4, 5, 3)
+        e = np.exp(logits - np.max(logits, axis=1, keepdims=True))
+        np.testing.assert_allclose(
+            softmax(logits, axis=1), e / np.sum(e, axis=1, keepdims=True), rtol=1e-15
+        )
+        np.testing.assert_allclose(
+            log_softmax(logits, axis=0), np.log(softmax(logits, axis=0)), atol=1e-14
+        )
 
     def test_log_softmax_consistency(self):
         v = np.array([0.3, -1.2, 2.0, 0.0])
