@@ -309,6 +309,15 @@ def _deposit(bank, features, eff, ce_mask, step, current, cap):
         bank.deposit_many(cid, flat[first.reshape(-1)])
 
 
+def _scaled(slot, name, weight, bsz):
+    """A loss's gradient as (pixels, channels), scaled in place: x weight,
+    then / batch size."""
+    grad = slot.grads[name]
+    grad *= weight
+    grad /= bsz
+    return grad.reshape(-1, grad.shape[-1])
+
+
 def run_step(state, cfg, step, data, on_epoch_end=None):
     """Train the current step over its image subset.
 
@@ -333,6 +342,7 @@ def run_step(state, cfg, step, data, on_epoch_end=None):
     n = len(data)
     per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
     counters = {"cluster_skipped_pixels": 0}
+    zero_feats = None  # backward's feature gradient when no feature loss is on
     loss_trace = []
     iterations_run = 0
     dist = ClassDistribution(
@@ -364,39 +374,37 @@ def run_step(state, cfg, step, data, on_epoch_end=None):
                 ce_mask = eff != IGNORE_ID
             rows = id_to_row[np.minimum(eff, IGNORE_ID)]
             ce_mask = ce_mask & (rows >= 0)
-            dfeats = np.zeros_like(cache.feats)
-            dlogits = np.zeros_like(cache.logits)
+            # CE's gradient array is dlogits; each other term's gradient is
+            # scaled in place (x lambda, then / batch) and added
             ce = weighted_ce(cache.logits.reshape(*grid, -1), rows, ce_mask, row_weights)
             sums["ce"] += ce.value / bsz
-            dlogits += ce.grads["logits"].reshape(dlogits.shape) / bsz
+            dlogits = ce.grads["logits"].reshape(cache.logits.shape)
+            dlogits /= bsz
+            dfeats = None
             if cfg.use_cluster:
                 cl = cluster_loss(
                     feats, eff, state.protos, cfg.cluster, counters=counters
                 )
                 sums["cluster"] += cl.value / bsz
-                dfeats += (
-                    cfg.weights.lambda_cluster
-                    * cl.grads["features"].reshape(dfeats.shape)
-                    / bsz
-                )
+                dfeats = _scaled(cl, "features", cfg.weights.lambda_cluster, bsz)
             if cfg.use_cons:
                 probs = softmax(cache.logits).reshape(*grid, -1)
                 co = cons_loss(images, probs, cfg.cons)
                 sums["cons"] += co.value / bsz
-                dlogits += (
-                    cfg.weights.lambda_cons
-                    * co.grads["logits"].reshape(dlogits.shape)
-                    / bsz
-                )
+                dlogits += _scaled(co, "logits", cfg.weights.lambda_cons, bsz)
             if cfg.use_distill and state.distill_params is not None:
                 _, prev = forward_batch(state.distill_params, images)
                 di = distill_loss(feats, prev.feats.reshape(feats.shape))
                 sums["distill"] += di.value / bsz
-                dfeats += (
-                    cfg.weights.lambda_distill
-                    * di.grads["features"].reshape(dfeats.shape)
-                    / bsz
-                )
+                g = _scaled(di, "features", cfg.weights.lambda_distill, bsz)
+                if dfeats is None:
+                    dfeats = g
+                else:
+                    dfeats += g
+            if dfeats is None:
+                if zero_feats is None:  # the step's first batch is its largest
+                    zero_feats = np.zeros_like(cache.feats)
+                dfeats = zero_feats[: len(cache.feats)]
             if cfg.use_cluster:
                 _deposit(
                     state.bank, feats, eff, ce_mask, step, current,

@@ -1,6 +1,9 @@
 """Training objectives: hand-derived values, brute-force oracles, gradients."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from conftest import same_bytes
 from fairseg.errors import ConfigError, DimensionError, LabelError
 from fairseg.losses import (
     IGNORE_ID,
+    NEAR,
     ClassDistribution,
     ConsConfig,
     LossWeights,
@@ -622,6 +626,25 @@ class TestBatchContract:
             cluster_loss(feats[i], labels[i], protos, cfg, parts)
         assert whole == parts
 
+    @pytest.mark.parametrize(
+        "b, h, w, d, k", [(4, 1, 1, 5, 4), (3, 1, 1, 16, 8), (6, 15, 15, 9, 1), (3, 3, 1, 16, 1)]
+    )
+    def test_cluster_loss_product_shapes(self, b, h, w, d, k):
+        """Shapes where one (B*N, D) product would round a row block
+        differently from B (N, D) products: one-pixel images, and a single
+        prototype.  Every image keeps the bytes it gets alone."""
+        rng = Rng(144 + d + k)
+        protos = make_protos({c: rng.normals(d) for c in range(k)})
+        cfg = ClusterConfig(margin=5.0).validate()
+        feats = self.normals(rng, b, h, w, d)
+        labels = np.array(
+            [rng.randint(k) for _ in range(b * h * w)]
+        ).reshape(b, h, w)
+        whole = cluster_loss(feats, labels, protos, cfg)
+        for i in range(b):
+            part = cluster_loss(feats[i], labels[i], protos, cfg)
+            assert whole.grads["features"][i].tobytes() == part.grads["features"].tobytes()
+
     def test_cons_loss(self):
         rng = Rng(142)
         cfg = ConsConfig(sigma_color=0.3)
@@ -706,8 +729,22 @@ def loop_cons_loss(image, probs, cfg):
     return float(np.sum(values / n_pairs)), dprobs, dlogits
 
 
+def near_loop(got, ref):
+    """``got`` is within 1e-12 * (1 + |ref|) of the loop reference ``ref``,
+    element by element, and every gradient row the loop gives as exactly 0
+    is exactly 0 here too."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    if not np.all(np.abs(got - ref) <= 1e-12 * (1 + np.abs(ref))):
+        return False
+    if ref.ndim == 0:
+        return True
+    return bool(np.all(got[np.all(ref == 0, axis=-1)] == 0))
+
+
 class TestBitIdentity:
-    """The dense cluster and mirrored consistency kernels give the loop bytes."""
+    """The product-form cluster kernel and the one-visit consistency kernel
+    stay within 1e-12 * (1 + |loop|) of the loop forms, and keep the loop's
+    exact zeros."""
 
     def normals(self, rng, *shape):
         return rng.normals(int(np.prod(shape))).reshape(shape)
@@ -739,43 +776,83 @@ class TestBitIdentity:
         labels[0, 2, 0] = 3
         return feats, labels, protos
 
+    def assert_cluster_near_loop(self, feats, labels, protos, cfg):
+        got = cluster_loss(feats, labels, protos, cfg)
+        value, grad = loop_cluster_loss(feats, labels, protos, cfg)
+        assert near_loop(got.value, value)
+        assert near_loop(got.grads["features"], grad)
+        return got, grad
+
     @pytest.mark.parametrize("seed", [150, 151, 152])
     @pytest.mark.parametrize("margin", [0.5, 2.0, 10.0])
     def test_cluster_loss_equals_loop(self, seed, margin):
         feats, labels, protos = self.cluster_case(seed)
         cfg = ClusterConfig(margin=margin).validate()
-        got = cluster_loss(feats, labels, protos, cfg)
-        value, grad = loop_cluster_loss(feats, labels, protos, cfg)
-        assert got.value == value
-        assert same_bytes(got.grads["features"], grad)
+        got, grad = self.assert_cluster_near_loop(feats, labels, protos, cfg)
+        # the image with no live pixel gets +0.0 rows, as it would alone
+        assert same_bytes(got.grads["features"][1], np.zeros_like(grad[1]))
+
+    def test_cluster_loss_exact_zero_rows(self):
+        """With a small margin nothing repels the pixels on their own
+        prototype or the underflow pixel: the loop gives their rows as
+        exactly 0, and so must the product form."""
+        feats, labels, protos = self.cluster_case(150)
+        cfg = ClusterConfig(margin=0.5).validate()
+        got, grad = self.assert_cluster_near_loop(feats, labels, protos, cfg)
+        for pixel in [(0, 1, 0), (2, 0, 0), (0, 2, 0)]:
+            assert np.all(grad[pixel] == 0)
+            assert np.all(got.grads["features"][pixel] == 0)
 
     @pytest.mark.parametrize("d", [9, 16])
     @pytest.mark.parametrize("margin", [2.0, 10.0])
     def test_cluster_loss_equals_loop_wide_features(self, d, margin):
-        """D >= 8 takes the eight-partial-sum order of the distance sum."""
+        """D >= 8 takes the eight-partial-sum order of the norm sums."""
         feats, labels, protos = self.cluster_case(155 + d, d=d)
         cfg = ClusterConfig(margin=margin).validate()
-        got = cluster_loss(feats, labels, protos, cfg)
-        value, grad = loop_cluster_loss(feats, labels, protos, cfg)
-        assert got.value == value
-        assert same_bytes(got.grads["features"], grad)
+        self.assert_cluster_near_loop(feats, labels, protos, cfg)
 
     def test_cluster_loss_with_uninitialized_prototypes_equals_loop(self):
         feats, labels, protos = self.cluster_case(153)
         protos.entries[1].initialized = False
         protos.entries[3].initialized = False
         cfg = ClusterConfig(margin=3.0).validate()
-        got = cluster_loss(feats, labels, protos, cfg)
-        value, grad = loop_cluster_loss(feats, labels, protos, cfg)
-        assert got.value == value
-        assert same_bytes(got.grads["features"], grad)
+        self.assert_cluster_near_loop(feats, labels, protos, cfg)
+
+    @pytest.mark.parametrize("side", [0.99, 1.01])
+    @pytest.mark.parametrize("d", [4, 16])
+    @pytest.mark.parametrize("seed", range(180, 185))
+    def test_cluster_loss_near_the_fallback_threshold(self, side, d, seed):
+        """A one-pixel image whose expanded squared distance to its own
+        prototype is just below (direct difference) or just above (product
+        form) ``NEAR * (|f|^2 + |p|^2)``; a second image holds a pixel just
+        below the threshold for a hinge."""
+        rng = Rng(seed)
+        protos = make_protos({c: rng.normals(d) * 1.5 for c in range(3)})
+        feats = np.empty((2, 1, 1, d))
+        for i, cid in enumerate((1, 2)):
+            p = protos.vector(cid)
+            u = rng.normals(d)
+            u /= np.sqrt(np.sum(u * u))
+            ratio = side if i == 0 else 0.99
+            t = 0.0
+            for _ in range(6):  # |f - p|^2 = ratio * NEAR * (|f|^2 + |p|^2)
+                f = p + t * u
+                t = math.sqrt(ratio * NEAR * (f @ f + p @ p))
+            feats[i, 0, 0] = p + t * u
+        labels = np.array([1, 0]).reshape(2, 1, 1)
+        f, p = feats[0, 0, 0], protos.vector(1)
+        expanded = f @ f - 2.0 * (f @ p) + p @ p
+        assert (expanded > NEAR * (f @ f + p @ p)) == (side > 1)
+        self.assert_cluster_near_loop(
+            feats, labels, protos, ClusterConfig(margin=2.0).validate()
+        )
 
     @pytest.mark.parametrize("label", [IGNORE_ID, 4, 1])
     def test_cluster_loss_non_finite_feature(self, label):
-        """The dense form gives a non-finite feature a NaN gradient row
+        """The product form gives a non-finite feature a NaN gradient row
         whatever its label; the loop form does so only on a live pixel of an
         initialized class (1) and leaves ignore and uninitialized-class (4)
-        pixels at 0.  The value and every other row keep the loop bytes."""
+        pixels at 0.  The value and every other row stay near the loop."""
         feats, labels, protos = self.cluster_case(154)
         feats[2, 4, 1, 0] = np.inf
         labels[2, 4, 1] = label
@@ -783,12 +860,12 @@ class TestBitIdentity:
         with np.errstate(invalid="ignore"):
             got = cluster_loss(feats, labels, protos, cfg)
             value, grad = loop_cluster_loss(feats, labels, protos, cfg)
-        assert got.value == value
+        assert got.value == value or near_loop(got.value, value)
         dense = got.grads["features"].copy()
         assert np.isnan(dense[2, 4, 1]).any()
         assert np.isnan(grad[2, 4, 1]).any() == (label == 1)
         dense[2, 4, 1] = grad[2, 4, 1] = 0.0
-        assert same_bytes(dense, grad)
+        assert near_loop(dense, grad)
 
     def cons_case(self, seed, b, h, w, k=4):
         rng = Rng(seed)
@@ -799,16 +876,19 @@ class TestBitIdentity:
         probs[0, : h // 2] = probs[0, 0, 0]
         return image, probs
 
+    def assert_cons_near_loop(self, image, probs, cfg):
+        got = cons_loss(image, probs, cfg)
+        value, dprobs, dlogits = loop_cons_loss(image, probs, cfg)
+        assert near_loop(got.value, value)
+        assert near_loop(got.grads["probs"], dprobs)
+        assert near_loop(got.grads["logits"], dlogits)
+
     @pytest.mark.parametrize("window", [3, 5])
     @pytest.mark.parametrize("grid", [(3, 7, 6), (2, 5, 1), (2, 1, 6), (1, 2, 2), (1, 1, 1)])
     def test_cons_loss_equals_loop(self, window, grid):
         image, probs = self.cons_case(160 + window, *grid)
         cfg = ConsConfig(sigma_color=0.3, window=window).validate()
-        got = cons_loss(image, probs, cfg)
-        value, dprobs, dlogits = loop_cons_loss(image, probs, cfg)
-        assert got.value == value
-        assert same_bytes(got.grads["probs"], dprobs)
-        assert same_bytes(got.grads["logits"], dlogits)
+        self.assert_cons_near_loop(image, probs, cfg)
 
     @pytest.mark.parametrize("window", [3, 5])
     @pytest.mark.parametrize("k", [6, 9])
@@ -817,8 +897,62 @@ class TestBitIdentity:
         eight-partial-sum order and one leftover class."""
         image, probs = self.cons_case(170 + k, 3, 7, 6, k=k)
         cfg = ConsConfig(sigma_color=0.3, window=window).validate()
-        got = cons_loss(image, probs, cfg)
-        value, dprobs, dlogits = loop_cons_loss(image, probs, cfg)
-        assert got.value == value
-        assert same_bytes(got.grads["probs"], dprobs)
-        assert same_bytes(got.grads["logits"], dlogits)
+        self.assert_cons_near_loop(image, probs, cfg)
+
+
+# A training-shaped forward and cluster loss; prints a digest of every
+# output byte.  Run in a fresh interpreter so that the BLAS thread count in
+# its environment holds when NumPy is imported.
+BLAS_CHILD = """
+import hashlib
+import numpy as np
+from fairseg.losses import IGNORE_ID, cluster_loss
+from fairseg.model import forward_batch, init_params
+from fairseg.numerics import Rng
+from fairseg.prototypes import ClusterConfig, PrototypeBank
+
+rng = Rng(190)
+params = init_params(3, (1, 2, 3, 4, 5), 5, 16, (64, 32))
+images = rng.uniforms(6 * 32 * 32 * 3).reshape(6, 32, 32, 3)
+_, cache = forward_batch(params, list(images))
+feats = cache.feats.reshape(6, 32, 32, 16)
+protos = PrototypeBank(16)
+protos.register(range(6))
+for cid, entry in protos.entries.items():
+    entry.vector = feats[cid, cid, cid] + 0.1 * rng.normals(16)
+    entry.initialized = True
+feats[0, 3, 3] = protos.vector(2)
+labels = np.array([rng.randint(7) for _ in range(6 * 32 * 32)]).reshape(6, 32, 32)
+labels[labels == 6] = IGNORE_ID
+labels[4] = IGNORE_ID
+cl = cluster_loss(feats, labels, protos, ClusterConfig(margin=10.0).validate())
+h = hashlib.sha256(np.float64(cl.value).tobytes())
+for arr in (cache.feats, cache.logits, cl.grads["features"]):
+    h.update(np.ascontiguousarray(arr).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_bytes_do_not_depend_on_blas_threads():
+    """The forward pass and the cluster loss's products give the same bytes
+    with one and with two BLAS threads, each count set before NumPy is
+    imported.  ``backward_batch`` is left out: with two OpenBLAS 0.3.31
+    threads its first-layer weight gradient, a (64, 6144) x (6144, 75)
+    product at the acceptance sizes, already rounds differently (see
+    ROADMAP item 1)."""
+    import fairseg
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fairseg.__file__)))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        proc = subprocess.run(
+            [sys.executable, "-c", BLAS_CHILD], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
