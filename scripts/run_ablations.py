@@ -2,7 +2,8 @@
 """Run the loss-ablation grid on the shapes-8 benchmark and tabulate it.
 
 Generates the dataset once, trains every (preset, seed) combination with
-the committed configuration, then prints seed-averaged final-step metrics,
+the committed configuration (one-BLAS-thread processes side by side, see
+``fairseg.grid``), then prints seed-averaged final-step metrics,
 each with its per-seed min and max so that one collapsed seed shows,
 plus the three directional comparisons the grid exists to demonstrate:
 old-class retention from the clustering term, per-class IoU spread from
@@ -18,48 +19,35 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from fairseg.cli import main as fairseg_main
-from fairseg.synthdata import read_manifest
+from fairseg.cli import load_run_summary
+from fairseg.grid import run_grid
 
 PRESETS = ("fine-tune", "distill", "cluster", "cluster-class", "full")
 METRICS = ("miou_initial", "miou_later", "miou_all", "iou_std_fg",
            "fairness_gap", "islands_per_image")
 
 
-def run(argv):
-    code = fairseg_main(argv)
-    if code != 0:
-        raise SystemExit(f"fairseg {' '.join(argv)} exited {code}")
-
-
 def ensure_dataset(config, data_dir):
-    if os.path.exists(os.path.join(data_dir, "train.bin")):
-        return
-    run(["gen", "--config", config, "--out", data_dir])
+    if not os.path.exists(os.path.join(data_dir, "train.bin")):
+        run_grid([["gen", "--config", config, "--out", data_dir]])
 
 
 def train_grid(config, data_dir, out_dir, presets, seeds, fresh=False):
-    runs = {}
-    for preset in presets:
-        for seed in seeds:
-            rd = os.path.join(out_dir, f"{preset}-s{seed}")
-            if fresh or not os.path.exists(os.path.join(rd, "summary.txt")):
-                run([
-                    "train",
-                    "--config", config,
-                    "--dataset", os.path.join(data_dir, "train.bin"),
-                    "--test", os.path.join(data_dir, "test.bin"),
-                    "--ablation", preset,
-                    "--seed", str(seed),
-                    "--out", rd,
-                ])
-            runs[(preset, seed)] = {
-                k: float(v)
-                for k, v in read_manifest(
-                    os.path.join(rd, "summary.txt")
-                ).items()
-            }
-    return runs
+    """Train the runs that have no summary yet (every run when ``fresh``)
+    with ``run_grid``, then read every run's summary."""
+    rundir = {(p, s): os.path.join(out_dir, f"{p}-s{s}")
+              for p in presets for s in seeds}
+    run_grid(
+        [
+            "train", "--config", config,
+            "--dataset", os.path.join(data_dir, "train.bin"),
+            "--test", os.path.join(data_dir, "test.bin"),
+            "--ablation", preset, "--seed", str(seed), "--out", rd,
+        ]
+        for (preset, seed), rd in rundir.items()
+        if fresh or not os.path.exists(os.path.join(rd, "summary.txt"))
+    )
+    return {cell: load_run_summary(rd) for cell, rd in rundir.items()}
 
 
 def seed_mean(runs, preset, seeds, key):

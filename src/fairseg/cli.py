@@ -446,7 +446,8 @@ _REPORT_COLUMNS = (
 )
 
 
-def _load_run_summary(run_dir):
+def load_run_summary(run_dir):
+    """A run directory's name and its summary.txt metrics as floats."""
     path = os.path.join(run_dir, "summary.txt")
     if not os.path.exists(path):
         raise FormatError(f"no summary.txt in run directory {run_dir}")
@@ -462,7 +463,7 @@ def _load_run_summary(run_dir):
 
 
 def cmd_report(args):
-    rows = [_load_run_summary(d) for d in args.run_dirs]
+    rows = [load_run_summary(d) for d in args.run_dirs]
     baseline = None
     for row in rows:
         if row["name"] == args.baseline:

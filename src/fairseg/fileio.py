@@ -1,9 +1,12 @@
-"""Crash-safe file writes shared by every writer of run artifacts."""
+"""Crash-safe writes shared by every writer of run artifacts, and the exact
+reads of the binary formats."""
 
 from __future__ import annotations
 
 import contextlib
 import os
+
+from .errors import FormatError
 
 
 @contextlib.contextmanager
@@ -22,3 +25,13 @@ def atomic_open(path, mode="wb", **kwargs):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def read_exact(fh, n, what):
+    """The next ``n`` bytes of ``fh``; fewer raise FormatError naming the
+    file, ``what`` was being read and the offset where the file ended."""
+    data = fh.read(n)
+    if len(data) != n:
+        raise FormatError(f"truncated file {fh.name} while reading {what}",
+                          offset=fh.tell())
+    return data

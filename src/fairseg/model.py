@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ConfigError, DimensionError, FormatError
-from .fileio import atomic_open
+from .fileio import atomic_open, read_exact
 from .numerics import RNG_ALGORITHM_ID, Rng
 from .prototypes import FeatureBank, PrototypeBank, ProtoEntry
 
@@ -160,17 +160,24 @@ class BatchCache:
     logits: np.ndarray
 
 
-def forward_batch(params, images):
-    """Forward equal-size images through one stacked set of matmuls.
-
-    Each bias and ReLU is applied in place on its matmul output.  The cache
-    rows are the images' pixels in order, row-major per image.  Mixed sizes
-    raise DimensionError.
-    """
+def stack_images(images):
+    """Equal-size images as one float64 (B, H, W, 3) array; an array that
+    already is one is returned as it is.  Mixed sizes raise DimensionError."""
     sizes = {np.shape(img) for img in images}
     if len(sizes) > 1:
         raise DimensionError(f"batch images must share one size, got {sorted(sizes)}")
-    batch = np.asarray(images, dtype=np.float64)
+    return np.asarray(images, dtype=np.float64)
+
+
+def forward_batch(params, images):
+    """Forward equal-size images through one stacked set of matmuls.
+
+    ``images`` is a list of images or their ``stack_images`` array.  Each
+    bias and ReLU is applied in place on its matmul output.  The cache rows
+    are the images' pixels in order, row-major per image.  Mixed sizes
+    raise DimensionError.
+    """
+    batch = stack_images(images)
     x = patch_matrix(batch, params.patch_size)
     a = x
     act = []
@@ -308,39 +315,31 @@ def save_checkpoint(path, state):
             _write_block(fh, name, arr)
 
 
-def _read_exact(fh, n, what):
-    data = fh.read(n)
-    if len(data) != n:
-        raise FormatError(f"truncated checkpoint while reading {what}",
-                          offset=fh.tell())
-    return data
-
-
 def load_checkpoint(path):
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
+        magic = read_exact(fh, 4, "magic")
         if magic != CHECKPOINT_MAGIC:
             raise FormatError(
                 f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC.decode()!r}",
                 offset=0,
             )
-        version = int.from_bytes(_read_exact(fh, 2, "version"), "little")
+        version = int.from_bytes(read_exact(fh, 2, "version"), "little")
         if version != CHECKPOINT_VERSION:
             raise FormatError(f"unsupported checkpoint version {version}")
-        algo_len = _read_exact(fh, 1, "algorithm id length")[0]
-        algo = _read_exact(fh, algo_len, "algorithm id").decode("utf-8")
+        algo_len = read_exact(fh, 1, "algorithm id length")[0]
+        algo = read_exact(fh, algo_len, "algorithm id").decode("utf-8")
         if algo != RNG_ALGORITHM_ID:
             raise FormatError(
                 f"checkpoint written by PRNG {algo!r}, this build uses "
                 f"{RNG_ALGORITHM_ID!r}"
             )
-        step = int.from_bytes(_read_exact(fh, 4, "step"), "little")
-        n_steps = int.from_bytes(_read_exact(fh, 4, "registry size"), "little")
+        step = int.from_bytes(read_exact(fh, 4, "step"), "little")
+        n_steps = int.from_bytes(read_exact(fh, 4, "registry size"), "little")
         class_steps = []
         for _ in range(n_steps):
-            n = int.from_bytes(_read_exact(fh, 4, "registry entry"), "little")
+            n = int.from_bytes(read_exact(fh, 4, "registry entry"), "little")
             ids = tuple(
-                int.from_bytes(_read_exact(fh, 4, "class id"), "little")
+                int.from_bytes(read_exact(fh, 4, "class id"), "little")
                 for _ in range(n)
             )
             class_steps.append(ids)
@@ -352,16 +351,16 @@ def load_checkpoint(path):
             if len(head) != 2:
                 raise FormatError("truncated block header", offset=fh.tell())
             name_len = int.from_bytes(head, "little")
-            name = _read_exact(fh, name_len, "block name").decode("utf-8")
-            rank = _read_exact(fh, 1, "block rank")[0]
+            name = read_exact(fh, name_len, "block name").decode("utf-8")
+            rank = read_exact(fh, 1, "block rank")[0]
             dims = tuple(
-                int.from_bytes(_read_exact(fh, 4, "block dim"), "little")
+                int.from_bytes(read_exact(fh, 4, "block dim"), "little")
                 for _ in range(rank)
             )
             size = 1
             for d in dims:
                 size *= d
-            payload = _read_exact(fh, size * 8, f"block '{name}' payload")
+            payload = read_exact(fh, size * 8, f"block '{name}' payload")
             blocks[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
     return _state_from_blocks(step, tuple(class_steps), blocks)
 

@@ -16,7 +16,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .fileio import atomic_open
+from .fileio import atomic_open, read_exact
 from .numerics import Rng
 
 IGNORE_ID = 65535
@@ -335,13 +335,6 @@ def class_pixel_counts(samples, num_classes):
     return counts
 
 
-def _read_exact(fh, n, what):
-    data = fh.read(n)
-    if len(data) != n:
-        raise FormatError(f"truncated file while reading {what}", offset=fh.tell())
-    return data
-
-
 def write_dataset(samples, path, num_classes, manifest=None):
     """Write samples in the binary dataset format; optional sidecar manifest."""
     with atomic_open(path) as fh:
@@ -366,29 +359,29 @@ def write_dataset(samples, path, num_classes, manifest=None):
 def read_dataset(path):
     """Read a dataset file; returns (samples, num_classes)."""
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
+        magic = read_exact(fh, 4, "magic")
         if magic != DATASET_MAGIC:
             raise FormatError(
                 f"bad magic {magic!r}, expected {DATASET_MAGIC.decode()!r}",
                 offset=0,
             )
-        version = int.from_bytes(_read_exact(fh, 2, "version"), "little")
+        version = int.from_bytes(read_exact(fh, 2, "version"), "little")
         if version != DATASET_VERSION:
             raise FormatError(
                 f"unsupported dataset version {version}", offset=4
             )
-        num_classes = int.from_bytes(_read_exact(fh, 2, "num_classes"), "little")
-        count = int.from_bytes(_read_exact(fh, 4, "count"), "little")
+        num_classes = int.from_bytes(read_exact(fh, 2, "num_classes"), "little")
+        count = int.from_bytes(read_exact(fh, 4, "count"), "little")
         samples = []
         for k in range(count):
-            h = int.from_bytes(_read_exact(fh, 4, f"sample {k} height"), "little")
-            w = int.from_bytes(_read_exact(fh, 4, f"sample {k} width"), "little")
+            h = int.from_bytes(read_exact(fh, 4, f"sample {k} height"), "little")
+            w = int.from_bytes(read_exact(fh, 4, f"sample {k} width"), "little")
             if h == 0 or w == 0:
                 raise FormatError(
                     f"sample {k} has zero-area header {h}x{w}", offset=fh.tell()
                 )
-            img_bytes = _read_exact(fh, h * w * 3 * 4, f"sample {k} image")
-            lab_bytes = _read_exact(fh, h * w * 2, f"sample {k} labels")
+            img_bytes = read_exact(fh, h * w * 3 * 4, f"sample {k} image")
+            lab_bytes = read_exact(fh, h * w * 2, f"sample {k} labels")
             image = (
                 np.frombuffer(img_bytes, dtype="<f4")
                 .reshape(h, w, 3)

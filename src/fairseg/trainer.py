@@ -43,6 +43,7 @@ from .model import (
     init_params,
     load_checkpoint,
     save_checkpoint,
+    stack_images,
 )
 from .numerics import Rng, softmax
 from .prototypes import (
@@ -107,10 +108,6 @@ class TrainConfig:
     use_class_weighting: bool = True
     use_cons: bool = True
     use_distill: bool = False
-    # Pseudo-labels feed cross-entropy as well as clustering; without this
-    # the desk-scale model has no supervision on background pixels after
-    # step 1, and the new-class head rows take over every pixel.
-    ce_on_pseudo: bool = True
     weights: LossWeights = field(default_factory=LossWeights)
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     cons: ConsConfig = field(default_factory=ConsConfig)
@@ -185,28 +182,25 @@ class TrackedDataset:
 def build_effective_labels(labels, features, protos, step):
     """Merge ground truth with pseudo-labels for collapsed label maps.
 
-    Returns (effective ids, ce_mask).  At step 1 every non-ignore pixel is
-    CE-supervised as-is.  Later, foreground pixels keep their label and
-    stay supervised while background pixels receive the nearest-prototype
-    pseudo-label (possibly 0 = unknown) with CE off; if no prototype is
-    initialized yet they are marked ignore.
+    Returns (effective ids, ce_mask); the mask is every non-ignore pixel
+    of the effective ids.  At step 1 those are the labels as-is.  Later,
+    foreground pixels keep their label while background pixels receive the
+    nearest-prototype pseudo-label (possibly 0 = unknown), or ignore if no
+    prototype is initialized yet.  Pseudo-labels feed cross-entropy as well
+    as clustering: without them the desk-scale model has no supervision on
+    background pixels after step 1, and the new-class head rows take over
+    every pixel.
     """
     y = np.asarray(labels)
-    eff = y.astype(np.int64).copy()
-    eff[y == IGNORE_ID] = IGNORE_ID
-    ce_mask = y != IGNORE_ID
-    if step == 1:
-        return eff, ce_mask
+    eff = y.astype(np.int64)
     bg = y == 0
-    ce_mask = ce_mask & ~bg
-    if bg.any():
+    if step > 1 and bg.any():
         if protos.initialized_ids():
             feats = np.asarray(features, dtype=np.float64)
-            pseudo = pseudo_label_map(protos, feats[bg])
-            eff[bg] = pseudo
+            eff[bg] = pseudo_label_map(protos, feats[bg])
         else:
             eff[bg] = IGNORE_ID
-    return eff, ce_mask
+    return eff, eff != IGNORE_ID
 
 
 def sgd_update(params, momentum, grads, lr, mu, weight_decay):
@@ -290,21 +284,18 @@ def _count_supervised(data, ids):
     return counts
 
 
-def _deposit(bank, features, eff, ce_mask, step, current, cap):
+def _deposit(bank, features, eff, current, cap):
     """Feed per-class feature queues from a batch's (B, H, W) pixels.
 
-    Current classes deposit from supervised pixels only; the unknown
+    Current classes deposit from their labelled pixels; the unknown
     cluster 0 takes true background at step 1 and pseudo-unknown pixels
     later.  Frozen classes receive nothing.  At most ``cap`` pixels per
     class per image, first in row-major order, images in batch order.
     """
     flat = features.reshape(-1, features.shape[-1])
     eff = eff.reshape(eff.shape[0], -1)
-    zero = eff == 0
-    if step == 1:
-        zero &= ce_mask.reshape(zero.shape)
-    picks = [(cid, eff == cid) for cid in current] + [(0, zero)]
-    for cid, mask in picks:
+    for cid in current + [0]:
+        mask = eff == cid
         first = mask & (np.cumsum(mask, axis=1) <= cap)
         bank.deposit_many(cid, flat[first.reshape(-1)])
 
@@ -361,17 +352,13 @@ def run_step(state, cfg, step, data, on_epoch_end=None):
         sums = {"ce": 0.0, "cluster": 0.0, "cons": 0.0, "distill": 0.0}
         for b in range(per_epoch):
             picked = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            images = [data[i][0] for i in picked]
-            # forward_batch raises DimensionError on mixed image sizes
+            images = stack_images([data[i][0] for i in picked])
             _, cache = forward_batch(params, images)
-            images = np.stack(images)
             labels = np.stack([data[i][1] for i in picked])
             grid = labels.shape  # (B, H, W)
             bsz = grid[0]
             feats = cache.feats.reshape(*grid, -1)
             eff, ce_mask = build_effective_labels(labels, feats, state.protos, step)
-            if cfg.ce_on_pseudo and step > 1:
-                ce_mask = eff != IGNORE_ID
             rows = id_to_row[np.minimum(eff, IGNORE_ID)]
             ce_mask = ce_mask & (rows >= 0)
             # CE's gradient array is dlogits; each other term's gradient is
@@ -406,10 +393,7 @@ def run_step(state, cfg, step, data, on_epoch_end=None):
                     zero_feats = np.zeros_like(cache.feats)
                 dfeats = zero_feats[: len(cache.feats)]
             if cfg.use_cluster:
-                _deposit(
-                    state.bank, feats, eff, ce_mask, step, current,
-                    cfg.cluster.deposit_per_class,
-                )
+                _deposit(state.bank, feats, eff, current, cfg.cluster.deposit_per_class)
             grads = backward_batch(params, cache, dfeats, dlogits)
             sgd_update(
                 params, state.momentum, grads, lr, cfg.sgd_momentum,

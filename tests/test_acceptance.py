@@ -2,12 +2,10 @@
 
 Each test prints one PASS/FAIL line (run with ``pytest -s`` to see them
 inline).  The benchmark comparisons train the full ablation grid — four
-presets, three seeds — against configs/acceptance.ini, which takes a few
-minutes on one CPU core.
+presets, three seeds — against configs/acceptance.ini, as one-BLAS-thread
+processes, one per CPU at a time: about a minute on two cores.
 """
 
-import contextlib
-import io
 import os
 import shutil
 import time
@@ -17,6 +15,7 @@ import pytest
 
 from fairseg import cli
 from fairseg.config import load_config
+from fairseg.grid import run_grid
 from fairseg.metrics import ConfusionMatrix, fairness_gap, normalized_entropy
 from fairseg.numerics import Rng
 from fairseg.prototypes import (
@@ -44,40 +43,28 @@ def report(criterion, ok, detail):
     assert ok, line
 
 
-def quiet_cli(*argv):
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(list(argv))
-    assert code == 0, f"fairseg {' '.join(argv)} exited {code}"
+def train_argv(data, out, preset, seed, *extra):
+    return [
+        "train", "--config", ACCEPTANCE_INI,
+        "--dataset", str(data / "train.bin"), "--test", str(data / "test.bin"),
+        "--ablation", preset, "--seed", str(seed), "--out", str(out), *extra,
+    ]
 
 
 @pytest.fixture(scope="session")
 def grid(tmp_path_factory):
-    """Dataset plus the full preset x seed training grid, summaries parsed."""
+    """Dataset plus the full preset x seed training grid, summaries parsed.
+
+    ``run_grid`` trains one-BLAS-thread runs: the bytes of the README table.
+    """
     root = tmp_path_factory.mktemp("acceptance")
     data = root / "data"
-    quiet_cli("gen", "--config", ACCEPTANCE_INI, "--out", str(data))
-    from fairseg.synthdata import read_manifest
-
-    runs = {}
-    durations = {}
-    for preset in PRESETS:
-        for seed in SEEDS:
-            out = root / f"{preset}-s{seed}"
-            t0 = time.monotonic()
-            quiet_cli(
-                "train", "--config", ACCEPTANCE_INI,
-                "--dataset", str(data / "train.bin"),
-                "--test", str(data / "test.bin"),
-                "--ablation", preset, "--seed", str(seed),
-                "--out", str(out),
-            )
-            durations[(preset, seed)] = time.monotonic() - t0
-            runs[(preset, seed)] = {
-                k: float(v)
-                for k, v in read_manifest(str(out / "summary.txt")).items()
-            }
+    run_grid([["gen", "--config", ACCEPTANCE_INI, "--out", str(data)]])
+    cells = [(p, s) for p in PRESETS for s in SEEDS]
+    seconds = run_grid(train_argv(data, root / f"{p}-s{s}", p, s) for p, s in cells)
+    runs = {(p, s): cli.load_run_summary(root / f"{p}-s{s}") for p, s in cells}
     return {"root": root, "data": data, "runs": runs,
-            "durations": durations}
+            "durations": dict(zip(cells, seconds))}
 
 
 def seed_mean(runs, preset, key):
@@ -260,33 +247,25 @@ def test_criterion_8_rehearsal_free(grid):
 
 
 def test_criterion_9_determinism_and_resume(grid):
-    root = grid["root"]
+    root, data = grid["root"], grid["data"]
     first = root / "full-s1"
     again = root / "full-s1-again"
     resumed = root / "full-s1-resumed"
-    quiet_cli(
-        "train", "--config", ACCEPTANCE_INI,
-        "--dataset", str(grid["data"] / "train.bin"),
-        "--test", str(grid["data"] / "test.bin"),
-        "--ablation", "full", "--seed", "1", "--out", str(again),
-    )
+    # redoing step 2 from the step-1 checkpoint, next to the run's loss log,
+    # must land on the same bytes
+    resumed.mkdir()
+    shutil.copy(first / "step1.ckpt", resumed / "latest.ckpt")
+    shutil.copy(first / "losses.csv", resumed / "losses.csv")
+    run_grid([
+        train_argv(data, again, "full", 1),
+        train_argv(data, resumed, "full", 1, "--resume"),
+    ])
     identical = all(
         (first / name).read_bytes() == (again / name).read_bytes()
         for name in (
             "step1.ckpt", "step2.ckpt", "latest.ckpt", "losses.csv",
             "report_step2.csv", "summary.txt",
         )
-    )
-    # redoing step 2 from the step-1 checkpoint, next to the run's loss log,
-    # must land on the same bytes
-    resumed.mkdir()
-    shutil.copy(first / "losses.csv", resumed / "losses.csv")
-    cfg = load_config(ACCEPTANCE_INI).train_config(num_classes=8)
-    train, _ = read_dataset(str(grid["data"] / "train.bin"))
-    test, _ = read_dataset(str(grid["data"] / "test.bin"))
-    run_continual(
-        cfg, train, out_dir=str(resumed), test_samples=test,
-        resume_from=str(first / "step1.ckpt"),
     )
     resumed_ok = all(
         (resumed / name).read_bytes() == (first / name).read_bytes()

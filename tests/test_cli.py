@@ -218,7 +218,6 @@ class TestConfig:
     def test_acceptance_config_loads(self):
         cfg = load_config(os.path.join(REPO, "configs", "acceptance.ini"))
         tc = cfg.train_config()
-        assert tc.ce_on_pseudo
         assert tc.split.num_steps == 2
 
 

@@ -515,3 +515,12 @@ class TestCheckpoint:
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+    def test_truncation_offset_is_the_end_of_file(self, tmp_path):
+        path = tmp_path / "trunc.ckpt"
+        save_checkpoint(path, make_checkpoint())
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-3])
+        with pytest.raises(FormatError, match="truncated file .* while reading") as info:
+            load_checkpoint(path)
+        assert info.value.offset == len(raw) - 3

@@ -278,6 +278,16 @@ class TestDatasetIO:
         with pytest.raises(FormatError):
             read_dataset(path)
 
+    def test_truncation_names_field_and_end_of_file(self, tmp_path, tiny_dataset):
+        train, _ = tiny_dataset
+        path = tmp_path / "short.bin"
+        write_dataset(train[:2], path, num_classes=4)
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) - 7])
+        with pytest.raises(FormatError, match="while reading sample 1 labels") as info:
+            read_dataset(path)
+        assert info.value.offset == len(raw) - 7
+
     def test_header_payload_mismatch(self, tmp_path, tiny_dataset):
         train, _ = tiny_dataset
         path = tmp_path / "miscount.bin"

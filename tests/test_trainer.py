@@ -145,7 +145,7 @@ class TestEffectiveLabels:
         eff, ce = build_effective_labels(labels, features, protos, step=2)
         assert eff[0, 0] == 3  # background pixel adopts the nearest old class
         assert eff[0, 1] == 4  # supervised pixel untouched
-        assert ce.tolist() == [[False, True]]
+        assert ce.tolist() == [[True, True]]  # pseudo-labels feed CE too
 
     def test_pseudo_label_can_stay_unknown(self):
         protos = self.protos_with({0: [0.0, 0.0], 3: [5.0, 5.0]})
