@@ -21,8 +21,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from fairseg.cli import load_run_summary
 from fairseg.grid import run_grid
+from fairseg.trainer import ABLATIONS
 
-PRESETS = ("fine-tune", "distill", "cluster", "cluster-class", "full")
+PRESETS = tuple(ABLATIONS)
 METRICS = ("miou_initial", "miou_later", "miou_all", "iou_std_fg",
            "fairness_gap", "islands_per_image")
 

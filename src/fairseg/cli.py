@@ -53,7 +53,7 @@ from .synthdata import (
     read_manifest,
     write_dataset,
 )
-from .trainer import ABLATIONS, TOGGLES, run_continual
+from .trainer import ABLATIONS, run_continual
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -137,6 +137,8 @@ def cmd_train(args):
     overrides = []
     if args.seed is not None:
         overrides.append(("train", "seed", str(args.seed)))
+    if args.ablation is not None:
+        overrides.append(("train", "preset", args.ablation))
     if args.steps is not None:
         overrides.append(("split", "steps", args.steps))
     if args.out is not None:
@@ -144,10 +146,6 @@ def cmd_train(args):
     rc = load_config(args.config, overrides)
     samples, num_classes = read_dataset(args.dataset)
     tc = rc.train_config(num_classes=num_classes)
-    if args.ablation is not None:
-        tc = tc.ablation(args.ablation)
-        for key, value in zip(TOGGLES, ABLATIONS[args.ablation]):
-            rc.set("train", key, str(value).lower())
     if args.print_config:
         sys.stdout.write(rc.dump())
     test_samples = None
@@ -528,7 +526,7 @@ def build_parser():
                    help="test dataset for per-step evaluation")
     p.add_argument("--out", default=None, help="override [output] dir")
     p.add_argument("--ablation", default=None,
-                   help="loss-toggle preset: " + ", ".join(ABLATIONS))
+                   help="override [train] preset: " + ", ".join(ABLATIONS))
     p.add_argument("--steps", default=None,
                    help="override [split] steps, e.g. 5-3 or 4-2-2")
     p.add_argument("--seed", type=int, default=None,

@@ -39,8 +39,6 @@ _SECTION_FIELDS = {
 
 
 def _ini(value):
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
     return str(value)
@@ -65,9 +63,6 @@ DEFAULTS = {
     },
     "output": {"dir": "runs/default"},
 }
-
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
 
 
 @dataclass
@@ -102,14 +97,6 @@ class RunConfig:
         except ValueError:
             raise ConfigError(f"[{section}] {key} must be a number, got {raw!r}")
 
-    def get_bool(self, section, key):
-        raw = self.get(section, key).strip().lower()
-        if raw in _TRUE:
-            return True
-        if raw in _FALSE:
-            return False
-        raise ConfigError(f"[{section}] {key} must be a boolean, got {raw!r}")
-
     # -- typed builders ---------------------------------------------------
     def benchmark_spec(self):
         height = self.get_int("benchmark", "image_height")
@@ -140,7 +127,7 @@ class RunConfig:
 
     def _section(self, section):
         """A dataclass-backed section as field values, typed by their defaults."""
-        parse = {bool: self.get_bool, int: self.get_int, float: self.get_float,
+        parse = {str: self.get, int: self.get_int, float: self.get_float,
                  tuple: lambda *_: self.hidden_sizes()}  # [model] hidden
         return {f.name: parse[type(f.default)](section, f.name)
                 for f in _SECTION_FIELDS[section]}

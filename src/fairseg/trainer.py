@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass, field, fields, replace
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -75,14 +75,22 @@ LOG_FIELDS = (
 )
 
 
-# The loss toggles each ``--ablation`` preset sets, in TOGGLES order.
-TOGGLES = ("use_cluster", "use_class_weighting", "use_cons", "use_distill")
+class LossTerms(NamedTuple):
+    """The loss parts a preset turns on; cross-entropy is always on."""
+
+    cluster: bool = False
+    class_weighting: bool = False
+    cons: bool = False
+    distill: bool = False
+
+
+# The loss set of each ``[train] preset`` name (``fairseg train --ablation``).
 ABLATIONS = {
-    "fine-tune": (False, False, False, False),
-    "distill": (False, False, False, True),
-    "cluster": (True, False, False, False),
-    "cluster-class": (True, True, False, False),
-    "full": (True, True, True, False),
+    "fine-tune": LossTerms(),
+    "distill": LossTerms(distill=True),
+    "cluster": LossTerms(cluster=True),
+    "cluster-class": LossTerms(cluster=True, class_weighting=True),
+    "full": LossTerms(cluster=True, class_weighting=True, cons=True),
 }
 
 # metadata of the TrainConfig fields read from [model]; the rest are [train]
@@ -104,10 +112,7 @@ class TrainConfig:
     sgd_momentum: float = 0.9
     weight_decay: float = 1e-4
     seed: int = 1
-    use_cluster: bool = True
-    use_class_weighting: bool = True
-    use_cons: bool = True
-    use_distill: bool = False
+    preset: str = "full"
     weights: LossWeights = field(default_factory=LossWeights)
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     cons: ConsConfig = field(default_factory=ConsConfig)
@@ -130,18 +135,19 @@ class TrainConfig:
             raise ConfigError("sgd_momentum must be in [0, 1)")
         if self.weight_decay < 0:
             raise ConfigError("weight_decay must be >= 0")
+        if self.preset not in ABLATIONS:
+            raise ConfigError(
+                f"[train] preset must be one of {', '.join(ABLATIONS)}, "
+                f"got {self.preset!r}"
+            )
         self.weights.validate()
         self.cluster.validate()
         self.cons.validate()
         return self
 
     def ablation(self, preset):
-        """This config with the loss toggles of a named ABLATIONS preset."""
-        if preset not in ABLATIONS:
-            raise ConfigError(
-                f"unknown ablation {preset!r}; choose from {sorted(ABLATIONS)}"
-            )
-        return replace(self, **dict(zip(TOGGLES, ABLATIONS[preset])))
+        """This config with another ABLATIONS preset."""
+        return replace(self, preset=preset).validate()
 
 
 class TrackedDataset:
@@ -248,7 +254,7 @@ def enter_step(state, cfg, step):
         raise ProtocolError(
             f"cannot enter step {step} from step {state.step}"
         )
-    if cfg.use_distill:
+    if ABLATIONS[cfg.preset].distill:
         state.distill_params = state.params.copy()
     rng = Rng(cfg.seed).split(f"grow/step{step}")
     new_classes = sorted(cfg.split.classes_at(step))
@@ -332,6 +338,7 @@ def run_step(state, cfg, step, data, on_epoch_end=None):
         id_to_row[cid] = row
     n = len(data)
     per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
+    terms = ABLATIONS[cfg.preset]
     counters = {"cluster_skipped_pixels": 0}
     zero_feats = None  # backward's feature gradient when no feature loss is on
     loss_trace = []
@@ -343,7 +350,7 @@ def run_step(state, cfg, step, data, on_epoch_end=None):
     ).validate()
     row_weights = (
         ce_row_weights(dist, params.row_map(), params.num_rows)
-        if cfg.use_class_weighting
+        if terms.class_weighting
         else None
     )
     for epoch in range(state.epoch, cfg.epochs):
@@ -368,18 +375,18 @@ def run_step(state, cfg, step, data, on_epoch_end=None):
             dlogits = ce.grads["logits"].reshape(cache.logits.shape)
             dlogits /= bsz
             dfeats = None
-            if cfg.use_cluster:
+            if terms.cluster:
                 cl = cluster_loss(
                     feats, eff, state.protos, cfg.cluster, counters=counters
                 )
                 sums["cluster"] += cl.value / bsz
                 dfeats = _scaled(cl, "features", cfg.weights.lambda_cluster, bsz)
-            if cfg.use_cons:
+            if terms.cons:
                 probs = softmax(cache.logits).reshape(*grid, -1)
                 co = cons_loss(images, probs, cfg.cons)
                 sums["cons"] += co.value / bsz
                 dlogits += _scaled(co, "logits", cfg.weights.lambda_cons, bsz)
-            if cfg.use_distill and state.distill_params is not None:
+            if terms.distill and state.distill_params is not None:
                 _, prev = forward_batch(state.distill_params, images)
                 di = distill_loss(feats, prev.feats.reshape(feats.shape))
                 sums["distill"] += di.value / bsz
@@ -392,7 +399,7 @@ def run_step(state, cfg, step, data, on_epoch_end=None):
                 if zero_feats is None:  # the step's first batch is its largest
                     zero_feats = np.zeros_like(cache.feats)
                 dfeats = zero_feats[: len(cache.feats)]
-            if cfg.use_cluster:
+            if terms.cluster:
                 _deposit(state.bank, feats, eff, current, cfg.cluster.deposit_per_class)
             grads = backward_batch(params, cache, dfeats, dlogits)
             sgd_update(
@@ -401,7 +408,7 @@ def run_step(state, cfg, step, data, on_epoch_end=None):
             )
             state.iteration += 1
             iterations_run += 1
-            if cfg.use_cluster:
+            if terms.cluster:
                 # The update schedule counts iterations within the current
                 # step (banks are reset at step entry), so a fresh step warms
                 # up for a full period before its first prototype refresh.
@@ -500,7 +507,8 @@ def run_continual(cfg, samples, out_dir=None, test_samples=None,
     it has left, then takes the same step end as a fresh run.  The loss
     CSV keeps the rows already in ``out_dir`` from before that boundary,
     and the mIoU(all) of earlier steps is read back from their summaries;
-    a missing loss CSV or summary raises FormatError.
+    a missing loss CSV or summary raises FormatError, and a checkpoint
+    whose [model] keys or bank capacity differ from ``cfg`` ConfigError.
     The CSV is rewritten before each latest.ckpt, so the two always agree.
     """
     cfg.validate()
@@ -515,15 +523,19 @@ def run_continual(cfg, samples, out_dir=None, test_samples=None,
         state = init_state(cfg)
     else:
         state = load_checkpoint(resume_from)
-        differ = [
-            f"{f.name} (checkpoint {getattr(state.params, f.name)}, "
-            f"config {getattr(cfg, f.name)})"
+        # what the checkpoint fixes: the model, and the capacity its bank has
+        kept = [
+            (f"[model] {f.name}", getattr(state.params, f.name), getattr(cfg, f.name))
             for f in fields(cfg) if f.metadata == MODEL_KEY
-            and getattr(state.params, f.name) != getattr(cfg, f.name)
         ]
+        kept.append(
+            ("[cluster] bank_capacity", state.bank.capacity, cfg.cluster.bank_capacity)
+        )
+        differ = [f"{key} (checkpoint {saved}, config {wanted})"
+                  for key, saved, wanted in kept if saved != wanted]
         if differ:
             raise ConfigError(
-                f"{resume_from}: checkpoint model differs from [model] in "
+                f"{resume_from}: checkpoint differs from the config in "
                 + ", ".join(differ)
             )
     log_rows = []

@@ -135,9 +135,14 @@ class TestConfig:
         cfg.values["cons"]["sigma_color"] = "wide"
         with pytest.raises(ConfigError):
             cfg.get_float("cons", "sigma_color")
-        cfg.values["train"]["use_cons"] = "maybe"
-        with pytest.raises(ConfigError):
-            cfg.get_bool("train", "use_cons")
+
+    @pytest.mark.parametrize("key", ["use_cluster", "use_class_weighting",
+                                     "use_cons", "use_distill"])
+    def test_loss_toggle_keys_rejected(self, tmp_path, key):
+        path = tmp_path / "run.ini"
+        path.write_text(f"[train]\n{key} = false\n")
+        with pytest.raises(ConfigError, match=rf"unknown config key \[train\] {key}"):
+            load_config(str(path))
 
     def test_hidden_parsing(self):
         cfg = default_config()
@@ -283,8 +288,8 @@ class TestTrain:
     def test_resolved_config_records_ablation(self, workspace):
         out, _ = workspace["runs"]["fine-tune"]
         resolved = (out / "config.resolved.ini").read_text()
-        assert "use_cluster = false" in resolved
-        assert "use_cons = false" in resolved
+        assert "\npreset = fine-tune\n" in resolved
+        assert "use_" not in resolved
 
     def test_missing_dataset_exits_3(self, workspace, tmp_path):
         code, _ = run_cli(
@@ -293,13 +298,53 @@ class TestTrain:
         )
         assert code == 3
 
-    def test_unknown_ablation_exits_2(self, workspace, tmp_path):
+    def test_unknown_ablation_exits_2(self, workspace, tmp_path, capsys):
         code, _ = run_cli(
             "train", "--config", str(workspace["ini"]),
             "--dataset", str(workspace["data"] / "train.bin"),
             "--ablation", "extra", "--out", str(tmp_path / "o"),
         )
         assert code == 2
+        assert "[train] preset must be one of" in capsys.readouterr().err
+
+    def test_unknown_preset_in_ini_exits_2(self, workspace, tmp_path, capsys):
+        ini = tmp_path / "bogus.ini"
+        ini.write_text(SMALL_INI + "preset = bogus\n")  # SMALL_INI ends in [train]
+        code, _ = run_cli(
+            "train", "--config", str(ini),
+            "--dataset", str(workspace["data"] / "train.bin"),
+            "--out", str(tmp_path / "o"),
+        )
+        assert code == 2
+        assert "[train] preset must be one of fine-tune" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_ini_preset_equals_ablation_flag(self, workspace, tmp_path):
+        ini = tmp_path / "distill.ini"
+        ini.write_text(SMALL_INI + "preset = distill\n")
+        data = workspace["data"]
+        runs = {
+            "ini": ["--config", str(ini)],
+            "flag": ["--config", str(workspace["ini"]), "--ablation", "distill",
+                     "--print-config"],
+        }
+        for name, argv in runs.items():
+            code, text = run_cli(
+                "train", "--dataset", str(data / "train.bin"),
+                "--test", str(data / "test.bin"), "--out", str(tmp_path / name),
+                *argv,
+            )
+            assert code == 0
+        assert "\npreset = distill\n" in text  # the flag run's --print-config
+        names = sorted(os.listdir(tmp_path / "ini"))
+        assert "step2.ckpt" in names
+        assert sorted(os.listdir(tmp_path / "flag")) == names
+        for name in names:
+            ours, theirs = [(tmp_path / run / name).read_bytes() for run in runs]
+            if name == "config.resolved.ini":  # all but the [output] dir line
+                ours, theirs = [[ln for ln in raw.split(b"\n") if not ln.startswith(b"dir = ")]
+                                for raw in (ours, theirs)]
+            assert ours == theirs, name
 
     def test_resume_without_checkpoint_exits_3(self, workspace, tmp_path):
         code, _ = run_cli(

@@ -16,7 +16,7 @@ from fairseg.errors import (
 )
 from fairseg.model import load_checkpoint, save_checkpoint
 from fairseg.numerics import Rng
-from fairseg.prototypes import PrototypeBank
+from fairseg.prototypes import ClusterConfig, PrototypeBank
 from fairseg.synthdata import IGNORE_ID, TaskSplit, select_step_indices
 from fairseg.trainer import (
     LOG_FIELDS,
@@ -73,6 +73,8 @@ class TestTrainConfig:
 
     def test_ablation_presets(self):
         cfg = tiny_config()
+        assert cfg.preset == "full"
+        # (cluster, class weighting, cons, distill) of each preset
         grid = {
             "fine-tune": (False, False, False, False),
             "distill": (False, False, False, True),
@@ -80,18 +82,17 @@ class TestTrainConfig:
             "cluster-class": (True, True, False, False),
             "full": (True, True, True, False),
         }
-        for preset, toggles in grid.items():
+        assert list(trainer.ABLATIONS) == list(grid)
+        for preset, terms in grid.items():
             got = cfg.ablation(preset)
-            assert (
-                got.use_cluster,
-                got.use_class_weighting,
-                got.use_cons,
-                got.use_distill,
-            ) == toggles
+            assert got.preset == preset
+            assert tuple(trainer.ABLATIONS[got.preset]) == terms
 
     def test_unknown_ablation(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="preset.*'everything'"):
             tiny_config().ablation("everything")
+        with pytest.raises(ConfigError, match="preset.*'everything'"):
+            tiny_config(preset="everything")
 
 
 class TestTrackedDataset:
@@ -211,9 +212,7 @@ class TestRunStep:
         cfg = tiny_config(
             split=TaskSplit.from_sizes("2", 2),
             epochs=4,
-            use_cluster=False,
-            use_class_weighting=False,
-            use_cons=False,
+            preset="fine-tune",
         )
         samples = separable_samples(count=10)
         data = [(s.image, s.labels) for s in samples]
@@ -312,8 +311,6 @@ class TestRunContinual:
                                                           tiny_dataset):
         train, _ = tiny_dataset
         # period 1 so step-1 prototypes actually initialize in a short run
-        from fairseg.prototypes import ClusterConfig
-
         cfg = tiny_config(
             cluster=ClusterConfig(update_period=2, bank_capacity=64)
         )
@@ -330,12 +327,7 @@ class TestRunContinual:
 
     def test_distill_keeps_frozen_previous_params(self, tiny_dataset):
         train, _ = tiny_dataset
-        cfg = tiny_config(
-            use_cluster=False,
-            use_class_weighting=False,
-            use_cons=False,
-            use_distill=True,
-        )
+        cfg = tiny_config(preset="distill")
         result = run_continual(cfg, train)
         step1_params = result.outcomes[0].params
         frozen = result.state.distill_params
@@ -378,6 +370,18 @@ class TestRunContinual:
         run_continual(tiny_config(), train, out_dir=tmp_path / "a")
         other = tiny_config(hidden=(16, 16), feature_dim=8)
         with pytest.raises(ConfigError, match="feature_dim.*hidden"):
+            run_continual(
+                other, train, out_dir=tmp_path / "a",
+                resume_from=tmp_path / "a" / "step1.ckpt",
+            )
+
+    def test_resume_with_other_bank_capacity_rejected(self, tmp_path,
+                                                      tiny_dataset):
+        train, _ = tiny_dataset
+        run_continual(tiny_config(), train, out_dir=tmp_path / "a")
+        other = tiny_config(cluster=ClusterConfig(bank_capacity=7))
+        with pytest.raises(ConfigError,
+                           match=r"bank_capacity \(checkpoint 500, config 7\)"):
             run_continual(
                 other, train, out_dir=tmp_path / "a",
                 resume_from=tmp_path / "a" / "step1.ckpt",
