@@ -51,7 +51,6 @@ from .losses import (  # noqa: F401
     cluster_loss,
     cons_loss,
     distill_loss,
-    verify_proposition1,
     weighted_ce,
 )
 from .trainer import TrainConfig, run_continual  # noqa: F401

@@ -1,4 +1,4 @@
-"""Command-line surface: gen / train / eval / gradcheck / prop1 / report.
+"""Command-line surface: gen / train / eval / gradcheck / report.
 
 Exit codes: 0 success, 2 configuration error, 3 data or format error,
 4 verification failure.  Every subcommand is deterministic given its
@@ -32,7 +32,6 @@ from .losses import (
     cluster_loss,
     cons_loss,
     distill_loss,
-    verify_proposition1,
     weighted_ce,
 )
 from .metrics import (
@@ -161,14 +160,13 @@ def cmd_train(args):
         resume_from = os.path.join(out_dir, "latest.ckpt")
         if not os.path.exists(resume_from):
             raise FormatError(f"no checkpoint to resume at {resume_from}")
-    os.makedirs(out_dir, exist_ok=True)
-    rc.write(os.path.join(out_dir, "config.resolved.ini"))
     result = run_continual(
         tc,
         samples,
         out_dir=out_dir,
         test_samples=test_samples,
         resume_from=resume_from,
+        resolved_config=rc.dump(),
     )
     for outcome in result.outcomes:
         last = outcome.loss_trace[-1] if outcome.loss_trace else {}
@@ -373,63 +371,6 @@ def cmd_gradcheck(args):
 
 
 # ---------------------------------------------------------------------------
-# prop1
-# ---------------------------------------------------------------------------
-
-
-def run_prop1(trials, seed, dims=(4, 16, 32),
-              proto_counts=(2, 8, 20), pixels=16):
-    """Random upper-bound trials; returns a dict of aggregates."""
-    root = Rng(seed)
-    holds = 0
-    min_slack = float("inf")
-    lhs_sum = rhs_sum = 0.0
-    lhs_max = rhs_max = 0.0
-    for t in range(trials):
-        dim = dims[t % len(dims)]
-        n_protos = proto_counts[(t // len(dims)) % len(proto_counts)]
-        rng = root.split(f"trial/{t}")
-        scale = 0.5 + 4.0 * rng.uniform()
-        fn = scale * rng.normals(pixels * dim).reshape(pixels, dim)
-        fp = scale * rng.normals(pixels * dim).reshape(pixels, dim)
-        protos = PrototypeBank(dim)
-        protos.register(range(n_protos))
-        for cid in range(n_protos):
-            protos.entries[cid].vector = scale * rng.normals(dim)
-            protos.entries[cid].initialized = True
-        rep = verify_proposition1(fn, fp, protos)
-        holds += int(rep.holds)
-        min_slack = min(min_slack, rep.min_slack)
-        lhs_sum += rep.mean_lhs
-        rhs_sum += rep.mean_rhs
-        lhs_max = max(lhs_max, rep.max_lhs)
-        rhs_max = max(rhs_max, rep.max_rhs)
-    return {
-        "trials": trials,
-        "holds": holds,
-        "min_slack": min_slack,
-        "mean_lhs": lhs_sum / trials,
-        "mean_rhs": rhs_sum / trials,
-        "max_lhs": lhs_max,
-        "max_rhs": rhs_max,
-    }
-
-
-def cmd_prop1(args):
-    summary = run_prop1(trials=args.trials, seed=args.seed)
-    ok = summary["holds"] == summary["trials"]
-    print(f"trials      {summary['trials']}")
-    print(f"holds       {summary['holds']}")
-    print(f"min slack   {summary['min_slack']:.6e}")
-    print(f"mean lhs    {summary['mean_lhs']:.6f}")
-    print(f"mean rhs    {summary['mean_rhs']:.6f}")
-    print(f"max lhs     {summary['max_lhs']:.6f}")
-    print(f"max rhs     {summary['max_rhs']:.6f}")
-    print(f"bound holds on every pixel: {_verdict(ok)}")
-    return EXIT_OK if ok else EXIT_VERIFY
-
-
-# ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------
 
@@ -549,12 +490,6 @@ def build_parser():
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=20240801)
     p.set_defaults(func=cmd_gradcheck)
-
-    p = sub.add_parser("prop1",
-                       help="randomized trials of the feature-drift bound")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=20240802)
-    p.set_defaults(func=cmd_prop1)
 
     p = sub.add_parser("report",
                        help="tabulate run summaries side by side")

@@ -182,8 +182,11 @@ def weighted_ce(logits, labels, mask, row_weights=None):
 def ce_row_weights(dist, row_map, num_rows):
     """Per-head-row weight vector from a class distribution.
 
-    Rows for classes absent from the distribution get weight 1 (they are
-    never supervised in the epoch the distribution describes).
+    Rows for classes absent from the distribution get weight 1.  The
+    trainer counts only the step's ground-truth classes (and background at
+    step 1), so from step 2 on the background pixels, which are
+    CE-supervised with old-class or unknown (row 0) pseudo-labels, train
+    those rows at weight 1.
     """
     weights = np.ones(num_rows, dtype=np.float64)
     for cid in dist.pixel_counts:
@@ -355,41 +358,3 @@ def distill_loss(features_now, features_prev):
     grad[nz] = diff[nz] / (dist[nz, None] * n)
     return GradSlot(value=value, grads={"features": grad.reshape(shape)})
 
-
-@dataclass
-class Prop1Report:
-    """Per-pixel check that the feature drift is bounded by prototype sums."""
-
-    num_pixels: int
-    num_prototypes: int
-    min_slack: float
-    mean_lhs: float
-    mean_rhs: float
-    max_lhs: float
-    max_rhs: float
-    holds: bool
-
-
-def verify_proposition1(features_now, features_prev, protos, tolerance=1e-9):
-    """Check lhs = ||f_t - f_prev|| <= rhs = mean_c [||f_t - p_c|| + ||p_c - f_prev||]."""
-    d = protos.feature_dim
-    fn = _flatten_pixels(features_now, "features_now", channels=d).reshape(-1, d)
-    fp = _flatten_pixels(features_prev, "features_prev", channels=d).reshape(-1, d)
-    if fn.shape != fp.shape:
-        raise DimensionError("feature shapes differ")
-    ids, matrix = protos.initialized_matrix()
-    lhs = np.sqrt(np.sum((fn - fp) ** 2, axis=1))
-    d_now = np.sqrt(np.sum((fn[:, None, :] - matrix[None, :, :]) ** 2, axis=2))
-    d_prev = np.sqrt(np.sum((fp[:, None, :] - matrix[None, :, :]) ** 2, axis=2))
-    rhs = np.mean(d_now + d_prev, axis=1)
-    slack = rhs - lhs
-    return Prop1Report(
-        num_pixels=int(fn.shape[0]),
-        num_prototypes=len(ids),
-        min_slack=float(np.min(slack)),
-        mean_lhs=float(np.mean(lhs)),
-        mean_rhs=float(np.mean(rhs)),
-        max_lhs=float(np.max(lhs)),
-        max_rhs=float(np.max(rhs)),
-        holds=bool(np.all(lhs <= rhs + tolerance)),
-    )

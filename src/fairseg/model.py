@@ -20,7 +20,7 @@ from .numerics import RNG_ALGORITHM_ID, Rng
 from .prototypes import FeatureBank, PrototypeBank, ProtoEntry
 
 CHECKPOINT_MAGIC = b"FCLK"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass
@@ -243,6 +243,7 @@ class TrainState:
     momentum: dict  # block name -> velocity array
     protos: PrototypeBank
     bank: FeatureBank
+    preset: str  # the [train] preset, i.e. the loss set it trains
     step: int = 1
     epoch: int = 0  # completed epochs within the current step
     iteration: int = 0  # step-local iteration counter (Algorithm-style)
@@ -303,8 +304,10 @@ def save_checkpoint(path, state):
         fh.write(CHECKPOINT_MAGIC)
         fh.write(CHECKPOINT_VERSION.to_bytes(2, "little"))
         algo = RNG_ALGORITHM_ID.encode("utf-8")
-        fh.write(len(algo).to_bytes(1, "little"))
-        fh.write(algo)
+        preset = state.preset.encode("utf-8")
+        for text in (algo, preset):
+            fh.write(len(text).to_bytes(1, "little"))
+            fh.write(text)
         fh.write(int(state.step).to_bytes(4, "little"))
         fh.write(len(state.params.class_steps).to_bytes(4, "little"))
         for step_classes in state.params.class_steps:
@@ -333,6 +336,8 @@ def load_checkpoint(path):
                 f"checkpoint written by PRNG {algo!r}, this build uses "
                 f"{RNG_ALGORITHM_ID!r}"
             )
+        preset_len = read_exact(fh, 1, "preset length")[0]
+        preset = read_exact(fh, preset_len, "preset").decode("utf-8")
         step = int.from_bytes(read_exact(fh, 4, "step"), "little")
         n_steps = int.from_bytes(read_exact(fh, 4, "registry size"), "little")
         class_steps = []
@@ -362,10 +367,10 @@ def load_checkpoint(path):
                 size *= d
             payload = read_exact(fh, size * 8, f"block '{name}' payload")
             blocks[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
-    return _state_from_blocks(step, tuple(class_steps), blocks)
+    return _state_from_blocks(step, preset, tuple(class_steps), blocks)
 
 
-def _state_from_blocks(step, class_steps, blocks):
+def _state_from_blocks(step, preset, class_steps, blocks):
     try:
         shape = blocks["model/shape"]
         patch_size = int(shape[0])
@@ -433,5 +438,6 @@ def _state_from_blocks(step, class_steps, blocks):
         step=step,
         epoch=epoch,
         iteration=iteration,
+        preset=preset,
         distill_params=distill_params,
     )

@@ -245,7 +245,8 @@ def init_state(cfg):
     protos = PrototypeBank(cfg.feature_dim)
     protos.register([0] + initial)
     bank = FeatureBank(cfg.feature_dim, cfg.cluster.bank_capacity)
-    return TrainState(params=params, momentum=momentum, protos=protos, bank=bank)
+    return TrainState(params=params, momentum=momentum, protos=protos, bank=bank,
+                      preset=cfg.preset)
 
 
 def enter_step(state, cfg, step):
@@ -494,21 +495,23 @@ def _read_step_miou(out_dir, step):
 
 
 def run_continual(cfg, samples, out_dir=None, test_samples=None,
-                  resume_from=None):
+                  resume_from=None, resolved_config=None):
     """Run every step of the split in sequence; the only writer of ``out_dir``.
 
-    When ``out_dir`` is given, writes per-step checkpoints
-    (step<t>.ckpt), a rolling latest.ckpt after every epoch, and a loss
-    CSV.  When ``test_samples`` is given, evaluates after each step and
-    writes report_step<t>.csv and summary_step<t>.txt at once, then
-    summary.txt after the last step.  ``resume_from`` restarts from a
+    When ``out_dir`` is given, writes the ``resolved_config`` text (if
+    any) to config.resolved.ini once every resume check has passed, then
+    per-step checkpoints (step<t>.ckpt), a rolling latest.ckpt after every
+    epoch, and a loss CSV.  When ``test_samples`` is given, evaluates
+    after each step and writes report_step<t>.csv and summary_step<t>.txt
+    at once, then summary.txt after the last step.  ``resume_from`` restarts from a
     checkpoint at its recorded epoch boundary and continues
     bit-identically: each step from the checkpoint's on trains the epochs
     it has left, then takes the same step end as a fresh run.  The loss
     CSV keeps the rows already in ``out_dir`` from before that boundary,
     and the mIoU(all) of earlier steps is read back from their summaries;
     a missing loss CSV or summary raises FormatError, and a checkpoint
-    whose [model] keys or bank capacity differ from ``cfg`` ConfigError.
+    whose [model] keys, bank capacity or preset differ from ``cfg``
+    ConfigError.
     The CSV is rewritten before each latest.ckpt, so the two always agree.
     """
     cfg.validate()
@@ -523,14 +526,15 @@ def run_continual(cfg, samples, out_dir=None, test_samples=None,
         state = init_state(cfg)
     else:
         state = load_checkpoint(resume_from)
-        # what the checkpoint fixes: the model, and the capacity its bank has
+        # what the checkpoint fixes: the model, its bank's capacity, its loss set
         kept = [
             (f"[model] {f.name}", getattr(state.params, f.name), getattr(cfg, f.name))
             for f in fields(cfg) if f.metadata == MODEL_KEY
         ]
-        kept.append(
-            ("[cluster] bank_capacity", state.bank.capacity, cfg.cluster.bank_capacity)
-        )
+        kept += [
+            ("[cluster] bank_capacity", state.bank.capacity, cfg.cluster.bank_capacity),
+            ("[train] preset", state.preset, cfg.preset),
+        ]
         differ = [f"{key} (checkpoint {saved}, config {wanted})"
                   for key, saved, wanted in kept if saved != wanted]
         if differ:
@@ -549,6 +553,10 @@ def run_continual(cfg, samples, out_dir=None, test_samples=None,
         log_path = os.path.join(out_dir, "losses.csv")
         if resume_from is not None:
             log_rows = _read_loss_log(log_path, (state.step, state.epoch))
+        if resolved_config is not None:
+            with atomic_open(os.path.join(out_dir, "config.resolved.ini"), "w",
+                             encoding="utf-8") as fh:
+                fh.write(resolved_config)
 
     def save_latest(st):
         if out_dir is not None:

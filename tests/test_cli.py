@@ -354,6 +354,29 @@ class TestTrain:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("ini_tail, argv, differ", [
+        ("\n[cluster]\nbank_capacity = 7\n", (),
+         "[cluster] bank_capacity (checkpoint 500, config 7)"),
+        ("", ("--ablation", "distill"),
+         "[train] preset (checkpoint full, config distill)"),
+    ], ids=["bank_capacity", "preset"])
+    def test_refused_resume_leaves_run_files(self, workspace, tmp_path, capsys,
+                                             ini_tail, argv, differ):
+        run = tmp_path / "run"
+        shutil.copytree(workspace["runs"]["full"][0], run)
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        ini = tmp_path / "resume.ini"
+        ini.write_text(SMALL_INI + ini_tail)
+        code, _ = run_cli(
+            "train", "--config", str(ini),
+            "--dataset", str(workspace["data"] / "train.bin"),
+            "--test", str(workspace["data"] / "test.bin"),
+            "--out", str(run), "--resume", *argv,
+        )
+        assert code == 2
+        assert differ in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
     def test_steps_flag_overrides_split(self, workspace, tmp_path):
         code, text = run_cli(
             "train", "--config", str(workspace["ini"]),
@@ -426,13 +449,6 @@ class TestGradcheckCommand:
         assert "broken-loss" in text
 
 
-class TestProp1Command:
-    def test_bound_holds(self):
-        code, text = run_cli("prop1", "--trials", "12")
-        assert code == 0
-        assert "holds       12" in text
-
-
 class TestReport:
     def test_table_with_deltas(self, workspace, tmp_path):
         full, _ = workspace["runs"]["full"]
@@ -493,8 +509,7 @@ class TestDispatch:
 
         proc = run("--help")
         assert proc.returncode == 0, proc.stderr
-        for command in ("gen", "train", "eval", "gradcheck", "prop1",
-                        "report"):
+        for command in ("gen", "train", "eval", "gradcheck", "report"):
             assert command in proc.stdout
 
         ini = tmp_path / "small.ini"

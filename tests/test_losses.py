@@ -7,8 +7,6 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import same_bytes
 from fairseg.errors import ConfigError, DimensionError, LabelError
@@ -23,7 +21,6 @@ from fairseg.losses import (
     cluster_loss,
     cons_loss,
     distill_loss,
-    verify_proposition1,
     weighted_ce,
 )
 from fairseg.numerics import GradSlot, Rng, finite_diff_check, softmax
@@ -513,49 +510,6 @@ class TestDistillLoss:
             return distill_loss(params["features"], prev)
 
         assert finite_diff_check(loss, {"features": now}) <= 1e-5
-
-
-class TestProposition1:
-    def test_equal_features_hold_trivially(self):
-        rng = Rng(140)
-        f = rng.normals(10 * 4).reshape(10, 4)
-        protos = make_protos({0: rng.normals(4), 1: rng.normals(4)})
-        report = verify_proposition1(f, f.copy(), protos)
-        assert report.holds
-        assert report.mean_lhs == 0.0
-        assert report.min_slack >= 0.0
-
-    def test_collinear_prototype_gives_zero_slack(self):
-        fn = np.array([[0.0, 0.0]])
-        fp = np.array([[4.0, 0.0]])
-        protos = make_protos({1: [1.5, 0.0]})
-        report = verify_proposition1(fn, fp, protos)
-        assert report.holds
-        assert abs(report.min_slack) < 1e-12
-
-    def test_report_fields(self):
-        rng = Rng(141)
-        fn = rng.normals(6 * 3).reshape(6, 3)
-        fp = rng.normals(6 * 3).reshape(6, 3)
-        protos = make_protos({0: rng.normals(3), 2: rng.normals(3)})
-        report = verify_proposition1(fn, fp, protos)
-        assert report.num_pixels == 6
-        assert report.num_prototypes == 2
-        assert report.max_lhs >= report.mean_lhs >= 0
-        assert report.max_rhs >= report.mean_rhs > 0
-
-    @given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(2, 8))
-    @settings(max_examples=60, deadline=None)
-    def test_randomized_trials_always_hold(self, seed, n_protos, dim):
-        rng = Rng(seed)
-        scale = 0.5 + 4.0 * rng.uniform()
-        fn = rng.normals(8 * dim).reshape(8, dim) * scale
-        fp = rng.normals(8 * dim).reshape(8, dim) * scale
-        protos = make_protos(
-            {cid: rng.normals(dim) * scale for cid in range(n_protos)}
-        )
-        report = verify_proposition1(fn, fp, protos)
-        assert report.holds
 
 
 def test_loss_weights_validation():

@@ -417,6 +417,7 @@ def make_checkpoint(seed=51, with_distill=False):
         step=2,
         epoch=3,
         iteration=17,
+        preset="cluster-class",
         distill_params=distill_params,
     )
 
@@ -440,6 +441,7 @@ class TestCheckpoint:
         assert back.step == ckpt.step
         assert back.epoch == ckpt.epoch
         assert back.iteration == ckpt.iteration
+        assert back.preset == "cluster-class"
         assert back.params.class_steps == ckpt.params.class_steps
         assert back.params.hidden == ckpt.params.hidden
         for name, arr in ckpt.params.blocks.items():

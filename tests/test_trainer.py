@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from conftest import separable_samples
+from conftest import same_bytes, separable_samples
 from fairseg import trainer
 from fairseg.errors import (
     ConfigError,
@@ -387,6 +387,18 @@ class TestRunContinual:
                 resume_from=tmp_path / "a" / "step1.ckpt",
             )
 
+    def test_resume_with_other_preset_rejected(self, tmp_path, tiny_dataset):
+        train, _ = tiny_dataset
+        run_continual(tiny_config(), train, out_dir=tmp_path / "a")
+        with pytest.raises(
+            ConfigError,
+            match=r"\[train\] preset \(checkpoint full, config distill\)",
+        ):
+            run_continual(
+                tiny_config(preset="distill"), train, out_dir=tmp_path / "a",
+                resume_from=tmp_path / "a" / "latest.ckpt",
+            )
+
     def test_resume_from_finished_run_is_noop(self, tmp_path, tiny_dataset):
         train, _ = tiny_dataset
         cfg = tiny_config()
@@ -465,6 +477,42 @@ class TestRunContinual:
         assert resumed.reports[-1].miou_avg == done.reports[-1].miou_avg
         for name in RUN_FILES:
             assert (out / name).read_bytes() == (straight / name).read_bytes()
+
+    def test_three_steps(self, tmp_path, tiny_dataset):
+        train, test = tiny_dataset
+        cfg = tiny_config(
+            split=TaskSplit.from_sizes("2-1-1", 4),
+            cluster=ClusterConfig(update_period=2, bank_capacity=64),
+        )
+        out = tmp_path / "straight"
+        result = run_continual(cfg, train, out_dir=out, test_samples=test)
+        assert [o.params.num_rows for o in result.outcomes] == [3, 4, 5]
+        # class 3 arrives at step 2 and is frozen, unchanged, at step 3
+        after_step2, after_step3 = (
+            load_checkpoint(out / f"step{t}.ckpt").protos for t in (2, 3)
+        )
+        assert after_step2.is_initialized(3)
+        assert not after_step2.entries[3].frozen
+        assert after_step3.entries[3].frozen
+        assert same_bytes(after_step3.vector(3), after_step2.vector(3))
+        mious = [r.miou_all for r in result.reports]
+        assert len(mious) == 3
+        assert result.reports[-1].miou_avg == float(np.mean(mious))
+        for k in (1, 2, 3):
+            redo = tmp_path / f"from-step{k}"
+            redo.mkdir()
+            for name in ["losses.csv"] + [f"summary_step{s}.txt" for s in range(1, k)]:
+                shutil.copy(out / name, redo / name)
+            run_continual(cfg, train, out_dir=redo, test_samples=test,
+                          resume_from=out / f"step{k}.ckpt")
+            names = set(os.listdir(redo))
+            assert names >= {"summary.txt"} | {
+                f"{kind}{s}.{ext}" for s in range(k, 4)
+                for kind, ext in (("step", "ckpt"), ("report_step", "csv"),
+                                  ("summary_step", "txt"))
+            }
+            for name in names:
+                assert (redo / name).read_bytes() == (out / name).read_bytes(), (k, name)
 
     def test_resume_without_earlier_summary_rejected(self, tmp_path,
                                                      tiny_dataset):
