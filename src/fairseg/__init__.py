@@ -45,9 +45,9 @@ from .model import (  # noqa: F401
     save_checkpoint,
 )
 from .losses import (  # noqa: F401
-    ClassDistribution,
     ConsConfig,
     LossWeights,
+    class_weights,
     cluster_loss,
     cons_loss,
     distill_loss,

@@ -3,8 +3,7 @@
 Exit codes: 0 success, 2 configuration error, 3 data or format error,
 4 verification failure.  Every subcommand is deterministic given its
 config and input files; ``--print-config`` echoes the fully resolved
-configuration before running.  The only environment variable consulted
-is FAIRSEG_COLOR (0 disables the pass/fail coloring).
+configuration before running.
 """
 
 from __future__ import annotations
@@ -16,16 +15,7 @@ import sys
 import numpy as np
 
 from .config import load_config
-from .errors import (
-    ConfigError,
-    DeterminismError,
-    DimensionError,
-    FormatError,
-    LabelError,
-    ProtocolError,
-    StateError,
-    UnavailableError,
-)
+from .errors import ConfigError, FairsegError, FormatError, LabelError
 from .fileio import atomic_open
 from .losses import (
     ConsConfig,
@@ -58,31 +48,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_VERIFY = 4
-
-_DATA_ERRORS = (
-    FormatError,
-    LabelError,
-    DimensionError,
-    ProtocolError,
-    StateError,
-    UnavailableError,
-    DeterminismError,
-    OSError,
-)
-
-
-def _want_color():
-    if os.environ.get("FAIRSEG_COLOR", "") == "0":
-        return False
-    return sys.stdout.isatty()
-
-
-def _verdict(ok):
-    word = "PASS" if ok else "FAIL"
-    if _want_color():
-        code = "32" if ok else "31"
-        return f"\x1b[{code}m{word}\x1b[0m"
-    return word
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +328,7 @@ def cmd_gradcheck(args):
     for name, err in results:
         ok = err <= threshold
         all_ok &= ok
-        print(f"{name:24s} {err:14.3e}  {_verdict(ok)}")
+        print(f"{name:24s} {err:14.3e}  {'PASS' if ok else 'FAIL'}")
     if not all_ok:
         print(f"gradient check failed (threshold {threshold:g})")
         return EXIT_VERIFY
@@ -509,7 +474,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _DATA_ERRORS as exc:
+    except (FairsegError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -31,7 +31,6 @@ unordered neighbour offset once and counts both of its ordered pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -42,49 +41,6 @@ from .synthdata import IGNORE_ID
 # A feature/prototype pair whose expanded squared distance is at most this
 # share of ||f||^2 + ||p||^2 takes the direct difference (module docstring).
 NEAR = 1e-3
-
-
-@dataclass
-class ClassDistribution:
-    """Empirical pixel-class distribution and the uniform-ideal weights.
-
-    Weights are q(c)/p(c) where q is uniform over the counted classes and
-    p is the (add-constant smoothed) empirical distribution, clamped to
-    keep extreme minorities from destabilizing SGD.
-    """
-
-    pixel_counts: dict
-    smoothing: float
-    clamp: Tuple[float, float]
-
-    def validate(self):
-        """Smoothing and the clamp range are checked by LossWeights."""
-        if any(v < 0 for v in self.pixel_counts.values()):
-            raise ConfigError("pixel counts must be >= 0")
-        return self
-
-    @property
-    def num_classes(self):
-        return len(self.pixel_counts)
-
-    def probability(self, class_id):
-        if class_id not in self.pixel_counts:
-            raise LabelError(f"class {class_id} not in distribution")
-        n = self.num_classes
-        total = sum(self.pixel_counts.values())
-        return (self.pixel_counts[class_id] + self.smoothing) / (
-            total + self.smoothing * n
-        )
-
-    def raw_weight(self, class_id):
-        """q/p before clamping (infinite when the class has zero mass)."""
-        p = self.probability(class_id)
-        q = 1.0 / self.num_classes
-        return float("inf") if p == 0 else q / p
-
-    def weight(self, class_id):
-        lo, hi = self.clamp
-        return min(max(self.raw_weight(class_id), lo), hi)
 
 
 @dataclass
@@ -107,7 +63,7 @@ class LossWeights:
     # lighter weights leave prediction speckles in smooth regions.
     lambda_cons: float = 10.0
     lambda_distill: float = 1.0
-    smoothing: float = 1.0  # ClassDistribution's smoothing and clamp range
+    smoothing: float = 1.0  # class_weights' smoothing and clamp range
     clamp_min: float = 0.1
     # 10x minority weights oscillate at the default learning rates; 5x keeps
     # the fairness pressure without destabilizing the rarest classes.
@@ -179,20 +135,25 @@ def weighted_ce(logits, labels, mask, row_weights=None):
     return GradSlot(value=value, grads={"logits": grad.reshape(shape)})
 
 
-def ce_row_weights(dist, row_map, num_rows):
-    """Per-head-row weight vector from a class distribution.
+def class_weights(counts, smoothing, clamp_min, clamp_max):
+    """Fairness weight of each class in a 1-D pixel-count array.
 
-    Rows for classes absent from the distribution get weight 1.  The
-    trainer counts only the step's ground-truth classes (and background at
-    step 1), so from step 2 on the background pixels, which are
-    CE-supervised with old-class or unknown (row 0) pseudo-labels, train
-    those rows at weight 1.
+    The weight is q/p clamped to [clamp_min, clamp_max], with q uniform
+    over the counted classes, 1/k, and p their add-``smoothing`` pixel
+    distribution, (n + s) / (sum(n) + s*k).  The clamp keeps extreme
+    minorities from destabilizing SGD; a class of zero mass gets clamp_max.
     """
-    weights = np.ones(num_rows, dtype=np.float64)
-    for cid in dist.pixel_counts:
-        row = row_map[cid]
-        weights[row] = dist.weight(cid)
-    return weights
+    counts = np.asarray(counts)
+    if counts.ndim != 1 or counts.size == 0 or (counts < 0).any():
+        raise ConfigError(
+            f"pixel counts must be a non-empty 1-D array >= 0, got {counts}"
+        )
+    mass = counts.sum() + smoothing * counts.size
+    if mass == 0:
+        raise ConfigError("no pixel counted and smoothing 0: no class distribution")
+    p = (counts + smoothing) / mass
+    with np.errstate(divide="ignore"):
+        return np.clip((1.0 / counts.size) / p, clamp_min, clamp_max)
 
 
 def cluster_loss(features, labels, protos, cfg, counters=None):

@@ -62,9 +62,6 @@ class PrototypeBank:
                     vector=np.zeros(self.feature_dim, dtype=np.float64)
                 )
 
-    def vector(self, cid):
-        return self.entries[cid].vector
-
     def is_initialized(self, cid):
         return cid in self.entries and self.entries[cid].initialized
 
@@ -108,10 +105,6 @@ class FeatureBank:
     def mean(self, class_id):
         queue = self.queues.get(class_id)
         return None if queue is None else np.mean(queue, axis=0)
-
-    def size(self, class_id):
-        queue = self.queues.get(class_id)
-        return 0 if queue is None else len(queue)
 
     def reset(self):
         self.queues = {}

@@ -23,10 +23,9 @@ import numpy as np
 
 from .errors import ConfigError, FormatError, ProtocolError
 from .losses import (
-    ClassDistribution,
     ConsConfig,
     LossWeights,
-    ce_row_weights,
+    class_weights,
     cluster_loss,
     cons_loss,
     distill_loss,
@@ -57,6 +56,7 @@ from .prototypes import (
 from .synthdata import (
     IGNORE_ID,
     TaskSplit,
+    class_pixel_counts,
     collapse_labels,
     read_manifest,
     select_step_indices,
@@ -179,11 +179,6 @@ class TrackedDataset:
             )
         return self._samples[index]
 
-    def read_counts(self, step, indices):
-        """How many recorded reads at ``step`` hit the given index set."""
-        wanted = set(int(i) for i in indices)
-        return sum(1 for s, i in self.reads if s == step and i in wanted)
-
 
 def build_effective_labels(labels, features, protos, step):
     """Merge ground truth with pseudo-labels for collapsed label maps.
@@ -278,19 +273,6 @@ def enter_step(state, cfg, step):
     return state
 
 
-def _supervised_ids(split, step):
-    ids = sorted(split.classes_at(step))
-    return ([0] + ids) if step == 1 else ids
-
-
-def _count_supervised(data, ids):
-    counts = {c: 0 for c in ids}
-    for _, lab in data:
-        for c in ids:
-            counts[c] += int(np.count_nonzero(lab == c))
-    return counts
-
-
 def _deposit(bank, features, eff, current, cap):
     """Feed per-class feature queues from a batch's (B, H, W) pixels.
 
@@ -319,7 +301,7 @@ def _scaled(slot, name, weight, bsz):
 def run_step(state, cfg, step, data, on_epoch_end=None):
     """Train the current step over its image subset.
 
-    ``data`` is a list of (image, collapsed labels) pairs for the step, all
+    ``data`` is the step's list of SegSamples with collapsed labels, all
     of one image size (a batch of mixed sizes raises DimensionError when it
     is reached).  Each iteration stacks its batch and calls every
     loss once on it.  Resumes from state.epoch when it is nonzero.  Each
@@ -331,7 +313,6 @@ def run_step(state, cfg, step, data, on_epoch_end=None):
     if step != state.step:
         raise ProtocolError(f"state is at step {state.step}, not {step}")
     current = sorted(cfg.split.classes_at(step))
-    sup_ids = _supervised_ids(cfg.split, step)
     lr = cfg.lr_initial if step == 1 else cfg.lr_continual
     params = state.params
     id_to_row = np.full(IGNORE_ID + 1, -1, dtype=np.int64)
@@ -344,25 +325,25 @@ def run_step(state, cfg, step, data, on_epoch_end=None):
     zero_feats = None  # backward's feature gradient when no feature loss is on
     loss_trace = []
     iterations_run = 0
-    dist = ClassDistribution(
-        _count_supervised(data, sup_ids),
-        cfg.weights.smoothing,
-        (cfg.weights.clamp_min, cfg.weights.clamp_max),
-    ).validate()
-    row_weights = (
-        ce_row_weights(dist, params.row_map(), params.num_rows)
-        if terms.class_weighting
-        else None
-    )
+    row_weights = None
+    if terms.class_weighting:
+        # the step's classes, and background at step 1; other rows keep 1
+        ids = current if step > 1 else [0] + current
+        counts = class_pixel_counts(data, max(current))[ids]
+        row_weights = np.ones(params.num_rows)
+        row_weights[id_to_row[ids]] = class_weights(
+            counts, cfg.weights.smoothing, cfg.weights.clamp_min,
+            cfg.weights.clamp_max,
+        )
     for epoch in range(state.epoch, cfg.epochs):
         order = list(range(n))
         Rng(cfg.seed).split(f"step{step}/epoch{epoch}/order").shuffle(order)
         sums = {"ce": 0.0, "cluster": 0.0, "cons": 0.0, "distill": 0.0}
         for b in range(per_epoch):
             picked = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            images = stack_images([data[i][0] for i in picked])
+            images = stack_images([data[i].image for i in picked])
             _, cache = forward_batch(params, images)
-            labels = np.stack([data[i][1] for i in picked])
+            labels = np.stack([data[i].labels for i in picked])
             grid = labels.shape  # (B, H, W)
             bsz = grid[0]
             feats = cache.feats.reshape(*grid, -1)
@@ -573,12 +554,7 @@ def run_continual(cfg, samples, out_dir=None, test_samples=None,
             save_latest(state)
         if state.epoch < cfg.epochs:
             tracker.begin_step(t, allowed[t])
-            data = []
-            for idx in allowed[t]:
-                sample = tracker.fetch(idx)
-                data.append(
-                    (sample.image, collapse_labels(sample, split, t).labels)
-                )
+            data = [collapse_labels(tracker.fetch(i), split, t) for i in allowed[t]]
             outcomes.append(
                 run_step(state, cfg, t, data, on_epoch_end=end_epoch)
             )

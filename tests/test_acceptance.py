@@ -121,7 +121,7 @@ def test_criterion_3_update_schedule_oracle():
                         1.0 - cfg.momentum
                     ) * mean
         for c, ref in mirror.items():
-            got = protos.vector(c)
+            got = protos.entries[c].vector
             worst = max(worst, float(np.abs(got - ref).max()))
     ok = worst <= 1e-12
     report(
@@ -147,11 +147,11 @@ def test_criterion_4_pseudo_label_oracle():
     for t in range(trials):
         if t % 10 == 0:  # exact-tie cases: feature equals some prototype
             pick = ids[int(rng.randint(len(ids)))]
-            f = protos.vector(pick).copy()
+            f = protos.entries[pick].vector.copy()
         else:
             f = np.asarray(rng.normals(dim))
         got = pseudo_label_map(protos, f[None])[0]
-        dists = [float(np.linalg.norm(f - protos.vector(c))) for c in ids]
+        dists = [float(np.linalg.norm(f - protos.entries[c].vector)) for c in ids]
         best = min(dists)
         brute = min(c for c, d in zip(ids, dists) if d == best)
         agree += int(got == brute)
@@ -222,8 +222,9 @@ def test_criterion_8_rehearsal_free(grid):
     step1_only = set(select_step_indices(train, cfg.split, 1)) - set(
         select_step_indices(train, cfg.split, 2)
     )
-    old_reads = result.tracker.read_counts(2, step1_only)
-    ok = old_reads == 0 and result.tracker.read_counts(1, step1_only) > 0
+    reads = result.tracker.reads
+    old_reads = sum(1 for s, i in reads if s == 2 and i in step1_only)
+    ok = old_reads == 0 and any(s == 1 and i in step1_only for s, i in reads)
     report(
         "criterion 8",
         ok,

@@ -13,11 +13,10 @@ from fairseg.errors import ConfigError, DimensionError, LabelError
 from fairseg.losses import (
     IGNORE_ID,
     NEAR,
-    ClassDistribution,
     ConsConfig,
     LossWeights,
     _probs_to_logits_grad,
-    ce_row_weights,
+    class_weights,
     cluster_loss,
     cons_loss,
     distill_loss,
@@ -39,47 +38,43 @@ def make_protos(vectors, frozen=(), uninitialized=()):
     return protos
 
 
-class TestClassDistribution:
+class TestClassWeights:
     def test_balanced_weights_are_one(self):
-        dist = ClassDistribution({1: 50, 2: 50, 3: 50, 4: 50}, 1.0, (0.1, 10.0))
-        for cid in (1, 2, 3, 4):
-            assert dist.weight(cid) == pytest.approx(1.0, abs=1e-12)
+        weights = class_weights([50, 50, 50, 50], 1.0, 0.1, 10.0)
+        np.testing.assert_allclose(weights, 1.0, atol=1e-12)
 
-    def test_raw_weight_arithmetic(self):
-        dist = ClassDistribution(
-            {0: 700, 1: 100, 2: 100, 3: 100}, 0.0, (0.1, 10.0)
-        )
-        assert dist.raw_weight(0) == pytest.approx(0.25 / 0.7, abs=1e-12)
-        for cid in (1, 2, 3):
-            assert dist.raw_weight(cid) == pytest.approx(2.5, abs=1e-12)
+    def test_weight_arithmetic(self):
+        weights = class_weights([700, 100, 100, 100], 0.0, 0.1, 10.0)
+        assert weights[0] == pytest.approx(0.25 / 0.7, abs=1e-12)
+        np.testing.assert_allclose(weights[1:], 2.5, atol=1e-12)
 
-    def test_probabilities_sum_to_one(self):
-        dist = ClassDistribution({1: 3, 2: 0, 5: 11}, 1.0, (0.1, 10.0))
-        total = sum(dist.probability(c) for c in (1, 2, 5))
-        assert total == pytest.approx(1.0, abs=1e-12)
+    def test_same_floats_as_the_scalar_formula(self):
+        counts = [7, 0, 123, 5, 1]
+        s, k = 1.0, len(counts)
+        expect = [
+            min(max((1.0 / k) / ((n + s) / (sum(counts) + s * k)), 0.1), 5.0)
+            for n in counts
+        ]
+        assert class_weights(counts, s, 0.1, 5.0).tolist() == expect
 
     def test_zero_mass_class_clamps_high(self):
-        dist = ClassDistribution({1: 100, 2: 0}, 0.0, (0.1, 10.0))
-        assert math.isinf(dist.raw_weight(2))
-        assert dist.weight(2) == 10.0
+        with np.errstate(all="raise"):
+            weights = class_weights([100, 0], 0.0, 0.1, 10.0)
+        assert weights[1] == 10.0
 
     def test_majority_clamps_low(self):
-        dist = ClassDistribution(
-            {1: 10_000_000, 2: 1}, 0.0, (0.1, 10.0)
-        )
-        assert dist.weight(1) == pytest.approx(0.5, abs=1e-6)
-        assert dist.weight(2) == 10.0
-
-    def test_unknown_class_rejected(self):
-        dist = ClassDistribution({1: 5}, 1.0, (0.1, 10.0))
-        with pytest.raises(LabelError):
-            dist.probability(9)
+        weights = class_weights([10_000_000, 1], 0.0, 0.1, 10.0)
+        assert weights[0] == pytest.approx(0.5, abs=1e-6)
+        assert weights[1] == 10.0
 
     def test_validation_errors(self):
-        with pytest.raises(ConfigError):
-            ClassDistribution({1: -1}, 1.0, (0.1, 10.0)).validate()
+        for counts in ([5, -1], [], [[1, 2]]):
+            with pytest.raises(ConfigError, match="pixel counts"):
+                class_weights(counts, 1.0, 0.1, 10.0)
+        with pytest.raises(ConfigError, match="no pixel counted"):
+            class_weights([0, 0], 0.0, 0.1, 10.0)
         # Smoothing and the clamp range are validated with the other
-        # [losses] values, before any ClassDistribution is built.
+        # [losses] values, before any weight is computed.
         with pytest.raises(ConfigError):
             LossWeights(smoothing=-0.5).validate()
         with pytest.raises(ConfigError):
@@ -166,14 +161,6 @@ class TestWeightedCE:
         labels = np.zeros((4, 4), dtype=np.int64)
         out = weighted_ce(logits, labels, np.ones((4, 4), bool))
         assert out.grads["logits"].shape == (4, 4, 3)
-
-    def test_row_weight_vector_assembly(self):
-        dist = ClassDistribution({0: 700, 3: 100}, 0.0, (0.1, 10.0))
-        row_map = {0: 0, 3: 1, 7: 2}
-        weights = ce_row_weights(dist, row_map, num_rows=3)
-        assert weights[0] == pytest.approx(0.5 / 0.875, abs=1e-12)
-        assert weights[1] == pytest.approx(0.5 / 0.125, abs=1e-12)
-        assert weights[2] == 1.0
 
 
 class TestClusterLoss:
@@ -629,7 +616,7 @@ def loop_cluster_loss(features, labels, protos, cfg):
     loss = np.zeros(b * n)
     delta = cfg.margin
     for cid in protos.initialized_ids():
-        p = protos.vector(cid)
+        p = protos.entries[cid].vector
         diff = f - p[None, :]
         dist = np.sqrt(np.sum(diff**2, axis=1))
         match = live & (y == cid)
@@ -716,16 +703,16 @@ class TestBitIdentity:
         labels[1] = IGNORE_ID  # an image with no live pixels
         # pixels exactly on a prototype: their own (attraction at distance
         # 0) and another class's (repulsion at distance 0)
-        feats[0, 1, 0] = protos.vector(2)
+        feats[0, 1, 0] = protos.entries[2].vector
         labels[0, 1, 0] = 2
-        feats[2, 3, 4] = protos.vector(1)
+        feats[2, 3, 4] = protos.entries[1].vector
         labels[2, 3, 4] = 3
-        feats[2, 0, 0] = protos.vector(0)
+        feats[2, 0, 0] = protos.entries[0].vector
         labels[2, 0, 0] = 4  # uninitialized class, repulsion only
         # a pixel that differs from its prototype, at a distance that
         # underflows to 0: it gets no gradient
-        protos.vector(3)[0] = 0.0
-        feats[0, 2, 0] = protos.vector(3)
+        protos.entries[3].vector[0] = 0.0
+        feats[0, 2, 0] = protos.entries[3].vector
         feats[0, 2, 0, 0] = 1e-170
         labels[0, 2, 0] = 3
         return feats, labels, protos
@@ -784,7 +771,7 @@ class TestBitIdentity:
         protos = make_protos({c: rng.normals(d) * 1.5 for c in range(3)})
         feats = np.empty((2, 1, 1, d))
         for i, cid in enumerate((1, 2)):
-            p = protos.vector(cid)
+            p = protos.entries[cid].vector
             u = rng.normals(d)
             u /= np.sqrt(np.sum(u * u))
             ratio = side if i == 0 else 0.99
@@ -794,7 +781,7 @@ class TestBitIdentity:
                 t = math.sqrt(ratio * NEAR * (f @ f + p @ p))
             feats[i, 0, 0] = p + t * u
         labels = np.array([1, 0]).reshape(2, 1, 1)
-        f, p = feats[0, 0, 0], protos.vector(1)
+        f, p = feats[0, 0, 0], protos.entries[1].vector
         expanded = f @ f - 2.0 * (f @ p) + p @ p
         assert (expanded > NEAR * (f @ f + p @ p)) == (side > 1)
         self.assert_cluster_near_loop(
@@ -875,7 +862,7 @@ protos.register(range(6))
 for cid, entry in protos.entries.items():
     entry.vector = feats[cid, cid, cid] + 0.1 * rng.normals(16)
     entry.initialized = True
-feats[0, 3, 3] = protos.vector(2)
+feats[0, 3, 3] = protos.entries[2].vector
 labels = np.array([rng.randint(7) for _ in range(6 * 32 * 32)]).reshape(6, 32, 32)
 labels[labels == 6] = IGNORE_ID
 labels[4] = IGNORE_ID

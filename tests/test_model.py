@@ -455,9 +455,9 @@ class TestCheckpoint:
         assert sorted(back.protos.entries) == [0, 1, 2]
         assert back.protos.entries[1].frozen and back.protos.is_initialized(1)
         np.testing.assert_array_equal(
-            back.protos.vector(1), ckpt.protos.vector(1)
+            back.protos.entries[1].vector, ckpt.protos.entries[1].vector
         )
-        assert back.bank.size(2) == 2
+        assert len(back.bank.queues[2]) == 2
         np.testing.assert_array_equal(
             back.bank.mean(2), ckpt.bank.mean(2)
         )

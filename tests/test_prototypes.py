@@ -43,13 +43,13 @@ class TestFeatureBank:
             bank.deposit_many(5, [[v]])
         held = [float(f[0]) for f in bank.queues[5]]
         assert held == [2.0, 3.0, 4.0]
-        assert bank.size(5) == 3
+        assert len(bank.queues[5]) == 3
 
     def test_unseen_class_creates_queue(self):
         bank = FeatureBank(feature_dim=2, capacity=4)
-        assert bank.size(9) == 0
+        assert 9 not in bank.queues
         bank.deposit_many(9, [[1.5, -0.5]])
-        assert bank.size(9) == 1
+        assert len(bank.queues[9]) == 1
 
     def test_mean_matches_brute_force(self):
         bank = FeatureBank(feature_dim=3, capacity=5)
@@ -86,7 +86,7 @@ class TestFeatureBank:
         bank = FeatureBank(feature_dim=1, capacity=2)
         bank.deposit_many(1, np.ones((1, 1)))
         bank.reset()
-        assert bank.size(1) == 0 and bank.mean(1) is None
+        assert 1 not in bank.queues and bank.mean(1) is None
 
     def test_bad_capacity(self):
         with pytest.raises(ConfigError):
@@ -111,7 +111,7 @@ class TestUpdateSchedule:
         bank.deposit_many(1, [[3.0, 3.0]])
         update_prototypes(protos, bank, self.cfg(period=4), iteration=4)
         assert protos.is_initialized(1)
-        np.testing.assert_allclose(protos.vector(1), [2.0, 2.0], atol=1e-15)
+        np.testing.assert_allclose(protos.entries[1].vector, [2.0, 2.0], atol=1e-15)
 
     def test_momentum_step(self):
         protos = make_protos(2, [1])
@@ -119,7 +119,7 @@ class TestUpdateSchedule:
         bank = FeatureBank(2, 10)
         bank.deposit_many(1, [[4.0, 4.0]])
         update_prototypes(protos, bank, self.cfg(period=4), iteration=8)
-        np.testing.assert_allclose(protos.vector(1), [2.02, 2.02], atol=1e-12)
+        np.testing.assert_allclose(protos.entries[1].vector, [2.02, 2.02], atol=1e-12)
 
     def test_off_schedule_iterations_are_noops(self):
         protos = make_protos(1, [1])
@@ -135,7 +135,7 @@ class TestUpdateSchedule:
         bank = FeatureBank(1, 4)
         bank.deposit_many(1, [[0.0]])
         update_prototypes(protos, bank, self.cfg(period=2), iteration=2)
-        assert protos.vector(1)[0] == 7.0
+        assert protos.entries[1].vector[0] == 7.0
 
     def test_empty_queue_skipped(self):
         protos = make_protos(1, [1, 2])
@@ -152,7 +152,7 @@ class TestUpdateSchedule:
         bank.deposit_many(2, [[3.0]])
         update_prototypes(protos, bank, self.cfg(period=2), iteration=4)
         assert protos.is_initialized(2)
-        assert protos.vector(2)[0] == 3.0
+        assert protos.entries[2].vector[0] == 3.0
 
     def test_geometric_contraction_to_stationary_mean(self):
         cfg = self.cfg(period=1, momentum=0.9)
@@ -165,7 +165,7 @@ class TestUpdateSchedule:
         gap0 = np.linalg.norm(p0 - m)
         for n in range(1, 30):
             update_prototypes(protos, bank, cfg, iteration=n)
-            gap = np.linalg.norm(protos.vector(1) - m)
+            gap = np.linalg.norm(protos.entries[1].vector - m)
             assert gap <= (0.9**n) * gap0 + 1e-12
 
 
@@ -238,7 +238,7 @@ class TestAlgorithmOracle:
                 assert protos.is_initialized(cid) == (cid in expect_init)
                 if cid in expect_init:
                     np.testing.assert_allclose(
-                        protos.vector(cid),
+                        protos.entries[cid].vector,
                         expect_vecs[cid],
                         atol=1e-12,
                         rtol=0,
@@ -294,10 +294,10 @@ class TestPseudoLabel:
             set_proto(protos, cid, rng.normals(dim))
         feats = rng.normals(50 * dim).reshape(50, dim)
         # engineered exact ties: feature equidistant between ids 0 and 5
-        feats[7] = 0.5 * (protos.vector(0) + protos.vector(5))
+        feats[7] = 0.5 * (protos.entries[0].vector + protos.entries[5].vector)
         out = pseudo_label_map(protos, feats)
         for i in range(50):
-            d2 = {c: float(np.sum((feats[i] - protos.vector(c)) ** 2))
+            d2 = {c: float(np.sum((feats[i] - protos.entries[c].vector) ** 2))
                   for c in (0, 2, 5)}
             best = min(d2.values())
             assert out[i] == min(c for c, d in d2.items() if d == best)
@@ -313,7 +313,7 @@ class TestPseudoLabel:
         set_proto(protos, 5, [-1.0, 0.0, 0.0, 0.0])
         feats = rng.normals(101 * dim).reshape(101, dim)
         feats[::10, 0] = 0.0  # exact ties between ids 0 and 5
-        d2 = np.stack([np.sum((feats - protos.vector(c)) ** 2, axis=1)
+        d2 = np.stack([np.sum((feats - protos.entries[c].vector) ** 2, axis=1)
                        for c in (0, 2, 5)], axis=1)
         want = np.array([0, 2, 5])[np.argmin(d2, axis=1)]
         assert np.array_equal(pseudo_label_map(protos, feats), want)
@@ -386,7 +386,7 @@ def test_bank_never_exceeds_capacity(deposits, capacity):
     for cid, v in deposits:
         bank.deposit_many(cid, [[v]])
     for cid in set(c for c, _ in deposits):
-        assert bank.size(cid) <= capacity
+        assert len(bank.queues[cid]) <= capacity
         tail = [v for c, v in deposits if c == cid][-capacity:]
         held = [float(f[0]) for f in bank.queues[cid]]
         assert held == tail

@@ -14,10 +14,16 @@ from fairseg.errors import (
     FormatError,
     ProtocolError,
 )
+from fairseg.losses import class_weights, weighted_ce
 from fairseg.model import load_checkpoint, save_checkpoint
 from fairseg.numerics import Rng
 from fairseg.prototypes import ClusterConfig, PrototypeBank
-from fairseg.synthdata import IGNORE_ID, TaskSplit, select_step_indices
+from fairseg.synthdata import (
+    IGNORE_ID,
+    TaskSplit,
+    collapse_labels,
+    select_step_indices,
+)
 from fairseg.trainer import (
     LOG_FIELDS,
     TrackedDataset,
@@ -109,16 +115,6 @@ class TestTrackedDataset:
         with pytest.raises(ProtocolError):
             TrackedDataset(train).fetch(0)
 
-    def test_read_counts(self, tiny_dataset):
-        train, _ = tiny_dataset
-        tracker = TrackedDataset(train)
-        tracker.begin_step(1, range(len(train)))
-        tracker.fetch(0)
-        tracker.fetch(0)
-        tracker.fetch(3)
-        assert tracker.read_counts(1, [0]) == 2
-        assert tracker.read_counts(1, [3, 5]) == 1
-        assert tracker.read_counts(2, [0]) == 0
 
 class TestEffectiveLabels:
     def protos_with(self, vectors):
@@ -215,9 +211,8 @@ class TestRunStep:
             preset="fine-tune",
         )
         samples = separable_samples(count=10)
-        data = [(s.image, s.labels) for s in samples]
         state = init_state(cfg)
-        outcome = run_step(state, cfg, 1, data)
+        outcome = run_step(state, cfg, 1, samples)
         ce = [t["ce"] for t in outcome.loss_trace]
         assert all(np.isfinite(ce))
         assert all(b < a for a, b in zip(ce, ce[1:]))
@@ -226,7 +221,7 @@ class TestRunStep:
         cfg = tiny_config(epochs=3, batch_size=5)
         train, _ = tiny_dataset
         idx = select_step_indices(train, tiny_split, 1)
-        data = [(train[i].image, train[i].labels) for i in idx]
+        data = [train[i] for i in idx]
         state = init_state(cfg)
         outcome = run_step(state, cfg, 1, data)
         expect = 3 * ((len(data) + 4) // 5)
@@ -236,7 +231,7 @@ class TestRunStep:
     def test_same_seed_same_outcome(self, tiny_dataset):
         cfg = tiny_config()
         train, _ = tiny_dataset
-        data = [(s.image, s.labels) for s in train[:10]]
+        data = train[:10]
         out_a = run_step(init_state(cfg), cfg, 1, data)
         out_b = run_step(init_state(cfg), cfg, 1, data)
         for name, arr in out_a.params.blocks.items():
@@ -255,13 +250,13 @@ class TestRunStep:
         )
         state = init_state(cfg)
         with pytest.raises(DimensionError):
-            run_step(state, cfg, 1, [(s.image, s.labels) for s in samples])
+            run_step(state, cfg, 1, samples)
         assert state.iteration == 0
 
     def test_mid_step_resume_matches_uninterrupted(self, tmp_path,
                                                    tiny_dataset):
         train, _ = tiny_dataset
-        data = [(s.image, s.labels) for s in train[:10]]
+        data = train[:10]
 
         straight_cfg = tiny_config(epochs=4)
         straight = init_state(straight_cfg)
@@ -304,8 +299,43 @@ class TestRunContinual:
         step1_only = set(select_step_indices(train, tiny_split, 1)) - set(
             select_step_indices(train, tiny_split, 2)
         )
-        assert result.tracker.read_counts(2, step1_only) == 0
-        assert result.tracker.read_counts(1, step1_only) > 0
+        reads = result.tracker.reads
+        assert not [i for s, i in reads if s == 2 and i in step1_only]
+        assert [i for s, i in reads if s == 1 and i in step1_only]
+
+    def test_class_weights_fill_the_step_rows(self, tiny_dataset, tiny_split,
+                                              monkeypatch):
+        train, _ = tiny_dataset
+        seen = []  # the row weights of every CE call, in order
+
+        def recording_ce(logits, labels, mask, row_weights=None):
+            seen.append(row_weights)
+            return weighted_ce(logits, labels, mask, row_weights)
+
+        monkeypatch.setattr(trainer, "weighted_ce", recording_ce)
+        cfg = tiny_config(preset="cluster-class", epochs=1)
+        result = run_continual(cfg, train)
+
+        def weights_of(step, ids):
+            labels = [collapse_labels(train[i], tiny_split, step).labels
+                      for i in select_step_indices(train, tiny_split, step)]
+            counts = [sum(np.count_nonzero(y == c) for y in labels) for c in ids]
+            w = cfg.weights
+            return class_weights(counts, w.smoothing, w.clamp_min, w.clamp_max)
+
+        # step 1: rows 0-2 are background and classes 1, 2; step 2 adds
+        # rows 3, 4 for classes 3, 4 and leaves the older rows at 1
+        step1 = weights_of(1, [0, 1, 2])
+        step2 = np.concatenate([np.ones(3), weights_of(2, [3, 4])])
+        assert (step1 != 1.0).all() and (step2[3:] != 1.0).all()
+        n1, n2 = (outcome.iterations for outcome in result.outcomes)
+        assert len(seen) == n1 + n2
+        assert all(same_bytes(w, step1) for w in seen[:n1])
+        assert all(same_bytes(w, step2) for w in seen[n1:])
+
+        seen.clear()
+        run_continual(cfg.ablation("fine-tune"), train)
+        assert seen and all(w is None for w in seen)
 
     def test_frozen_prototypes_constant_through_step_two(self, tmp_path,
                                                           tiny_dataset):
@@ -322,7 +352,7 @@ class TestRunContinual:
             if after_step1.is_initialized(cid):
                 assert after_step2.entries[cid].frozen
                 np.testing.assert_array_equal(
-                    after_step1.vector(cid), after_step2.vector(cid)
+                    after_step1.entries[cid].vector, after_step2.entries[cid].vector
                 )
 
     def test_distill_keeps_frozen_previous_params(self, tiny_dataset):
@@ -494,7 +524,7 @@ class TestRunContinual:
         assert after_step2.is_initialized(3)
         assert not after_step2.entries[3].frozen
         assert after_step3.entries[3].frozen
-        assert same_bytes(after_step3.vector(3), after_step2.vector(3))
+        assert same_bytes(after_step3.entries[3].vector, after_step2.entries[3].vector)
         mious = [r.miou_all for r in result.reports]
         assert len(mious) == 3
         assert result.reports[-1].miou_avg == float(np.mean(mious))
