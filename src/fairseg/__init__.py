@@ -29,7 +29,6 @@ from .synthdata import (  # noqa: F401
     TaskSplit,
     generate,
     read_dataset,
-    shapes_benchmark,
     write_dataset,
 )
 from .prototypes import (  # noqa: F401

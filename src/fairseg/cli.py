@@ -65,20 +65,8 @@ def cmd_gen(args):
     spec = rc.benchmark_spec()
     train, test = generate(spec)
     os.makedirs(args.out, exist_ok=True)
-    manifest = dict(spec.manifest_fields())
-    manifest["name"] = rc.get("benchmark", "name")
-    write_dataset(
-        train,
-        os.path.join(args.out, "train.bin"),
-        spec.num_classes,
-        manifest={**manifest, "role": "train"},
-    )
-    write_dataset(
-        test,
-        os.path.join(args.out, "test.bin"),
-        spec.num_classes,
-        manifest={**manifest, "role": "test"},
-    )
+    write_dataset(train, os.path.join(args.out, "train.bin"), spec.num_classes)
+    write_dataset(test, os.path.join(args.out, "test.bin"), spec.num_classes)
     rc.write(os.path.join(args.out, "config.resolved.ini"))
     counts = class_pixel_counts(train, spec.num_classes)
     total = counts.sum()
@@ -369,10 +357,10 @@ def load_run_summary(run_dir):
 def cmd_report(args):
     rows = [load_run_summary(d) for d in args.run_dirs]
     baseline = None
-    for row in rows:
-        if row["name"] == args.baseline:
-            baseline = row
-            break
+    if args.baseline is not None:
+        baseline = next((r for r in rows if r["name"] == args.baseline), None)
+        if baseline is None:
+            raise ConfigError(f"--baseline {args.baseline!r} names none of the runs")
     header = ["name"] + list(_REPORT_COLUMNS)
     if baseline is not None:
         header += ["delta_miou_all", "delta_miou_initial"]
@@ -460,8 +448,7 @@ def build_parser():
                        help="tabulate run summaries side by side")
     p.add_argument("run_dirs", nargs="+")
     p.add_argument("--out", default=None, help="also write a CSV here")
-    p.add_argument("--baseline", default="fine-tune",
-                   help="run name for the delta columns")
+    p.add_argument("--baseline", help="run name for the delta columns")
     p.set_defaults(func=cmd_report)
     return parser
 

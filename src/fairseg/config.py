@@ -3,16 +3,17 @@
 Every knob lives in one of eight sections; missing keys fall back to their
 defaults, unknown sections or keys are rejected outright, and the fully
 resolved configuration can be dumped back out so a run directory always
-records exactly what it ran with.  The keys of the [model], [train],
-[losses], [cluster] and [cons] sections are the fields of the config
-dataclasses: each key has its field's name, and its field's default gives
-the key's default and type.
+records exactly what it ran with.  The keys of the [benchmark], [model],
+[train], [losses], [cluster] and [cons] sections are the fields of the
+config dataclasses: each key has its field's name, and its field's default
+gives the key's default and type.
 """
 
 from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Dict
 
@@ -20,7 +21,7 @@ from .errors import ConfigError
 from .fileio import atomic_open
 from .losses import ConsConfig, LossWeights
 from .prototypes import ClusterConfig
-from .synthdata import TaskSplit, shapes_benchmark
+from .synthdata import BenchmarkSpec, TaskSplit
 from .trainer import MODEL_KEY, TrainConfig
 
 
@@ -30,6 +31,7 @@ def _keyed_fields(cls):
 
 # The dataclass fields behind each section, in dump order.
 _SECTION_FIELDS = {
+    "benchmark": _keyed_fields(BenchmarkSpec),
     "model": [f for f in _keyed_fields(TrainConfig) if f.metadata == MODEL_KEY],
     "train": [f for f in _keyed_fields(TrainConfig) if f.metadata != MODEL_KEY],
     "losses": _keyed_fields(LossWeights),
@@ -44,23 +46,16 @@ def _ini(value):
     return str(value)
 
 
+_TYPED_DEFAULTS = {
+    section: {f.name: _ini(f.default) for f in keyed}
+    for section, keyed in _SECTION_FIELDS.items()
+}
+
+# Dump order: [split] follows [benchmark] (re-adding a key keeps its place).
 DEFAULTS = {
-    "benchmark": {
-        "name": "shapes-8",
-        "num_classes": "8",
-        "image_height": "32",
-        "image_width": "32",
-        "noise_sigma": "0.04",
-        "train_count": "200",
-        "test_count": "50",
-        "zipf_exponent": "1.5",
-        "seed": "7",
-    },
+    "benchmark": _TYPED_DEFAULTS["benchmark"],
     "split": {"steps": "5-3"},
-    **{
-        section: {f.name: _ini(f.default) for f in keyed}
-        for section, keyed in _SECTION_FIELDS.items()
-    },
+    **_TYPED_DEFAULTS,
     "output": {"dir": "runs/default"},
 }
 
@@ -93,23 +88,16 @@ class RunConfig:
     def get_float(self, section, key):
         raw = self.get(section, key)
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigError(f"[{section}] {key} must be a number, got {raw!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"[{section}] {key} must be a finite number, got {raw!r}")
+        return value
 
     # -- typed builders ---------------------------------------------------
     def benchmark_spec(self):
-        height = self.get_int("benchmark", "image_height")
-        width = self.get_int("benchmark", "image_width")
-        return shapes_benchmark(
-            num_classes=self.get_int("benchmark", "num_classes"),
-            image_size=(height, width),
-            noise_sigma=self.get_float("benchmark", "noise_sigma"),
-            train_count=self.get_int("benchmark", "train_count"),
-            test_count=self.get_int("benchmark", "test_count"),
-            seed=self.get_int("benchmark", "seed"),
-            zipf_exponent=self.get_float("benchmark", "zipf_exponent"),
-        )
+        return BenchmarkSpec(**self._section("benchmark")).validate()
 
     def task_split(self, num_classes=None):
         if num_classes is None:

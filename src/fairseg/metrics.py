@@ -9,7 +9,7 @@ prediction are excluded from mIoU instead of dragging it to zero.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import groupby
 from typing import Dict
 
@@ -172,24 +172,10 @@ class MetricsReport:
     islands_per_image: float = 0.0
 
     def summary_fields(self):
-        out = {
-            "step": str(self.step),
-            "num_images": str(self.num_images),
-            "miou_initial": repr(self.miou_initial),
-            "miou_later": repr(self.miou_later),
-            "miou_fg": repr(self.miou_fg),
-            "miou_all": repr(self.miou_all),
-            "miou_avg": repr(self.miou_avg),
-            "miou_major": repr(self.miou_major),
-            "miou_minor": repr(self.miou_minor),
-            "iou_std_fg": repr(self.iou_std_fg),
-            "iou_std_major": repr(self.iou_std_major),
-            "iou_std_minor": repr(self.iou_std_minor),
-            "fairness_gap": repr(self.fairness_gap),
-            "pixel_accuracy": repr(self.pixel_accuracy),
-            "entropy_fg": repr(self.entropy_fg),
-            "islands_per_image": repr(self.islands_per_image),
-        }
+        """Every non-dict field (floats as repr), then iou_class_<c>."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = {name: repr(v) if isinstance(v, float) else str(v)
+               for name, v in values.items() if not isinstance(v, dict)}
         for cid in sorted(self.per_class_iou):
             out[f"iou_class_{cid}"] = repr(self.per_class_iou[cid])
         return out

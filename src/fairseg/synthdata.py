@@ -53,64 +53,34 @@ class SegSample:
 
 @dataclass(frozen=True)
 class BenchmarkSpec:
-    num_classes: int
-    image_size: Tuple[int, int]
-    class_frequencies: Tuple[float, ...]
-    shape_palette: Tuple[Tuple[str, Tuple[float, float, float]], ...]
-    noise_sigma: float
-    train_count: int
-    test_count: int
-    seed: int
+    """The [benchmark] config section: one field per key, in dump order."""
+
+    num_classes: int = 8
+    image_height: int = 32
+    image_width: int = 32
+    noise_sigma: float = 0.04
+    train_count: int = 200
+    test_count: int = 50
+    zipf_exponent: float = 1.5
+    seed: int = 7
 
     def validate(self):
-        h, w = self.image_size
-        if h <= 0 or w <= 0:
-            raise ConfigError(f"zero-area image size {self.image_size}")
-        if min(h, w) < 8:
+        if min(self.image_height, self.image_width) < 8:
             raise ConfigError("image sides must be at least 8 pixels")
         if self.num_classes < 1 or self.num_classes >= IGNORE_ID:
             raise ConfigError(f"invalid num_classes {self.num_classes}")
-        freqs = np.asarray(self.class_frequencies, dtype=np.float64)
-        if freqs.shape != (self.num_classes,):
+        with np.errstate(all="ignore"):  # an overflow is reported below
+            freqs = zipf_frequencies(self.num_classes, self.zipf_exponent)
+        if not all(f > 0 for f in freqs):
             raise ConfigError(
-                f"class_frequencies must have length {self.num_classes}"
+                f"zipf_exponent {self.zipf_exponent!r} gives a class a "
+                "frequency that is not > 0"
             )
-        if np.any(freqs <= 0):
-            raise ConfigError("class_frequencies entries must be > 0")
-        if abs(float(freqs.sum()) - 1.0) > 1e-9:
-            raise ConfigError(
-                f"class_frequencies must sum to 1, got {float(freqs.sum())!r}"
-            )
-        if len(self.shape_palette) != self.num_classes:
-            raise ConfigError("shape_palette must have one entry per class")
-        for kind, color in self.shape_palette:
-            if kind not in SHAPE_KINDS:
-                raise ConfigError(f"unknown shape kind {kind!r}")
-            if len(color) != 3:
-                raise ConfigError("palette colors must be RGB triples")
         if self.noise_sigma < 0:
             raise ConfigError("noise_sigma must be >= 0")
         if self.train_count < 1 or self.test_count < 1:
             raise ConfigError("train_count and test_count must be >= 1")
         return self
-
-    def manifest_fields(self):
-        freqs = ",".join(f"{f:.12g}" for f in self.class_frequencies)
-        palette = ";".join(
-            f"{kind}:{c[0]:.6g}:{c[1]:.6g}:{c[2]:.6g}"
-            for kind, c in self.shape_palette
-        )
-        return {
-            "num_classes": str(self.num_classes),
-            "image_height": str(self.image_size[0]),
-            "image_width": str(self.image_size[1]),
-            "class_frequencies": freqs,
-            "shape_palette": palette,
-            "noise_sigma": f"{self.noise_sigma:.12g}",
-            "train_count": str(self.train_count),
-            "test_count": str(self.test_count),
-            "seed": str(self.seed),
-        }
 
 
 def zipf_frequencies(num_classes, exponent):
@@ -132,21 +102,6 @@ def default_palette(num_classes):
             base = tuple(v * scale for v in base)
         palette.append((kind, base))
     return tuple(palette)
-
-
-def shapes_benchmark(num_classes, image_size, noise_sigma, train_count,
-                     test_count, seed, zipf_exponent):
-    """A desk benchmark: skewed shape classes on small canvases."""
-    return BenchmarkSpec(
-        num_classes=num_classes,
-        image_size=image_size,
-        class_frequencies=zipf_frequencies(num_classes, zipf_exponent),
-        shape_palette=default_palette(num_classes),
-        noise_sigma=noise_sigma,
-        train_count=train_count,
-        test_count=test_count,
-        seed=seed,
-    ).validate()
 
 
 @dataclass(frozen=True)
@@ -244,19 +199,17 @@ def _paint_shape(image, labels, rng, kind, color, class_id):
         sub_lab[mask] = class_id
 
 
-def _generate_image(spec, rng):
-    h, w = spec.image_size
+def _generate_image(spec, cdf, palette, rng):
+    h, w = spec.image_height, spec.image_width
     image = np.empty((h, w, 3), dtype=np.float64)
     image[:, :] = BACKGROUND_COLOR
     labels = np.zeros((h, w), dtype=np.uint16)
-    freqs = np.asarray(spec.class_frequencies, dtype=np.float64)
-    cdf = np.cumsum(freqs)
     n_shapes = 1 + rng.randint(4)
     for _ in range(n_shapes):
         u = rng.uniform()
         class_id = 1 + int(np.searchsorted(cdf, u, side="right"))
         class_id = min(class_id, spec.num_classes)
-        kind, base = spec.shape_palette[class_id - 1]
+        kind, base = palette[class_id - 1]
         jitter = [COLOR_JITTER * (2.0 * rng.uniform() - 1.0) for _ in range(3)]
         color = tuple(base[i] + jitter[i] for i in range(3))
         _paint_shape(image, labels, rng, kind, color, class_id)
@@ -272,13 +225,15 @@ def _generate_image(spec, rng):
 def generate(spec):
     """Generate (train, test) sample lists; pure function of the spec."""
     spec.validate()
+    cdf = np.cumsum(zipf_frequencies(spec.num_classes, spec.zipf_exponent))
+    palette = default_palette(spec.num_classes)
     root = Rng(spec.seed)
     train = [
-        _generate_image(spec, root.split(f"train/{i}"))
+        _generate_image(spec, cdf, palette, root.split(f"train/{i}"))
         for i in range(spec.train_count)
     ]
     test = [
-        _generate_image(spec, root.split(f"test/{i}"))
+        _generate_image(spec, cdf, palette, root.split(f"test/{i}"))
         for i in range(spec.test_count)
     ]
     return train, test
@@ -335,8 +290,8 @@ def class_pixel_counts(samples, num_classes):
     return counts
 
 
-def write_dataset(samples, path, num_classes, manifest=None):
-    """Write samples in the binary dataset format; optional sidecar manifest."""
+def write_dataset(samples, path, num_classes):
+    """Write samples in the binary dataset format."""
     with atomic_open(path) as fh:
         fh.write(DATASET_MAGIC)
         fh.write(DATASET_VERSION.to_bytes(2, "little"))
@@ -352,8 +307,6 @@ def write_dataset(samples, path, num_classes, manifest=None):
             fh.write(
                 np.ascontiguousarray(sample.labels, dtype="<u2").tobytes()
             )
-    if manifest is not None:
-        write_manifest(f"{path}.manifest", manifest)
 
 
 def read_dataset(path):

@@ -244,12 +244,9 @@ def init_state(cfg):
                       preset=cfg.preset)
 
 
-def enter_step(state, cfg, step):
-    """Step-boundary bookkeeping: grow head, freeze old prototypes, reset banks."""
-    if step != state.step + 1:
-        raise ProtocolError(
-            f"cannot enter step {step} from step {state.step}"
-        )
+def enter_step(state, cfg):
+    """Enter step state.step + 1: grow head, freeze old prototypes, reset banks."""
+    step = state.step + 1
     if ABLATIONS[cfg.preset].distill:
         state.distill_params = state.params.copy()
     rng = Rng(cfg.seed).split(f"grow/step{step}")
@@ -298,8 +295,8 @@ def _scaled(slot, name, weight, bsz):
     return grad.reshape(-1, grad.shape[-1])
 
 
-def run_step(state, cfg, step, data, on_epoch_end=None):
-    """Train the current step over its image subset.
+def run_step(state, cfg, data, on_epoch_end=None):
+    """Train step state.step over its image subset.
 
     ``data`` is the step's list of SegSamples with collapsed labels, all
     of one image size (a batch of mixed sizes raises DimensionError when it
@@ -308,10 +305,9 @@ def run_step(state, cfg, step, data, on_epoch_end=None):
     epoch makes one loss-log row of per-epoch mean loss terms, passed to
     ``on_epoch_end(state, row)``; the StepOutcome holds them in order.
     """
+    step = state.step
     if not data:
         raise ProtocolError(f"step {step} has no training images")
-    if step != state.step:
-        raise ProtocolError(f"state is at step {state.step}, not {step}")
     current = sorted(cfg.split.classes_at(step))
     lr = cfg.lr_initial if step == 1 else cfg.lr_continual
     params = state.params
@@ -550,13 +546,13 @@ def run_continual(cfg, samples, out_dir=None, test_samples=None,
 
     for t in range(state.step, n_steps + 1):
         if t > state.step:
-            enter_step(state, cfg, t)
+            enter_step(state, cfg)
             save_latest(state)
         if state.epoch < cfg.epochs:
             tracker.begin_step(t, allowed[t])
             data = [collapse_labels(tracker.fetch(i), split, t) for i in allowed[t]]
             outcomes.append(
-                run_step(state, cfg, t, data, on_epoch_end=end_epoch)
+                run_step(state, cfg, data, on_epoch_end=end_epoch)
             )
         if out_dir is not None:
             save_checkpoint(os.path.join(out_dir, f"step{t}.ckpt"), state)

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from fairseg.config import default_config
-from fairseg.synthdata import (
-    SegSample,
-    TaskSplit,
-    generate,
-    shapes_benchmark,
-)
+from fairseg.synthdata import BenchmarkSpec, SegSample, TaskSplit, generate
 
 # Verdict lines recorded by the acceptance tests; echoed after the run so
 # they are visible without -s.
@@ -33,15 +28,15 @@ def tiny_spec(**overrides):
     """A 4-class 16x16 benchmark small enough for per-test generation."""
     kwargs = dict(
         num_classes=4,
-        image_size=(16, 16),
+        image_height=16,
+        image_width=16,
         noise_sigma=0.02,
         train_count=24,
         test_count=8,
         seed=11,
-        zipf_exponent=1.5,
     )
     kwargs.update(overrides)
-    return shapes_benchmark(**kwargs)
+    return BenchmarkSpec(**kwargs).validate()
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,6 @@ from fairseg.trainer import TrainConfig
 
 SMALL_INI = """\
 [benchmark]
-name = shapes-4
 num_classes = 4
 image_height = 16
 image_width = 16
@@ -219,6 +218,23 @@ class TestConfig:
         cfg = load_config(None, [("model", key, value)])
         with pytest.raises(ConfigError, match=key):
             cfg.train_config(num_classes=8)
+
+    @pytest.mark.parametrize("command, old, new", [
+        ("gen", "noise_sigma = 0.02", "noise_sigma = nan"),
+        ("train", "[train]\n", "[train]\nlr_initial = nan\n"),
+        ("train", "[train]\n", "[losses]\nclamp_max = inf\n\n[train]\n"),
+    ], ids=["benchmark-noise_sigma", "train-lr_initial", "losses-clamp_max"])
+    def test_non_finite_float_exits_2_and_writes_nothing(
+            self, workspace, tmp_path, capsys, command, old, new):
+        ini = tmp_path / "nonfinite.ini"
+        ini.write_text(SMALL_INI.replace(old, new))
+        out = tmp_path / "out"
+        inputs = ("--dataset", str(workspace["data"] / "train.bin"))
+        code, _ = run_cli(command, "--config", str(ini), "--out", str(out),
+                          *(inputs if command == "train" else ()))
+        assert code == 2
+        assert "must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_acceptance_config_loads(self):
         cfg = load_config(os.path.join(REPO, "configs", "acceptance.ini"))
@@ -455,7 +471,8 @@ class TestReport:
         ft, _ = workspace["runs"]["fine-tune"]
         csv_path = tmp_path / "table.csv"
         code, text = run_cli(
-            "report", str(ft), str(full), "--out", str(csv_path)
+            "report", str(ft), str(full), "--out", str(csv_path),
+            "--baseline", "fine-tune",
         )
         assert code == 0
         assert "delta_miou_all" in text
@@ -466,6 +483,13 @@ class TestReport:
     def test_missing_run_dir_exits_3(self, tmp_path):
         code, _ = run_cli("report", str(tmp_path / "ghost"))
         assert code == 3
+
+    def test_unmatched_baseline_exits_2(self, workspace, capsys):
+        full, _ = workspace["runs"]["full"]
+        code, text = run_cli("report", str(full), "--baseline", "fine-tune-s1")
+        assert code == 2
+        assert "'fine-tune-s1'" in capsys.readouterr().err
+        assert text == ""
 
 
 class TestDispatch:

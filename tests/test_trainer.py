@@ -212,7 +212,7 @@ class TestRunStep:
         )
         samples = separable_samples(count=10)
         state = init_state(cfg)
-        outcome = run_step(state, cfg, 1, samples)
+        outcome = run_step(state, cfg, samples)
         ce = [t["ce"] for t in outcome.loss_trace]
         assert all(np.isfinite(ce))
         assert all(b < a for a, b in zip(ce, ce[1:]))
@@ -223,7 +223,7 @@ class TestRunStep:
         idx = select_step_indices(train, tiny_split, 1)
         data = [train[i] for i in idx]
         state = init_state(cfg)
-        outcome = run_step(state, cfg, 1, data)
+        outcome = run_step(state, cfg, data)
         expect = 3 * ((len(data) + 4) // 5)
         assert outcome.iterations == expect
         assert state.iteration == expect
@@ -232,8 +232,8 @@ class TestRunStep:
         cfg = tiny_config()
         train, _ = tiny_dataset
         data = train[:10]
-        out_a = run_step(init_state(cfg), cfg, 1, data)
-        out_b = run_step(init_state(cfg), cfg, 1, data)
+        out_a = run_step(init_state(cfg), cfg, data)
+        out_b = run_step(init_state(cfg), cfg, data)
         for name, arr in out_a.params.blocks.items():
             np.testing.assert_array_equal(arr, out_b.params.blocks[name])
         assert out_a.loss_trace == out_b.loss_trace
@@ -241,7 +241,7 @@ class TestRunStep:
     def test_empty_step_rejected(self):
         cfg = tiny_config()
         with pytest.raises(ProtocolError):
-            run_step(init_state(cfg), cfg, 1, [])
+            run_step(init_state(cfg), cfg, [])
 
     def test_mixed_image_sizes_rejected(self):
         cfg = tiny_config(split=TaskSplit.from_sizes("2", 2))
@@ -250,7 +250,7 @@ class TestRunStep:
         )
         state = init_state(cfg)
         with pytest.raises(DimensionError):
-            run_step(state, cfg, 1, samples)
+            run_step(state, cfg, samples)
         assert state.iteration == 0
 
     def test_mid_step_resume_matches_uninterrupted(self, tmp_path,
@@ -260,17 +260,17 @@ class TestRunStep:
 
         straight_cfg = tiny_config(epochs=4)
         straight = init_state(straight_cfg)
-        run_step(straight, straight_cfg, 1, data)
+        run_step(straight, straight_cfg, data)
 
         half_cfg = tiny_config(epochs=2)
         state = init_state(half_cfg)
-        run_step(state, half_cfg, 1, data)
+        run_step(state, half_cfg, data)
         path = tmp_path / "half.ckpt"
         save_checkpoint(path, state)
         resumed_cfg = tiny_config(epochs=4)
         resumed = load_checkpoint(path)
         assert resumed.epoch == 2
-        run_step(resumed, resumed_cfg, 1, data)
+        run_step(resumed, resumed_cfg, data)
 
         for name, arr in straight.params.blocks.items():
             np.testing.assert_array_equal(arr, resumed.params.blocks[name])
