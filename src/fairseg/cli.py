@@ -27,6 +27,7 @@ from .losses import (
 from .metrics import (
     evaluate_model,
     normalized_entropy,
+    read_summary,
     write_report_csv,
     write_summary,
 )
@@ -39,7 +40,6 @@ from .synthdata import (
     class_pixel_counts,
     generate,
     read_dataset,
-    read_manifest,
     write_dataset,
 )
 from .trainer import ABLATIONS, run_continual
@@ -146,10 +146,10 @@ def cmd_train(args):
 def cmd_eval(args):
     ckpt = load_checkpoint(args.checkpoint)
     samples, num_classes = read_dataset(args.dataset)
-    registered = [c for step in ckpt.params.class_steps for c in step]
-    if registered and max(registered) > num_classes:
+    top = ckpt.params.row_classes.max()
+    if top > num_classes:
         raise LabelError(
-            f"checkpoint knows class {max(registered)} but dataset has "
+            f"checkpoint knows class {top} but dataset has "
             f"only {num_classes} classes"
         )
     split = TaskSplit(steps=ckpt.params.class_steps).validate(num_classes)
@@ -343,7 +343,7 @@ def load_run_summary(run_dir):
     path = os.path.join(run_dir, "summary.txt")
     if not os.path.exists(path):
         raise FormatError(f"no summary.txt in run directory {run_dir}")
-    fields = read_manifest(path)
+    fields = read_summary(path)
     row = {"name": os.path.basename(os.path.normpath(run_dir))}
     for col in _REPORT_COLUMNS:
         raw = fields.get(col, "nan")

@@ -15,11 +15,11 @@ from typing import Dict
 
 import numpy as np
 
-from .errors import DimensionError, LabelError, UnavailableError
+from .errors import DimensionError, FormatError, LabelError, UnavailableError
 from .fileio import atomic_open
 from .model import forward_batch
 from .numerics import softmax
-from .synthdata import IGNORE_ID, evaluation_labels, write_manifest
+from .synthdata import IGNORE_ID, evaluation_labels
 
 
 class ConfusionMatrix:
@@ -251,19 +251,15 @@ def evaluate_model(params, samples, split, step, batch_size=8):
     """
     known = sorted(split.known_through(step))
     num_labels = max(params.num_rows, (max(known) + 1) if known else 1)
-    row_to_id = np.array(
-        [params.class_of_row(r) for r in range(params.num_rows)], dtype=np.int64
-    )
+    row_to_id = params.row_classes
     num_labels = max(num_labels, int(row_to_id.max()) + 1)
     cm = ConfusionMatrix(num_labels)
     ce_sums = np.zeros(num_labels)
     ce_counts = np.zeros(num_labels, dtype=np.int64)
     islands_total = 0
-    rm = params.row_map()
     id_to_row = np.full(num_labels, -1, dtype=np.int64)
-    for cid in known:
-        if cid in rm:
-            id_to_row[cid] = rm[cid]
+    known_rows = np.flatnonzero(np.isin(row_to_id, known))
+    id_to_row[row_to_id[known_rows]] = known_rows
     # forward_batch takes one image size: split each batch into same-size runs
     chunks = [
         list(run)
@@ -318,4 +314,22 @@ def write_report_csv(path, report):
 
 
 def write_summary(path, report):
-    write_manifest(path, report.summary_fields())
+    """The report's summary fields as ``key=value`` lines."""
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        for key, value in report.summary_fields().items():
+            fh.write(f"{key}={value}\n")
+
+
+def read_summary(path):
+    """A summary file's fields as a dict of strings."""
+    fields = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            if "=" not in line:
+                raise FormatError(f"summary line without '=': {line!r}")
+            key, value = line.split("=", 1)
+            fields[key] = value
+    return fields

@@ -8,6 +8,7 @@ Forward and backward are exact analytic numpy; there is no autodiff graph.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -20,7 +21,7 @@ from .numerics import RNG_ALGORITHM_ID, Rng
 from .prototypes import FeatureBank, PrototypeBank, ProtoEntry
 
 CHECKPOINT_MAGIC = b"FCLK"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 @dataclass
@@ -36,22 +37,10 @@ class ModelParams:
         return self.blocks["head.W"].shape[0]
 
     @property
-    def known_classes(self):
-        out = []
-        for step in self.class_steps:
-            out.extend(step)
-        return tuple(out)
-
-    def row_map(self):
-        rows = {0: 0}
-        for i, cid in enumerate(self.known_classes):
-            rows[cid] = 1 + i
-        return rows
-
-    def class_of_row(self, row):
-        if row == 0:
-            return 0
-        return self.known_classes[row - 1]
+    def row_classes(self):
+        """The class id of each head row: background, then each step's ids."""
+        return np.array([0, *(c for ids in self.class_steps for c in ids)],
+                        dtype=np.int64)
 
     def copy(self):
         return ModelParams(
@@ -250,75 +239,51 @@ class TrainState:
     distill_params: Optional[ModelParams] = None  # frozen previous-step model
 
 
-def _write_block(fh, name, arr):
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
-    name_b = name.encode("utf-8")
-    fh.write(len(name_b).to_bytes(2, "little"))
-    fh.write(name_b)
-    fh.write(arr.ndim.to_bytes(1, "little"))
-    for dim in arr.shape:
-        fh.write(int(dim).to_bytes(4, "little"))
-    fh.write(arr.astype("<f8").tobytes())
-
-
-def _blocks_from_state(state):
-    blocks = {}
-    p = state.params
-    blocks["model/shape"] = np.array(
-        [p.patch_size, p.feature_dim, len(p.hidden), *p.hidden], dtype=np.float64
-    )
-    for name in sorted(p.blocks):
-        blocks[f"params/{name}"] = p.blocks[name]
-    for name in sorted(state.momentum):
-        blocks[f"momentum/{name}"] = state.momentum[name]
-    if state.distill_params is not None:
-        distill = state.distill_params.blocks
-        for name in sorted(distill):
-            blocks[f"distill/{name}"] = distill[name]
-    proto_ids = sorted(state.protos.entries)
-    blocks["proto/ids"] = np.array(proto_ids, dtype=np.float64)
-    blocks["proto/frozen"] = np.array(
-        [1.0 if state.protos.entries[c].frozen else 0.0 for c in proto_ids]
-    )
-    blocks["proto/initialized"] = np.array(
-        [1.0 if state.protos.entries[c].initialized else 0.0 for c in proto_ids]
-    )
-    for cid in proto_ids:
-        blocks[f"proto/vec/{cid}"] = state.protos.entries[cid].vector
-    bank_ids = sorted(state.bank.queues)
-    blocks["bank/ids"] = np.array(bank_ids, dtype=np.float64)
-    for cid in bank_ids:
-        blocks[f"bank/queue/{cid}"] = state.bank.queues[cid]
-    blocks["trainer/progress"] = np.array(
-        [float(state.epoch), float(state.iteration), float(state.bank.capacity)]
-    )
-    return blocks
+def _arrays_of(state):
+    """The checkpoint's (name, array) pairs in file order."""
+    distill = state.distill_params.blocks if state.distill_params else {}
+    vectors = {cid: e.vector for cid, e in state.protos.entries.items()}
+    groups = (("params", state.params.blocks), ("momentum", state.momentum),
+              ("distill", distill), ("proto", vectors), ("bank", state.bank.queues))
+    return [(f"{prefix}/{key}", arrays[key])
+            for prefix, arrays in groups for key in sorted(arrays)]
 
 
 def save_checkpoint(path, state):
-    """Serialize a TrainState; block order is canonical, so bytes are stable.
+    """Serialize a TrainState: magic, u16 version, u32 header length, a
+    sorted-key JSON header, then each array of the header's ``arrays`` list
+    as little-endian float64, in that order, so bytes are stable.
 
     The file is replaced only once fully written (see ``atomic_open``).
     """
+    p = state.params
+    arrays = [(name, np.asarray(arr, dtype="<f8")) for name, arr in _arrays_of(state)]
+    header = json.dumps({
+        "rng": RNG_ALGORITHM_ID,
+        "preset": state.preset,
+        "step": state.step,
+        "epoch": state.epoch,
+        "iteration": state.iteration,
+        "patch_size": p.patch_size,
+        "feature_dim": p.feature_dim,
+        "hidden": p.hidden,
+        "class_steps": p.class_steps,
+        "bank_capacity": state.bank.capacity,
+        "protos": [[cid, e.frozen, e.initialized]
+                   for cid, e in sorted(state.protos.entries.items())],
+        "arrays": [[name, arr.shape] for name, arr in arrays],
+    }, sort_keys=True).encode("utf-8")
     with atomic_open(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(CHECKPOINT_VERSION.to_bytes(2, "little"))
-        algo = RNG_ALGORITHM_ID.encode("utf-8")
-        preset = state.preset.encode("utf-8")
-        for text in (algo, preset):
-            fh.write(len(text).to_bytes(1, "little"))
-            fh.write(text)
-        fh.write(int(state.step).to_bytes(4, "little"))
-        fh.write(len(state.params.class_steps).to_bytes(4, "little"))
-        for step_classes in state.params.class_steps:
-            fh.write(len(step_classes).to_bytes(4, "little"))
-            for cid in step_classes:
-                fh.write(int(cid).to_bytes(4, "little"))
-        for name, arr in _blocks_from_state(state).items():
-            _write_block(fh, name, arr)
+        fh.write(len(header).to_bytes(4, "little"))
+        fh.write(header)
+        for _, arr in arrays:
+            fh.write(arr.tobytes())
 
 
 def load_checkpoint(path):
+    """The TrainState saved at ``path``; a malformed file raises FormatError."""
     with open(path, "rb") as fh:
         magic = read_exact(fh, 4, "magic")
         if magic != CHECKPOINT_MAGIC:
@@ -329,115 +294,64 @@ def load_checkpoint(path):
         version = int.from_bytes(read_exact(fh, 2, "version"), "little")
         if version != CHECKPOINT_VERSION:
             raise FormatError(f"unsupported checkpoint version {version}")
-        algo_len = read_exact(fh, 1, "algorithm id length")[0]
-        algo = read_exact(fh, algo_len, "algorithm id").decode("utf-8")
-        if algo != RNG_ALGORITHM_ID:
-            raise FormatError(
-                f"checkpoint written by PRNG {algo!r}, this build uses "
-                f"{RNG_ALGORITHM_ID!r}"
-            )
-        preset_len = read_exact(fh, 1, "preset length")[0]
-        preset = read_exact(fh, preset_len, "preset").decode("utf-8")
-        step = int.from_bytes(read_exact(fh, 4, "step"), "little")
-        n_steps = int.from_bytes(read_exact(fh, 4, "registry size"), "little")
-        class_steps = []
-        for _ in range(n_steps):
-            n = int.from_bytes(read_exact(fh, 4, "registry entry"), "little")
-            ids = tuple(
-                int.from_bytes(read_exact(fh, 4, "class id"), "little")
-                for _ in range(n)
-            )
-            class_steps.append(ids)
-        blocks = {}
-        while True:
-            head = fh.read(2)
-            if not head:
-                break
-            if len(head) != 2:
-                raise FormatError("truncated block header", offset=fh.tell())
-            name_len = int.from_bytes(head, "little")
-            name = read_exact(fh, name_len, "block name").decode("utf-8")
-            rank = read_exact(fh, 1, "block rank")[0]
-            dims = tuple(
-                int.from_bytes(read_exact(fh, 4, "block dim"), "little")
-                for _ in range(rank)
-            )
-            size = 1
-            for d in dims:
-                size *= d
-            payload = read_exact(fh, size * 8, f"block '{name}' payload")
-            blocks[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
-    return _state_from_blocks(step, preset, tuple(class_steps), blocks)
+        size = int.from_bytes(read_exact(fh, 4, "header length"), "little")
+        try:
+            header = json.loads(read_exact(fh, size, "header"))
+        except ValueError as exc:
+            raise FormatError(f"checkpoint header is not JSON: {exc}") from exc
+        try:
+            if header["rng"] != RNG_ALGORITHM_ID:
+                raise FormatError(
+                    f"checkpoint written by PRNG {header['rng']!r}, this build "
+                    f"uses {RNG_ALGORITHM_ID!r}"
+                )
+            arrays = {}
+            for name, shape in header["arrays"]:
+                if not all(type(d) is int and d >= 0 for d in shape):
+                    raise FormatError(f"array {name!r} has a bad shape {shape}")
+                payload = read_exact(fh, 8 * math.prod(shape), f"array '{name}'")
+                arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+            if fh.read(1):
+                raise FormatError("trailing bytes after the last array",
+                                  offset=fh.tell() - 1)
+            return _state_of(header, arrays)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"malformed checkpoint: {exc!r}") from exc
 
 
-def _state_from_blocks(step, preset, class_steps, blocks):
-    try:
-        shape = blocks["model/shape"]
-        patch_size = int(shape[0])
-        feature_dim = int(shape[1])
-        n_hidden = int(shape[2])
-        hidden = tuple(int(v) for v in shape[3 : 3 + n_hidden])
-        param_blocks = {
-            name[len("params/"):]: arr
-            for name, arr in blocks.items()
-            if name.startswith("params/")
-        }
-        params = ModelParams(
-            patch_size=patch_size,
-            feature_dim=feature_dim,
-            hidden=hidden,
-            blocks=param_blocks,
-            class_steps=class_steps,
-        )
-        momentum = {
-            name[len("momentum/"):]: arr
-            for name, arr in blocks.items()
-            if name.startswith("momentum/")
-        }
-        distill = {
-            name[len("distill/"):]: arr
-            for name, arr in blocks.items()
-            if name.startswith("distill/")
-        }
-        protos = PrototypeBank(feature_dim)
-        proto_ids = [int(v) for v in blocks["proto/ids"]]
-        frozen = blocks["proto/frozen"]
-        initialized = blocks["proto/initialized"]
-        for i, cid in enumerate(proto_ids):
-            protos.entries[cid] = ProtoEntry(
-                vector=blocks[f"proto/vec/{cid}"],
-                frozen=bool(frozen[i]),
-                initialized=bool(initialized[i]),
-            )
-        progress = blocks["trainer/progress"]
-        epoch = int(progress[0])
-        iteration = int(progress[1])
-        capacity = int(progress[2])
-        bank = FeatureBank(feature_dim, capacity)
-        for cid in (int(v) for v in blocks["bank/ids"]):
-            bank.deposit_many(cid, blocks[f"bank/queue/{cid}"])
-    except KeyError as exc:
-        raise FormatError(f"checkpoint missing block {exc}") from exc
+def _state_of(header, arrays):
+    def group(prefix):
+        return {name[len(prefix):]: arr for name, arr in arrays.items()
+                if name.startswith(prefix)}
+
+    feature_dim = header["feature_dim"]
+    class_steps = tuple(tuple(ids) for ids in header["class_steps"])
+
+    def model(blocks, steps):
+        return ModelParams(patch_size=header["patch_size"], feature_dim=feature_dim,
+                           hidden=tuple(header["hidden"]), blocks=blocks,
+                           class_steps=steps)
+
+    params = model(group("params/"), class_steps)
     for name, arr in params.blocks.items():
         if not np.all(np.isfinite(arr)):
             raise FormatError(f"parameter block {name} has non-finite values")
-    distill_params = None
-    if distill:
-        distill_params = ModelParams(
-            patch_size=patch_size,
-            feature_dim=feature_dim,
-            hidden=hidden,
-            blocks=distill,
-            class_steps=class_steps[:-1],
-        )
+    distill = group("distill/")
+    protos = PrototypeBank(feature_dim)
+    for cid, frozen, initialized in header["protos"]:
+        protos.entries[cid] = ProtoEntry(vector=arrays[f"proto/{cid}"],
+                                         frozen=frozen, initialized=initialized)
+    bank = FeatureBank(feature_dim, header["bank_capacity"])
+    for cid, queue in group("bank/").items():
+        bank.deposit_many(int(cid), queue)
     return TrainState(
         params=params,
-        momentum=momentum,
+        momentum=group("momentum/"),
         protos=protos,
         bank=bank,
-        step=step,
-        epoch=epoch,
-        iteration=iteration,
-        preset=preset,
-        distill_params=distill_params,
+        preset=header["preset"],
+        step=header["step"],
+        epoch=header["epoch"],
+        iteration=header["iteration"],
+        distill_params=model(distill, class_steps[:-1]) if distill else None,
     )

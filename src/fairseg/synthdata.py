@@ -356,22 +356,3 @@ def read_dataset(path):
             raise FormatError("trailing bytes after last sample", offset=fh.tell() - 1)
     return samples, num_classes
 
-
-def write_manifest(path, fields):
-    with atomic_open(path, "w", encoding="utf-8") as fh:
-        for key, value in fields.items():
-            fh.write(f"{key}={value}\n")
-
-
-def read_manifest(path):
-    fields = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if "=" not in line:
-                raise FormatError(f"manifest line without '=': {line!r}")
-            key, value = line.split("=", 1)
-            fields[key] = value
-    return fields

@@ -32,7 +32,7 @@ from .losses import (
     weighted_ce,
 )
 from .fileio import atomic_open
-from .metrics import evaluate_model, write_report_csv, write_summary
+from .metrics import evaluate_model, read_summary, write_report_csv, write_summary
 from .model import (
     ModelParams,
     TrainState,
@@ -58,7 +58,6 @@ from .synthdata import (
     TaskSplit,
     class_pixel_counts,
     collapse_labels,
-    read_manifest,
     select_step_indices,
 )
 
@@ -312,8 +311,7 @@ def run_step(state, cfg, data, on_epoch_end=None):
     lr = cfg.lr_initial if step == 1 else cfg.lr_continual
     params = state.params
     id_to_row = np.full(IGNORE_ID + 1, -1, dtype=np.int64)
-    for cid, row in params.row_map().items():
-        id_to_row[cid] = row
+    id_to_row[params.row_classes] = np.arange(params.num_rows)
     n = len(data)
     per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
     terms = ABLATIONS[cfg.preset]
@@ -464,7 +462,7 @@ def _read_step_miou(out_dir, step):
         )
     path = os.path.join(out_dir, f"summary_step{step}.txt")
     try:
-        return float(read_manifest(path)["miou_all"])
+        return float(read_summary(path)["miou_all"])
     except (OSError, KeyError, ValueError) as exc:
         raise FormatError(
             f"cannot read the step {step} mIoU(all) from {path}: {exc!r}"

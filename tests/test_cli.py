@@ -448,6 +448,19 @@ class TestEval:
         )
         assert code == 3
 
+    def test_version_3_checkpoint_exits_3(self, workspace, tmp_path, capsys):
+        out, _ = workspace["runs"]["full"]
+        raw = bytearray((out / "step2.ckpt").read_bytes())
+        raw[4:6] = (3).to_bytes(2, "little")
+        old = tmp_path / "v3.ckpt"
+        old.write_bytes(bytes(raw))
+        code, _ = run_cli(
+            "eval", "--checkpoint", str(old),
+            "--dataset", str(workspace["data"] / "test.bin"),
+        )
+        assert code == 3
+        assert "unsupported checkpoint version 3" in capsys.readouterr().err
+
 
 class TestGradcheckCommand:
     def test_passes_with_few_trials(self):
@@ -483,6 +496,14 @@ class TestReport:
     def test_missing_run_dir_exits_3(self, tmp_path):
         code, _ = run_cli("report", str(tmp_path / "ghost"))
         assert code == 3
+
+    def test_summary_line_without_equals_exits_3(self, tmp_path, capsys):
+        run = tmp_path / "broken"
+        run.mkdir()
+        (run / "summary.txt").write_text("miou_all=0.5\nno equals sign\n")
+        code, _ = run_cli("report", str(run))
+        assert code == 3
+        assert "summary line without '='" in capsys.readouterr().err
 
     def test_unmatched_baseline_exits_2(self, workspace, capsys):
         full, _ = workspace["runs"]["full"]

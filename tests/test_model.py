@@ -1,5 +1,7 @@
 """Patch-MLP forward/backward, head growth, checkpoint persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from fairseg.losses import (
     weighted_ce,
 )
 from fairseg.prototypes import ClusterConfig
-from fairseg import model
 from fairseg.model import (
     TrainState,
     backward_batch,
@@ -251,7 +252,7 @@ class TestGrowHead:
         np.testing.assert_array_equal(
             grown.blocks["head.b"][:6], params.blocks["head.b"]
         )
-        assert grown.known_classes == (1, 2, 3, 4, 5, 6, 7, 8)
+        assert grown.row_classes.tolist() == [0, 1, 2, 3, 4, 5, 6, 7, 8]
 
     def test_old_logits_unchanged(self):
         params = small_params()
@@ -278,8 +279,7 @@ class TestGrowHead:
     def test_row_lookup(self):
         params = small_params(2, (4, 9))
         grown = grow_head(params, (2,), Rng(5))
-        assert grown.row_map() == {0: 0, 4: 1, 9: 2, 2: 3}
-        assert grown.class_of_row(3) == 2
+        assert grown.row_classes.tolist() == [0, 4, 9, 2]
 
 
 class TestBackward:
@@ -467,19 +467,33 @@ class TestCheckpoint:
         path = tmp_path / "latest.ckpt"
         save_checkpoint(path, make_checkpoint())
         before = path.read_bytes()
-        real_write = model._write_block
         written = []
 
-        def write_then_fail(fh, name, arr):
-            if len(written) == 5:
-                raise OSError("disk full")
-            written.append(name)
-            real_write(fh, name, arr)
+        class FailingFile:
+            """A real file whose fifth write raises."""
 
-        monkeypatch.setattr(model, "_write_block", write_then_fail)
-        with pytest.raises(OSError, match="disk full"):
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
+
+            def write(self, data):
+                if len(written) == 4:
+                    raise OSError("disk full")
+                written.append(len(data))
+                return self.fh.write(data)
+
+        real_open = open
+        with monkeypatch.context() as patched, \
+                pytest.raises(OSError, match="disk full"):
+            patched.setattr("builtins.open",
+                            lambda *a, **kw: FailingFile(real_open(*a, **kw)))
             save_checkpoint(path, make_checkpoint(seed=52))
-        assert len(written) == 5
+        assert len(written) == 4
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["latest.ckpt"]
         assert load_checkpoint(path).iteration == 17
@@ -526,3 +540,79 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="truncated file .* while reading") as info:
             load_checkpoint(path)
         assert info.value.offset == len(raw) - 3
+
+    def test_header_lists_every_array_in_file_order(self, tmp_path):
+        path = tmp_path / "layout.ckpt"
+        ckpt = make_checkpoint(with_distill=True)
+        save_checkpoint(path, ckpt)
+        header, body = split_checkpoint(path)
+        names = [name for name, _ in header["arrays"]]
+        assert names[0].startswith("params/")
+        assert names[-3:] == ["proto/2", "bank/0", "bank/2"]
+        assert [n.split("/")[0] for n in names] == sorted(
+            (n.split("/")[0] for n in names),
+            key=["params", "momentum", "distill", "proto", "bank"].index,
+        )
+        assert header["protos"] == [[0, False, False], [1, True, True],
+                                    [2, False, False]]
+        assert header["bank_capacity"] == 7
+        sizes = [8 * int(np.prod(shape)) for _, shape in header["arrays"]]
+        assert len(body) == sum(sizes)
+
+    def test_other_prng_rejected(self, tmp_path):
+        path = tmp_path / "rng.ckpt"
+        save_checkpoint(path, make_checkpoint())
+        header, body = split_checkpoint(path)
+        header["rng"] = "mt19937"
+        join_checkpoint(path, json.dumps(header).encode(), body)
+        with pytest.raises(FormatError, match="PRNG 'mt19937'"):
+            load_checkpoint(path)
+
+    def test_header_not_json_rejected(self, tmp_path):
+        path = tmp_path / "json.ckpt"
+        save_checkpoint(path, make_checkpoint())
+        _, body = split_checkpoint(path)
+        join_checkpoint(path, b"{not json", body)
+        with pytest.raises(FormatError, match="not JSON"):
+            load_checkpoint(path)
+
+    def test_negative_dimension_rejected(self, tmp_path):
+        path = tmp_path / "dim.ckpt"
+        save_checkpoint(path, make_checkpoint())
+        header, body = split_checkpoint(path)
+        header["arrays"][0][1] = [-1, 4]
+        join_checkpoint(path, json.dumps(header).encode(), body)
+        with pytest.raises(FormatError, match="bad shape"):
+            load_checkpoint(path)
+
+    def test_trailing_byte_rejected(self, tmp_path):
+        path = tmp_path / "tail.ckpt"
+        save_checkpoint(path, make_checkpoint())
+        raw = path.read_bytes()
+        path.write_bytes(raw + b"\0")
+        with pytest.raises(FormatError, match="trailing") as info:
+            load_checkpoint(path)
+        assert info.value.offset == len(raw)
+
+    def test_missing_prototype_array_rejected(self, tmp_path):
+        path = tmp_path / "proto.ckpt"
+        save_checkpoint(path, make_checkpoint())
+        header, body = split_checkpoint(path)
+        header["protos"].append([7, False, False])
+        join_checkpoint(path, json.dumps(header).encode(), body)
+        with pytest.raises(FormatError, match="proto/7"):
+            load_checkpoint(path)
+
+
+def split_checkpoint(path):
+    """A checkpoint file's parsed JSON header and the array bytes after it."""
+    raw = path.read_bytes()
+    size = int.from_bytes(raw[6:10], "little")
+    return json.loads(raw[10 : 10 + size]), raw[10 + size :]
+
+
+def join_checkpoint(path, header, body):
+    """Rewrite a checkpoint file with these header bytes and array bytes."""
+    magic_and_version = path.read_bytes()[:6]
+    path.write_bytes(magic_and_version + len(header).to_bytes(4, "little")
+                     + header + body)

@@ -1,6 +1,7 @@
 """Benchmark generation, continual splits, label collapse, dataset I/O."""
 
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import tiny_spec
 from fairseg.config import default_config
 from fairseg.errors import ConfigError, FormatError
-from fairseg.metrics import normalized_entropy
+from fairseg.metrics import normalized_entropy, write_summary
 from fairseg.synthdata import (
     BACKGROUND_ID,
     IGNORE_ID,
@@ -23,7 +24,6 @@ from fairseg.synthdata import (
     read_dataset,
     select_step_indices,
     write_dataset,
-    write_manifest,
     zipf_frequencies,
 )
 
@@ -299,12 +299,15 @@ class TestDatasetIO:
             def __format__(self, spec):
                 raise RuntimeError("interrupted")
 
+        def report(**fields):
+            return SimpleNamespace(summary_fields=lambda: fields)
+
         if name == "summary.txt":
-            write_manifest(path, {"step": "1", "miou_all": "0.5"})
+            write_summary(path, report(step="1", miou_all="0.5"))
             before = path.read_bytes()
             # the first line is written before the second one fails
             with pytest.raises(RuntimeError):
-                write_manifest(path, {"step": "2", "miou_all": Unwritable()})
+                write_summary(path, report(step="2", miou_all=Unwritable()))
         else:
             write_dataset(train[:2], path, num_classes=4)
             before = path.read_bytes()
