@@ -9,6 +9,7 @@ configuration before running.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 
@@ -146,7 +147,7 @@ def cmd_train(args):
 def cmd_eval(args):
     ckpt = load_checkpoint(args.checkpoint)
     samples, num_classes = read_dataset(args.dataset)
-    top = ckpt.params.row_classes.max()
+    top = ckpt.params.num_rows - 1
     if top > num_classes:
         raise LabelError(
             f"checkpoint knows class {top} but dataset has "
@@ -379,8 +380,6 @@ def cmd_report(args):
             cells.append(f"{row.get(h, float('nan')):.4f}".ljust(w))
         print("  ".join(cells))
     if args.out is not None:
-        import csv
-
         with atomic_open(args.out, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=header)
             writer.writeheader()

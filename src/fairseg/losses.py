@@ -258,7 +258,6 @@ def cons_loss(image, probs, cfg):
     color-affinity kernel, averaged over ordered neighbor pairs.  Gradients
     are returned on probs and, through the softmax Jacobian, on logits.
     """
-    cfg.validate()
     img = np.asarray(image, dtype=np.float64)
     pr = np.asarray(probs, dtype=np.float64)
     if img.ndim not in (3, 4) or pr.ndim != img.ndim or img.shape[:-1] != pr.shape[:-1]:

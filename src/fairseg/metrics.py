@@ -204,10 +204,9 @@ def grouped_report(cm, split, step, per_class_ce=None, num_images=0):
     introduced afterwards, all = background plus every foreground class,
     major/minor = frequency split of foreground ids by median pixel share.
     """
-    known = sorted(split.known_through(step))
-    initial = sorted(c for c in split.classes_at(1) if c != 0)
-    later = [c for c in known if c != 0 and c not in initial]
-    fg = [c for c in known if c != 0]
+    fg = sorted(split.known_through(step))
+    initial = sorted(split.classes_at(1))
+    later = [c for c in fg if c not in initial]
     per_class = cm.per_class_iou()
     major, minor = frequency_groups(cm, fg)
     ce = dict(per_class_ce or {})
@@ -249,17 +248,11 @@ def evaluate_model(params, samples, split, step, batch_size=8):
     classes count as background, matching what the model could have seen.
     Returns (MetricsReport, ConfusionMatrix).
     """
-    known = sorted(split.known_through(step))
-    num_labels = max(params.num_rows, (max(known) + 1) if known else 1)
-    row_to_id = params.row_classes
-    num_labels = max(num_labels, int(row_to_id.max()) + 1)
+    num_labels = max(params.num_rows, max(split.known_through(step)) + 1)
     cm = ConfusionMatrix(num_labels)
     ce_sums = np.zeros(num_labels)
     ce_counts = np.zeros(num_labels, dtype=np.int64)
     islands_total = 0
-    id_to_row = np.full(num_labels, -1, dtype=np.int64)
-    known_rows = np.flatnonzero(np.isin(row_to_id, known))
-    id_to_row[row_to_id[known_rows]] = known_rows
     # forward_batch takes one image size: split each batch into same-size runs
     chunks = [
         list(run)
@@ -272,19 +265,16 @@ def evaluate_model(params, samples, split, step, batch_size=8):
         preds, _ = forward_batch(params, [s.image for s in chunk])
         for sample, pred in zip(chunk, preds):
             ref = evaluation_labels(sample, split, step).labels
-            rows = np.argmax(pred.logits, axis=2)
-            ids = row_to_id[rows]
+            ids = np.argmax(pred.logits, axis=2)
             cm.accumulate(ref, ids)
             islands_total += single_pixel_islands(ids)
-            valid = ref != IGNORE_ID
-            ref_rows = np.where(valid, id_to_row[np.where(valid, ref, 0)], -1)
-            sel = ref_rows >= 0
+            sel = (ref != IGNORE_ID) & (ref < params.num_rows)  # row = class id
             if sel.any():
                 p = softmax(pred.logits[sel])
-                r = ref_rows[sel]
+                r = ref[sel].astype(np.int64)
                 ce = -np.log(np.maximum(p[np.arange(r.size), r], 1e-300))
-                np.add.at(ce_sums, ref[sel].astype(np.int64), ce)
-                np.add.at(ce_counts, ref[sel].astype(np.int64), 1)
+                np.add.at(ce_sums, r, ce)
+                np.add.at(ce_counts, r, 1)
     per_class_ce = {
         int(c): float(ce_sums[c] / ce_counts[c])
         for c in np.flatnonzero(ce_counts)

@@ -2,7 +2,8 @@
 
 The model is a patch MLP: each pixel's k x k x 3 neighborhood (reflect
 padded) is flattened and pushed through ReLU hidden layers, a linear map to
-a D-dimensional feature, and a growing linear head (row 0 = background).
+a D-dimensional feature, and a growing linear head whose row c predicts
+class c (row 0 = background).
 Forward and backward are exact analytic numpy; there is no autodiff graph.
 """
 
@@ -19,6 +20,7 @@ from .errors import ConfigError, DimensionError, FormatError
 from .fileio import atomic_open, read_exact
 from .numerics import RNG_ALGORITHM_ID, Rng
 from .prototypes import FeatureBank, PrototypeBank, ProtoEntry
+from .synthdata import TaskSplit
 
 CHECKPOINT_MAGIC = b"FCLK"
 CHECKPOINT_VERSION = 4
@@ -30,17 +32,11 @@ class ModelParams:
     feature_dim: int
     hidden: Tuple[int, ...]
     blocks: dict  # name -> float64 array
-    class_steps: Tuple[Tuple[int, ...], ...]  # registered class ids per step
+    class_steps: Tuple[Tuple[int, ...], ...]  # class ids per step; row c is class c
 
     @property
     def num_rows(self):
         return self.blocks["head.W"].shape[0]
-
-    @property
-    def row_classes(self):
-        """The class id of each head row: background, then each step's ids."""
-        return np.array([0, *(c for ids in self.class_steps for c in ids)],
-                        dtype=np.int64)
 
     def copy(self):
         return ModelParams(
@@ -326,6 +322,10 @@ def _state_of(header, arrays):
 
     feature_dim = header["feature_dim"]
     class_steps = tuple(tuple(ids) for ids in header["class_steps"])
+    try:  # head row c predicts class c only for a split's numbering
+        TaskSplit(class_steps).validate()
+    except ConfigError as exc:
+        raise FormatError(f"checkpoint class registry: {exc}") from exc
 
     def model(blocks, steps):
         return ModelParams(patch_size=header["patch_size"], feature_dim=feature_dim,

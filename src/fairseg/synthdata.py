@@ -106,21 +106,25 @@ def default_palette(num_classes):
 
 @dataclass(frozen=True)
 class TaskSplit:
-    """Ordered disjoint class-id sets, one per continual step."""
+    """Ordered class-id sets, one per continual step.
+
+    A valid split numbers its classes 1, 2, ... in step order, so head row
+    c of a model trained on it predicts class c.
+    """
 
     steps: Tuple[Tuple[int, ...], ...]
 
     def validate(self, num_classes=None):
-        seen = set()
-        for step in self.steps:
-            if not step:
-                raise ConfigError("empty step in task split")
-            for c in step:
-                if c < 1 or (num_classes is not None and c > num_classes):
-                    raise ConfigError(f"class id {c} outside 1..{num_classes}")
-                if c in seen:
-                    raise ConfigError(f"class id {c} appears in two steps")
-                seen.add(c)
+        if not all(self.steps):
+            raise ConfigError("empty step in task split")
+        ids = [c for step in self.steps for c in step]
+        if ids != list(range(1, len(ids) + 1)):
+            raise ConfigError(
+                f"task split {self.steps} does not number its classes "
+                f"1..{len(ids)} in step order"
+            )
+        if num_classes is not None and len(ids) > num_classes:
+            raise ConfigError(f"class id {len(ids)} outside 1..{num_classes}")
         return self
 
     @property
@@ -239,13 +243,12 @@ def generate(spec):
     return train, test
 
 
-def _keep_only(sample, ids):
-    """Labels outside ``ids`` become background; the ignore sentinel passes."""
-    keep = np.zeros(IGNORE_ID + 1, dtype=bool)
-    keep[sorted(ids)] = True
-    keep[IGNORE_ID] = True
+def _keep_only(sample, first, last):
+    """Labels outside ``first..last`` become background; the ignore sentinel
+    passes."""
     labels = sample.labels
-    collapsed = np.where(keep[labels], labels, np.uint16(BACKGROUND_ID))
+    keep = ((labels >= first) & (labels <= last)) | (labels == IGNORE_ID)
+    collapsed = np.where(keep, labels, np.uint16(BACKGROUND_ID))
     return SegSample(image=sample.image, labels=collapsed.astype(np.uint16))
 
 
@@ -255,7 +258,8 @@ def collapse_labels(sample, split, step):
     Current-step classes keep their ids; the ignore sentinel passes through;
     everything else becomes background.  The image is shared, not copied.
     """
-    return _keep_only(sample, split.classes_at(step))
+    ids = split.classes_at(step)
+    return _keep_only(sample, min(ids), max(ids))
 
 
 def evaluation_labels(sample, split, step):
@@ -266,7 +270,7 @@ def evaluation_labels(sample, split, step):
     introduced at any step up to t; classes from future steps collapse into
     background.
     """
-    return _keep_only(sample, split.known_through(step))
+    return _keep_only(sample, 1, max(split.known_through(step)))
 
 
 def select_step_indices(samples, split, step):

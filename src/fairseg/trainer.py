@@ -258,8 +258,8 @@ def enter_step(state, cfg):
                 old = state.momentum[name]
                 grown[tuple(slice(0, s) for s in old.shape)] = old
             state.momentum[name] = grown
-    old_fg = sorted(c for c in cfg.split.known_through(step - 1) if c != 0)
-    freezable = [c for c in old_fg if state.protos.is_initialized(c)]
+    known = sorted(cfg.split.known_through(step - 1))
+    freezable = [c for c in known if state.protos.is_initialized(c)]
     freeze_previous(state.protos, freezable)
     state.protos.register(new_classes)
     state.bank.reset()
@@ -298,11 +298,12 @@ def run_step(state, cfg, data, on_epoch_end=None):
     """Train step state.step over its image subset.
 
     ``data`` is the step's list of SegSamples with collapsed labels, all
-    of one image size (a batch of mixed sizes raises DimensionError when it
-    is reached).  Each iteration stacks its batch and calls every
-    loss once on it.  Resumes from state.epoch when it is nonzero.  Each
-    epoch makes one loss-log row of per-epoch mean loss terms, passed to
-    ``on_epoch_end(state, row)``; the StepOutcome holds them in order.
+    of one image size (a batch of mixed sizes raises DimensionError, and a
+    label with no head row LabelError, when it is reached).  Each
+    iteration stacks its batch and calls every loss once on it.  Resumes
+    from state.epoch when it is nonzero.  Each epoch makes one loss-log row
+    of per-epoch mean loss terms, passed to ``on_epoch_end(state, row)``;
+    the StepOutcome holds them in order.
     """
     step = state.step
     if not data:
@@ -310,8 +311,6 @@ def run_step(state, cfg, data, on_epoch_end=None):
     current = sorted(cfg.split.classes_at(step))
     lr = cfg.lr_initial if step == 1 else cfg.lr_continual
     params = state.params
-    id_to_row = np.full(IGNORE_ID + 1, -1, dtype=np.int64)
-    id_to_row[params.row_classes] = np.arange(params.num_rows)
     n = len(data)
     per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
     terms = ABLATIONS[cfg.preset]
@@ -325,7 +324,7 @@ def run_step(state, cfg, data, on_epoch_end=None):
         ids = current if step > 1 else [0] + current
         counts = class_pixel_counts(data, max(current))[ids]
         row_weights = np.ones(params.num_rows)
-        row_weights[id_to_row[ids]] = class_weights(
+        row_weights[ids] = class_weights(
             counts, cfg.weights.smoothing, cfg.weights.clamp_min,
             cfg.weights.clamp_max,
         )
@@ -342,11 +341,9 @@ def run_step(state, cfg, data, on_epoch_end=None):
             bsz = grid[0]
             feats = cache.feats.reshape(*grid, -1)
             eff, ce_mask = build_effective_labels(labels, feats, state.protos, step)
-            rows = id_to_row[np.minimum(eff, IGNORE_ID)]
-            ce_mask = ce_mask & (rows >= 0)
             # CE's gradient array is dlogits; each other term's gradient is
             # scaled in place (x lambda, then / batch) and added
-            ce = weighted_ce(cache.logits.reshape(*grid, -1), rows, ce_mask, row_weights)
+            ce = weighted_ce(cache.logits.reshape(*grid, -1), eff, ce_mask, row_weights)
             sums["ce"] += ce.value / bsz
             dlogits = ce.grads["logits"].reshape(cache.logits.shape)
             dlogits /= bsz
@@ -485,8 +482,8 @@ def run_continual(cfg, samples, out_dir=None, test_samples=None,
     CSV keeps the rows already in ``out_dir`` from before that boundary,
     and the mIoU(all) of earlier steps is read back from their summaries;
     a missing loss CSV or summary raises FormatError, and a checkpoint
-    whose [model] keys, bank capacity or preset differ from ``cfg``
-    ConfigError.
+    whose [model] keys, split steps through its step, bank capacity or
+    preset differ from ``cfg`` ConfigError.
     The CSV is rewritten before each latest.ckpt, so the two always agree.
     """
     cfg.validate()
@@ -501,12 +498,14 @@ def run_continual(cfg, samples, out_dir=None, test_samples=None,
         state = init_state(cfg)
     else:
         state = load_checkpoint(resume_from)
-        # what the checkpoint fixes: the model, its bank's capacity, its loss set
+        # what the checkpoint fixes: the model, the split through its step,
+        # its bank's capacity, its loss set
         kept = [
             (f"[model] {f.name}", getattr(state.params, f.name), getattr(cfg, f.name))
             for f in fields(cfg) if f.metadata == MODEL_KEY
         ]
         kept += [
+            ("[split] steps", state.params.class_steps, split.steps[:state.step]),
             ("[cluster] bank_capacity", state.bank.capacity, cfg.cluster.bank_capacity),
             ("[train] preset", state.preset, cfg.preset),
         ]

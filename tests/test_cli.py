@@ -375,7 +375,9 @@ class TestTrain:
          "[cluster] bank_capacity (checkpoint 500, config 7)"),
         ("", ("--ablation", "distill"),
          "[train] preset (checkpoint full, config distill)"),
-    ], ids=["bank_capacity", "preset"])
+        ("", ("--steps", "3-1"),
+         "[split] steps (checkpoint ((1, 2), (3, 4)), config ((1, 2, 3), (4,)))"),
+    ], ids=["bank_capacity", "preset", "split"])
     def test_refused_resume_leaves_run_files(self, workspace, tmp_path, capsys,
                                              ini_tail, argv, differ):
         run = tmp_path / "run"

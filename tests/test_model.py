@@ -252,7 +252,6 @@ class TestGrowHead:
         np.testing.assert_array_equal(
             grown.blocks["head.b"][:6], params.blocks["head.b"]
         )
-        assert grown.row_classes.tolist() == [0, 1, 2, 3, 4, 5, 6, 7, 8]
 
     def test_old_logits_unchanged(self):
         params = small_params()
@@ -275,11 +274,6 @@ class TestGrowHead:
     def test_empty_growth_rejected(self):
         with pytest.raises(ConfigError):
             grow_head(small_params(), (), Rng(1))
-
-    def test_row_lookup(self):
-        params = small_params(2, (4, 9))
-        grown = grow_head(params, (2,), Rng(5))
-        assert grown.row_classes.tolist() == [0, 4, 9, 2]
 
 
 class TestBackward:
@@ -574,6 +568,19 @@ class TestCheckpoint:
         _, body = split_checkpoint(path)
         join_checkpoint(path, b"{not json", body)
         with pytest.raises(FormatError, match="not JSON"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("class_steps", [
+        [[1, 3]], [[2, 1]], [[1], [1]], [[1, 2], []],
+    ], ids=["gap", "out_of_order", "duplicate", "empty_step"])
+    def test_class_registry_not_numbered_in_step_order_rejected(
+            self, tmp_path, class_steps):
+        path = tmp_path / "classes.ckpt"
+        save_checkpoint(path, make_checkpoint())
+        header, body = split_checkpoint(path)
+        header["class_steps"] = class_steps
+        join_checkpoint(path, json.dumps(header).encode(), body)
+        with pytest.raises(FormatError, match="class registry"):
             load_checkpoint(path)
 
     def test_negative_dimension_rejected(self, tmp_path):

@@ -140,9 +140,15 @@ class TestTaskSplit:
         with pytest.raises(ConfigError):
             TaskSplit.from_sizes("5-5", 8)
 
-    def test_duplicate_class_rejected(self):
-        with pytest.raises(ConfigError):
-            TaskSplit(steps=((1, 2), (2, 3))).validate(4)
+    @pytest.mark.parametrize("steps", [
+        ((1, 2), (2, 3)),
+        ((1,), (3,)),
+        ((2,), (1,)),
+        ((2, 3),),
+    ], ids=["duplicate", "gap", "out_of_order", "not_from_1"])
+    def test_split_not_numbered_in_step_order_rejected(self, steps):
+        with pytest.raises(ConfigError, match="in step order"):
+            TaskSplit(steps=steps).validate(4)
 
     def test_step_out_of_range(self):
         split = TaskSplit.from_sizes("2-2", 4)

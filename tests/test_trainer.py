@@ -1,6 +1,7 @@
 """Continual training loop: determinism, resume, protocol enforcement."""
 
 import os
+import re
 import shutil
 
 import numpy as np
@@ -12,6 +13,7 @@ from fairseg.errors import (
     ConfigError,
     DimensionError,
     FormatError,
+    LabelError,
     ProtocolError,
 )
 from fairseg.losses import class_weights, weighted_ce
@@ -221,7 +223,7 @@ class TestRunStep:
         cfg = tiny_config(epochs=3, batch_size=5)
         train, _ = tiny_dataset
         idx = select_step_indices(train, tiny_split, 1)
-        data = [train[i] for i in idx]
+        data = [collapse_labels(train[i], tiny_split, 1) for i in idx]
         state = init_state(cfg)
         outcome = run_step(state, cfg, data)
         expect = 3 * ((len(data) + 4) // 5)
@@ -231,12 +233,20 @@ class TestRunStep:
     def test_same_seed_same_outcome(self, tiny_dataset):
         cfg = tiny_config()
         train, _ = tiny_dataset
-        data = train[:10]
+        data = [collapse_labels(s, cfg.split, 1) for s in train[:10]]
         out_a = run_step(init_state(cfg), cfg, data)
         out_b = run_step(init_state(cfg), cfg, data)
         for name, arr in out_a.params.blocks.items():
             np.testing.assert_array_equal(arr, out_b.params.blocks[name])
         assert out_a.loss_trace == out_b.loss_trace
+
+    def test_uncollapsed_labels_rejected(self, tiny_dataset):
+        cfg = tiny_config()
+        train, _ = tiny_dataset
+        data = train[:10]
+        assert max(s.labels.max() for s in data) > 2  # no head row at step 1
+        with pytest.raises(LabelError, match="outside head range"):
+            run_step(init_state(cfg), cfg, data)
 
     def test_empty_step_rejected(self):
         cfg = tiny_config()
@@ -256,7 +266,7 @@ class TestRunStep:
     def test_mid_step_resume_matches_uninterrupted(self, tmp_path,
                                                    tiny_dataset):
         train, _ = tiny_dataset
-        data = train[:10]
+        data = [collapse_labels(s, tiny_config().split, 1) for s in train[:10]]
 
         straight_cfg = tiny_config(epochs=4)
         straight = init_state(straight_cfg)
@@ -427,6 +437,19 @@ class TestRunContinual:
             run_continual(
                 tiny_config(preset="distill"), train, out_dir=tmp_path / "a",
                 resume_from=tmp_path / "a" / "latest.ckpt",
+            )
+
+    def test_resume_with_other_split_rejected(self, tmp_path, tiny_dataset):
+        train, _ = tiny_dataset
+        run_continual(tiny_config(), train, out_dir=tmp_path / "a")
+        other = tiny_config(split=TaskSplit.from_sizes("3-1", 4))
+        with pytest.raises(
+            ConfigError,
+            match=re.escape("[split] steps (checkpoint ((1, 2),), config ((1, 2, 3),))"),
+        ):
+            run_continual(
+                other, train, out_dir=tmp_path / "a",
+                resume_from=tmp_path / "a" / "step1.ckpt",
             )
 
     def test_resume_from_finished_run_is_noop(self, tmp_path, tiny_dataset):
