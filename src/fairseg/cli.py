@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import operator
 import os
+import re
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -167,7 +170,6 @@ def cmd_eval(args):
     print(f"  mIoU later    {later:.4f}" if np.isfinite(later) else
           "  mIoU later    n/a")
     print(f"  IoU STD (fg)  {report.iou_std_fg:.4f}")
-    print(f"  fairness gap  {report.fairness_gap:.4f}")
     print(f"  islands/image {report.islands_per_image:.2f}")
     return EXIT_OK
 
@@ -334,9 +336,48 @@ _REPORT_COLUMNS = (
     "miou_all",
     "miou_avg",
     "iou_std_fg",
-    "fairness_gap",
     "islands_per_image",
 )
+
+_SEED_SUFFIX = re.compile(r"(.+)-s(\d+)")
+
+# The comparisons of acceptance criteria 5-7: (metric, preset, base, relative,
+# op, bound).  The change is preset - base, or (preset - base) / base when
+# relative, and it holds when ``change <op> bound``.
+CLAIMS = (
+    ("miou_initial", "cluster", "fine-tune", False, ">=", 0.15),
+    ("iou_std_fg", "cluster-class", "cluster", False, "<", 0.0),
+    ("miou_all", "cluster-class", "cluster", False, ">=", -0.02),
+    ("islands_per_image", "full", "cluster-class", True, "<=", -0.10),
+    ("miou_all", "full", "cluster-class", False, ">=", 0.0),
+)
+_OPS = {">=": operator.ge, "<": operator.lt, "<=": operator.le}
+
+
+@dataclass(frozen=True)
+class ClaimValue:
+    """A claim's change on the seed means, whether it holds, and
+    ``(seed, change, holds)`` for each numbered seed both presets ran."""
+
+    metric: str
+    preset: str
+    base: str
+    relative: bool
+    bound: str
+    mean: float
+    holds: bool
+    seeds: tuple
+
+    def describe(self):
+        """'<metric>, <preset> vs <base>: <mean> (must be <op> <bound>), per seed ...'"""
+        fmt = "{:+.2%}" if self.relative else "{:+.4f}"
+        text = (f"{self.metric}, {self.preset} vs {self.base}: "
+                f"{fmt.format(self.mean)} (must be {self.bound})")
+        if self.seeds:
+            text += ", per seed " + ", ".join(
+                f"s{s} {fmt.format(v)}" + ("" if ok else " (fails)")
+                for s, v, ok in self.seeds)
+        return text
 
 
 def load_run_summary(run_dir):
@@ -355,36 +396,83 @@ def load_run_summary(run_dir):
     return row
 
 
-def cmd_report(args):
-    rows = [load_run_summary(d) for d in args.run_dirs]
-    baseline = None
-    if args.baseline is not None:
-        baseline = next((r for r in rows if r["name"] == args.baseline), None)
-        if baseline is None:
-            raise ConfigError(f"--baseline {args.baseline!r} names none of the runs")
-    header = ["name"] + list(_REPORT_COLUMNS)
-    if baseline is not None:
-        header += ["delta_miou_all", "delta_miou_initial"]
-        for row in rows:
-            row["delta_miou_all"] = row["miou_all"] - baseline["miou_all"]
-            row["delta_miou_initial"] = (
-                row["miou_initial"] - baseline["miou_initial"]
-            )
-    widths = [max(len(h), 14) for h in header]
-    line = "  ".join(h.ljust(w) for h, w in zip(header, widths))
-    print(line)
-    print("-" * len(line))
+def group_runs(rows):
+    """Summary rows by run name minus a trailing ``-s<n>``: {name: {seed: row}},
+    seeds ascending.  A name without the suffix is a group with seed None."""
+    groups = {}
     for row in rows:
-        cells = [str(row["name"]).ljust(widths[0])]
-        for h, w in zip(header[1:], widths[1:]):
-            cells.append(f"{row.get(h, float('nan')):.4f}".ljust(w))
-        print("  ".join(cells))
+        m = _SEED_SUFFIX.fullmatch(row["name"])
+        name, seed = (m[1], int(m[2])) if m else (row["name"], None)
+        if seed in groups.setdefault(name, {}):
+            raise ConfigError(f"run {row['name']!r} is named twice")
+        groups[name][seed] = row
+    return {name: dict(sorted(runs.items(), key=lambda kv: kv[0] or 0))
+            for name, runs in groups.items()}
+
+
+def claim_values(groups):
+    """The claims of ``CLAIMS`` whose two presets are groups of ``group_runs``.
+
+    The mean change compares the two presets' ``np.mean`` over their runs.
+    """
+    out = []
+    for metric, preset, base, relative, op, bound in CLAIMS:
+        if preset not in groups or base not in groups:
+            continue
+        a, b = groups[preset], groups[base]
+        pairs = [(None, float(np.mean([r[metric] for r in a.values()])),
+                  float(np.mean([r[metric] for r in b.values()])))]
+        pairs += [(s, a[s][metric], b[s][metric])
+                  for s in a if s is not None and s in b]
+        vals = []
+        for s, x, y in pairs:
+            v = ((x - y) / y if y else float("nan")) if relative else x - y
+            vals.append((s, v, bool(_OPS[op](v, bound))))
+        text = f"{op} {bound:.0%}" if relative else f"{op} {bound:g}"
+        out.append(ClaimValue(metric, preset, base, relative, text,
+                              vals[0][1], vals[0][2], tuple(vals[1:])))
+    return out
+
+
+def cmd_report(args):
+    groups = group_runs(load_run_summary(d) for d in args.run_dirs)
+    rows = {name: {"name": name, **{c: float(np.mean([r[c] for r in runs.values()]))
+                                    for c in _REPORT_COLUMNS}}
+            for name, runs in groups.items()}
+    header = ["name", *_REPORT_COLUMNS]
+    if args.baseline is not None:
+        base = rows.get(args.baseline)
+        if base is None:
+            raise ConfigError(f"--baseline {args.baseline!r} names no run group")
+        header += ["delta_miou_all", "delta_miou_initial"]
+        for row in rows.values():
+            row["delta_miou_all"] = row["miou_all"] - base["miou_all"]
+            row["delta_miou_initial"] = row["miou_initial"] - base["miou_initial"]
+    widths = [max(len(h), 24 if h in _REPORT_COLUMNS else 14) for h in header]
+
+    def line(cells):
+        return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
+
+    print("each metric: mean over the group's runs [min, max]")
+    print(line(header))
+    print("-" * len(line(header)))
+    for name, row in rows.items():
+        vals = {h: [r[h] for r in groups[name].values()] for h in _REPORT_COLUMNS}
+        print(line([name] + [
+            f"{row[h]:.4f}"
+            + (f" [{np.min(vals[h]):.4f}, {np.max(vals[h]):.4f}]" if h in vals else "")
+            for h in header[1:]
+        ]))
+    claims = claim_values(groups)
+    if claims:
+        print("\nclaims on the group means, then per seed:")
+    for cv in claims:
+        print(f"  {'holds' if cv.holds else 'FAILS'}  {cv.describe()}")
     if args.out is not None:
         with atomic_open(args.out, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=header)
             writer.writeheader()
-            for row in rows:
-                writer.writerow({k: row.get(k, "") for k in header})
+            writer.writerows(rows.values())
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -443,11 +531,15 @@ def build_parser():
     p.add_argument("--seed", type=int, default=20240801)
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("report",
-                       help="tabulate run summaries side by side")
+    p = sub.add_parser(
+        "report",
+        help="tabulate run groups (NAME-s<n> runs form group NAME) "
+             "and the claims of acceptance criteria 5-7",
+    )
     p.add_argument("run_dirs", nargs="+")
-    p.add_argument("--out", default=None, help="also write a CSV here")
-    p.add_argument("--baseline", help="run name for the delta columns")
+    p.add_argument("--out", default=None,
+                   help="also write the group means as a CSV here")
+    p.add_argument("--baseline", help="run group for the delta columns")
     p.set_defaults(func=cmd_report)
     return parser
 

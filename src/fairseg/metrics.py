@@ -18,7 +18,6 @@ import numpy as np
 from .errors import DimensionError, FormatError, LabelError, UnavailableError
 from .fileio import atomic_open
 from .model import forward_batch
-from .numerics import softmax
 from .synthdata import IGNORE_ID, evaluation_labels
 
 
@@ -119,14 +118,6 @@ def normalized_entropy(counts):
     return float(ent / np.log(c.size))
 
 
-def fairness_gap(rates):
-    """Largest pairwise difference among per-class error rates."""
-    r = [float(v) for v in rates]
-    if len(r) < 2:
-        raise UnavailableError("fairness gap needs >= 2 evaluated classes")
-    return max(r) - min(r)
-
-
 def single_pixel_islands(labels):
     """Count pixels whose label matches none of their 8 in-bounds neighbors."""
     y = np.asarray(labels)
@@ -155,7 +146,6 @@ class MetricsReport:
     num_images: int
     per_class_iou: Dict[int, float] = field(default_factory=dict)
     per_class_pixels: Dict[int, int] = field(default_factory=dict)
-    per_class_ce: Dict[int, float] = field(default_factory=dict)
     miou_initial: float = float("nan")
     miou_later: float = float("nan")
     miou_fg: float = float("nan")
@@ -164,11 +154,7 @@ class MetricsReport:
     miou_major: float = float("nan")
     miou_minor: float = float("nan")
     iou_std_fg: float = 0.0
-    iou_std_major: float = 0.0
-    iou_std_minor: float = 0.0
-    fairness_gap: float = 0.0
     pixel_accuracy: float = 0.0
-    entropy_fg: float = 0.0
     islands_per_image: float = 0.0
 
     def summary_fields(self):
@@ -197,7 +183,7 @@ def frequency_groups(cm, ids):
     return major, minor
 
 
-def grouped_report(cm, split, step, per_class_ce=None, num_images=0):
+def grouped_report(cm, split, step, num_images=0):
     """Build a MetricsReport from an accumulated confusion matrix.
 
     Groups: initial = step-1 foreground classes, later = foreground classes
@@ -209,23 +195,11 @@ def grouped_report(cm, split, step, per_class_ce=None, num_images=0):
     later = [c for c in fg if c not in initial]
     per_class = cm.per_class_iou()
     major, minor = frequency_groups(cm, fg)
-    ce = dict(per_class_ce or {})
-    rates = [ce[c] for c in fg if c in ce]
-    try:
-        gap = fairness_gap(rates)
-    except UnavailableError:
-        gap = 0.0
-    fg_pred = [cm.predicted(c) for c in fg]
-    try:
-        ent = normalized_entropy(fg_pred) if len(fg_pred) >= 2 else 0.0
-    except UnavailableError:
-        ent = 0.0
     return MetricsReport(
         step=step,
         num_images=num_images,
         per_class_iou=per_class,
         per_class_pixels={c: cm.support(c) for c in cm.present_ids()},
-        per_class_ce=ce,
         miou_initial=mean_iou(per_class, initial),
         miou_later=mean_iou(per_class, later) if later else float("nan"),
         miou_fg=mean_iou(per_class, fg),
@@ -233,11 +207,7 @@ def grouped_report(cm, split, step, per_class_ce=None, num_images=0):
         miou_major=mean_iou(per_class, major),
         miou_minor=mean_iou(per_class, minor),
         iou_std_fg=iou_std(per_class, fg),
-        iou_std_major=iou_std(per_class, major),
-        iou_std_minor=iou_std(per_class, minor),
-        fairness_gap=gap,
         pixel_accuracy=cm.pixel_accuracy(),
-        entropy_fg=ent,
     )
 
 
@@ -250,8 +220,6 @@ def evaluate_model(params, samples, split, step, batch_size=8):
     """
     num_labels = max(params.num_rows, max(split.known_through(step)) + 1)
     cm = ConfusionMatrix(num_labels)
-    ce_sums = np.zeros(num_labels)
-    ce_counts = np.zeros(num_labels, dtype=np.int64)
     islands_total = 0
     # forward_batch takes one image size: split each batch into same-size runs
     chunks = [
@@ -268,37 +236,22 @@ def evaluate_model(params, samples, split, step, batch_size=8):
             ids = np.argmax(pred.logits, axis=2)
             cm.accumulate(ref, ids)
             islands_total += single_pixel_islands(ids)
-            sel = (ref != IGNORE_ID) & (ref < params.num_rows)  # row = class id
-            if sel.any():
-                p = softmax(pred.logits[sel])
-                r = ref[sel].astype(np.int64)
-                ce = -np.log(np.maximum(p[np.arange(r.size), r], 1e-300))
-                np.add.at(ce_sums, r, ce)
-                np.add.at(ce_counts, r, 1)
-    per_class_ce = {
-        int(c): float(ce_sums[c] / ce_counts[c])
-        for c in np.flatnonzero(ce_counts)
-        if c != 0
-    }
-    report = grouped_report(
-        cm, split, step, per_class_ce=per_class_ce, num_images=len(samples)
-    )
+    report = grouped_report(cm, split, step, num_images=len(samples))
     report.islands_per_image = islands_total / max(1, len(samples))
     return report, cm
 
 
 def write_report_csv(path, report):
-    """One row per evaluated class: id, pixels, IoU, mean CE error."""
+    """One row per evaluated class: id, pixels, IoU."""
     with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["class_id", "pixels", "iou", "ce_error"])
+        writer.writerow(["class_id", "pixels", "iou"])
         for cid in sorted(report.per_class_iou):
             writer.writerow(
                 [
                     cid,
                     report.per_class_pixels.get(cid, 0),
                     repr(report.per_class_iou[cid]),
-                    repr(report.per_class_ce.get(cid, float("nan"))),
                 ]
             )
 

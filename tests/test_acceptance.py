@@ -1,14 +1,17 @@
 """End-to-end acceptance gate.
 
-Each test prints one PASS/FAIL line (run with ``pytest -s`` to see them
-inline).  The benchmark comparisons train the full ablation grid — four
+Each criterion prints one PASS/FAIL line (run with ``pytest -s`` to see
+them inline).  The benchmark comparisons train the full ablation grid — four
 presets, three seeds — against configs/acceptance.ini, as one-BLAS-thread
-processes, one per CPU at a time: about a minute on two cores.
+processes, one per CPU at a time: about a minute on two cores.  Criteria 5-7
+read the claims of ``fairseg report``, on the seed means and per seed.
 """
 
 import dataclasses
 import os
 import shutil
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -17,7 +20,7 @@ import pytest
 from fairseg import cli
 from fairseg.config import load_config
 from fairseg.grid import run_grid
-from fairseg.metrics import ConfusionMatrix, fairness_gap, normalized_entropy
+from fairseg.metrics import ConfusionMatrix, normalized_entropy
 from fairseg.numerics import Rng
 from fairseg.prototypes import (
     ClusterConfig,
@@ -54,22 +57,20 @@ def train_argv(data, out, preset, seed, *extra):
 
 @pytest.fixture(scope="session")
 def grid(tmp_path_factory):
-    """Dataset plus the full preset x seed training grid, summaries parsed.
+    """Dataset plus the full preset x seed training grid, and its claims.
 
     ``run_grid`` trains one-BLAS-thread runs: the bytes of the README table.
+    The claims are ``fairseg report``'s, keyed by (metric, preset).
     """
     root = tmp_path_factory.mktemp("acceptance")
     data = root / "data"
     run_grid([["gen", "--config", ACCEPTANCE_INI, "--out", str(data)]])
     cells = [(p, s) for p in PRESETS for s in SEEDS]
     seconds = run_grid(train_argv(data, root / f"{p}-s{s}", p, s) for p, s in cells)
-    runs = {(p, s): cli.load_run_summary(root / f"{p}-s{s}") for p, s in cells}
-    return {"root": root, "data": data, "runs": runs,
+    groups = cli.group_runs(cli.load_run_summary(root / f"{p}-s{s}") for p, s in cells)
+    claims = {(cv.metric, cv.preset): cv for cv in cli.claim_values(groups)}
+    return {"root": root, "data": data, "claims": claims,
             "durations": dict(zip(cells, seconds))}
-
-
-def seed_mean(runs, preset, key):
-    return float(np.mean([runs[(preset, s)][key] for s in SEEDS]))
 
 
 def test_criterion_1_gradient_correctness():
@@ -165,52 +166,39 @@ def test_criterion_4_pseudo_label_oracle():
 
 
 def test_criterion_5_forgetting_gap(grid):
-    runs = grid["runs"]
-    cluster = seed_mean(runs, "cluster", "miou_initial")
-    ft = seed_mean(runs, "fine-tune", "miou_initial")
+    gain = grid["claims"][("miou_initial", "cluster")]
     slowest = max(grid["durations"].values())
-    ok = cluster - ft >= 0.15 and slowest < 600.0
-    report(
-        "criterion 5",
-        ok,
-        f"old-class mIoU {cluster:.4f} with clustering vs {ft:.4f} "
-        f"fine-tuned (gain {cluster - ft:+.4f}, required >= 0.15); "
-        f"slowest run {slowest:.0f}s (limit 600s)",
-    )
+    report("criterion 5", gain.holds and slowest < 600.0,
+           f"clustering against forgetting: {gain.describe()}; "
+           f"slowest run {slowest:.0f}s (limit 600s)")
 
 
 def test_criterion_6_fairness_spread(grid):
-    runs = grid["runs"]
-    dstd = seed_mean(runs, "cluster-class", "iou_std_fg") - seed_mean(
-        runs, "cluster", "iou_std_fg"
-    )
-    dmiou = seed_mean(runs, "cluster-class", "miou_all") - seed_mean(
-        runs, "cluster", "miou_all"
-    )
-    ok = dstd < 0.0 and dmiou >= -0.02
-    report(
-        "criterion 6",
-        ok,
-        f"class weighting changed IoU spread by {dstd:+.4f} (must be < 0) "
-        f"and all-class mIoU by {dmiou:+.4f} (must be >= -0.02)",
-    )
+    dstd = grid["claims"][("iou_std_fg", "cluster-class")]
+    dmiou = grid["claims"][("miou_all", "cluster-class")]
+    report("criterion 6", dstd.holds and dmiou.holds,
+           f"class weighting: {dstd.describe()}; {dmiou.describe()}")
 
 
 def test_criterion_7_consistency(grid):
-    runs = grid["runs"]
-    base = seed_mean(runs, "cluster-class", "islands_per_image")
-    isl = seed_mean(runs, "full", "islands_per_image")
-    dmiou = seed_mean(runs, "full", "miou_all") - seed_mean(
-        runs, "cluster-class", "miou_all"
+    rel = grid["claims"][("islands_per_image", "full")]
+    dmiou = grid["claims"][("miou_all", "full")]
+    report("criterion 7", rel.holds and dmiou.holds,
+           f"consistency term: {rel.describe()}; {dmiou.describe()}")
+
+
+def test_ablation_script_prints_the_claims(grid):
+    """The ablation script reports the acceptance grid through the same
+    claims: every summary exists, so it trains nothing."""
+    proc = subprocess.run(
+        [sys.executable, os.path.join(REPO, "scripts", "run_ablations.py"),
+         "--data", str(grid["data"]), "--out", str(grid["root"]),
+         "--presets", ",".join(PRESETS)],
+        capture_output=True, text=True, timeout=120,
     )
-    rel = (isl - base) / base
-    ok = dmiou >= 0.0 and rel <= -0.10
-    report(
-        "criterion 7",
-        ok,
-        f"consistency term changed islands/image by {rel:+.2%} (must be "
-        f"<= -10%) and all-class mIoU by {dmiou:+.4f} (must be >= 0)",
-    )
+    assert proc.returncode == 0, proc.stderr
+    for cv in grid["claims"].values():
+        assert cv.describe() in proc.stdout
 
 
 def test_criterion_8_rehearsal_free(grid):
@@ -278,17 +266,13 @@ def test_criterion_10_metric_examples():
 
     entropy_ok = normalized_entropy([0.5, 0.5, 0.0, 0.0]) == 0.5
 
-    gap = fairness_gap([0.2, 0.5, 0.35])
-    gap_ok = abs(gap - 0.3) < 1e-12
-
     uniform = normalized_entropy([5, 5, 5, 5]) == 1.0
     onehot = normalized_entropy([7, 0, 0, 0]) == 0.0
 
-    ok = iou_ok and entropy_ok and gap_ok and uniform and onehot
+    ok = iou_ok and entropy_ok and uniform and onehot
     report(
         "criterion 10",
         ok,
         f"IoU 6/(6+3+3) == 0.5: {iou_ok}; entropy of (.5,.5,0,0) == 0.5: "
-        f"{entropy_ok}; entropy endpoints 1.0/0.0: {uniform}/{onehot}; "
-        f"error-rate gap max-min == 0.3: {gap_ok}",
+        f"{entropy_ok}; entropy endpoints 1.0/0.0: {uniform}/{onehot}",
     )

@@ -1,6 +1,7 @@
 """Command-line entry points and INI configuration loading."""
 
 import contextlib
+import csv
 import importlib.metadata
 import io
 import os
@@ -8,6 +9,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from fairseg import cli
@@ -513,6 +515,71 @@ class TestReport:
         assert code == 2
         assert "'fine-tune-s1'" in capsys.readouterr().err
         assert text == ""
+
+    def test_seed_runs_form_one_group(self, tmp_path):
+        for name, miou_all, miou_initial in (
+                ("x-s1", 0.2, 0.5), ("x-s2", 0.4, 0.1), ("y", 0.5, 0.7)):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "summary.txt").write_text(
+                f"miou_all={miou_all!r}\nmiou_initial={miou_initial!r}\n")
+        out = tmp_path / "table.csv"
+        runs = (str(tmp_path / n) for n in ("x-s1", "x-s2", "y"))
+        code, text = run_cli("report", *runs, "--baseline", "x", "--out", str(out))
+        assert code == 0
+        assert [l.split()[0] for l in text.splitlines()[3:5]] == ["x", "y"]
+        assert "0.3000 [0.2000, 0.4000]" in text.splitlines()[3]
+        with open(out) as fh:
+            rows = {r["name"]: r for r in csv.DictReader(fh)}
+        assert float(rows["x"]["miou_all"]) == np.mean([0.2, 0.4])
+        assert float(rows["x"]["delta_miou_all"]) == 0.0
+        assert float(rows["y"]["delta_miou_all"]) == 0.5 - np.mean([0.2, 0.4])
+        assert float(rows["y"]["delta_miou_initial"]) == 0.7 - np.mean([0.5, 0.1])
+
+    def test_same_run_twice_exits_2(self, workspace, tmp_path, capsys):
+        full, _ = workspace["runs"]["full"]
+        shutil.copytree(full, tmp_path / "full")
+        assert run_cli("report", str(full), str(tmp_path / "full"))[0] == 2
+        assert "'full' is named twice" in capsys.readouterr().err
+
+
+def claim_groups(values):
+    """{preset: {seed: row}} for seeds 1-3 from {preset: {metric: 3 values}}."""
+    return {p: {s: {m: v[s - 1] for m, v in ms.items()} for s in (1, 2, 3)}
+            for p, ms in values.items()}
+
+
+class TestClaims:
+    def test_holds_on_mean_fails_on_one_seed(self):
+        (cv,) = cli.claim_values(claim_groups({
+            "cluster": {"miou_initial": (0.6, 0.1, 0.5)},
+            "fine-tune": {"miou_initial": (0.0, 0.0, 0.0)}}))
+        assert cv.preset == "cluster" and cv.holds
+        assert [ok for _, _, ok in cv.seeds] == [True, False, True]
+        assert cv.describe() == (
+            "miou_initial, cluster vs fine-tune: +0.4000 (must be >= 0.15), "
+            "per seed s1 +0.6000, s2 +0.1000 (fails), s3 +0.5000")
+
+    def test_mean_is_bit_equal_to_np_mean_change(self):
+        a, b, c = (0.1, 0.7, 0.2), (0.3, 0.11, 0.33), (1.1, 0.7, 1.3)
+        groups = claim_groups({
+            "cluster": {"iou_std_fg": b, "miou_all": c},
+            "cluster-class": {"iou_std_fg": a, "miou_all": b, "islands_per_image": c},
+            "full": {"miou_all": a, "islands_per_image": b}})
+        got = {(cv.metric, cv.preset): cv.mean for cv in cli.claim_values(groups)}
+        m = {v: float(np.mean(v)) for v in (a, b, c)}
+        assert got == {
+            ("iou_std_fg", "cluster-class"): m[a] - m[b],
+            ("miou_all", "cluster-class"): m[b] - m[c],
+            ("islands_per_image", "full"): (m[b] - m[c]) / m[c],
+            ("miou_all", "full"): m[a] - m[b],
+        }
+
+    def test_missing_preset_not_returned(self):
+        groups = claim_groups({
+            "cluster": {"iou_std_fg": (3, 3, 3), "miou_all": (1, 1, 1)},
+            "cluster-class": {"iou_std_fg": (2, 2, 2), "miou_all": (1, 1, 1)}})
+        assert [(cv.preset, cv.base) for cv in cli.claim_values(groups)] == [
+            ("cluster-class", "cluster")] * 2
 
 
 class TestDispatch:

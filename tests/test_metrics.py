@@ -11,7 +11,6 @@ from fairseg.metrics import (
     ConfusionMatrix,
     MetricsReport,
     evaluate_model,
-    fairness_gap,
     frequency_groups,
     grouped_report,
     iou_std,
@@ -134,21 +133,6 @@ class TestNormalizedEntropy:
             normalized_entropy([7])
 
 
-class TestFairnessGap:
-    def test_identical_rates_zero(self):
-        assert fairness_gap([0.2, 0.2, 0.2]) == 0.0
-
-    def test_hand_example(self):
-        assert fairness_gap([0.1, 0.4, 0.2]) == pytest.approx(0.3, abs=1e-12)
-
-    def test_order_invariance(self):
-        assert fairness_gap([0.4, 0.1, 0.2]) == fairness_gap([0.1, 0.2, 0.4])
-
-    def test_single_rate_unavailable(self):
-        with pytest.raises(UnavailableError):
-            fairness_gap([0.5])
-
-
 class TestSinglePixelIslands:
     def test_uniform_field_has_none(self):
         assert single_pixel_islands(np.zeros((6, 6), dtype=int)) == 0
@@ -222,9 +206,7 @@ class TestGroupedReport:
                 (4, 0, 10),  # class 4 IoU 0.5
             ]
         )
-        report = grouped_report(
-            cm, self.split(), step=2, per_class_ce={1: 0.3, 3: 0.1}, num_images=4
-        )
+        report = grouped_report(cm, self.split(), step=2, num_images=4)
         assert report.per_class_iou[1] == 0.5
         assert report.per_class_iou[2] == 0.0
         assert report.per_class_iou[3] == 1.0
@@ -234,7 +216,6 @@ class TestGroupedReport:
         assert report.miou_fg == pytest.approx(0.5)
         # background IoU: tp=100, fn=0, fp=10 -> 100/110
         assert report.miou_all == pytest.approx((100 / 110 + 2.0) / 5)
-        assert report.fairness_gap == pytest.approx(0.2)
         assert report.num_images == 4
 
     def test_std_of_identical_ious_is_zero(self):
@@ -253,20 +234,17 @@ class TestGroupedReport:
 
     def test_report_csv(self, tmp_path):
         cm = fill_cm([(1, 1, 10), (2, 2, 4), (2, 1, 4)])
-        report = grouped_report(
-            cm, self.split(), step=1, per_class_ce={1: 0.25}, num_images=2
-        )
+        report = grouped_report(cm, self.split(), step=1, num_images=2)
         path = tmp_path / "report.csv"
         write_report_csv(path, report)
         with open(path) as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["class_id", "pixels", "iou", "ce_error"]
+        assert rows[0] == ["class_id", "pixels", "iou"]
         body = {int(r[0]): r for r in rows[1:]}
         # class 1: tp=10, fp=4 (the 2->1 confusion), fn=0
         assert float(body[1][2]) == pytest.approx(10 / 14)
         assert int(body[2][1]) == 8
         assert float(body[2][2]) == 0.5
-        assert float(body[1][3]) == 0.25
 
 
 def oracle_params():
@@ -358,13 +336,6 @@ class TestEvaluateModel:
         assert cm.total() == 3 * 64 + 42 + 45
         assert np.array_equal(cm.matrix, cm_alone.matrix)
         assert report.miou_all == alone.miou_all == 1.0
-        assert report.per_class_ce == pytest.approx(alone.per_class_ce)
-
-    def test_fairness_gap_from_per_class_ce(self):
-        report, _ = evaluate_model(
-            oracle_params(), self.samples(), self.split(), step=2
-        )
-        assert report.fairness_gap >= 0.0
 
 
 def test_report_default_nans():
