@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, fields
-from itertools import groupby
 from typing import Dict
 
 import numpy as np
@@ -19,6 +18,8 @@ from .errors import DimensionError, FormatError, LabelError, UnavailableError
 from .fileio import atomic_open
 from .model import forward_batch
 from .synthdata import IGNORE_ID, evaluation_labels
+
+EVAL_BATCH = 8  # test images per forward
 
 
 class ConfusionMatrix:
@@ -53,9 +54,6 @@ class ConfusionMatrix:
     def support(self, class_id):
         """Number of reference pixels of the class."""
         return int(self.matrix[class_id].sum())
-
-    def predicted(self, class_id):
-        return int(self.matrix[:, class_id].sum())
 
     def present_ids(self):
         """Ids that occur in the reference or the prediction."""
@@ -211,30 +209,22 @@ def grouped_report(cm, split, step, num_images=0):
     )
 
 
-def evaluate_model(params, samples, split, step, batch_size=8):
+def evaluate_model(params, samples, split, step):
     """Run the model over a labeled test set and compute the full report.
 
-    Labels are collapsed to the classes known through ``step``; later
-    classes count as background, matching what the model could have seen.
-    Returns (MetricsReport, ConfusionMatrix).
+    Images are forwarded ``EVAL_BATCH`` at a time, so a batch of mixed
+    sizes raises DimensionError.  Labels are collapsed to the classes known
+    through ``step``; later classes count as background, matching what the
+    model could have seen.  Returns (MetricsReport, ConfusionMatrix).
     """
     num_labels = max(params.num_rows, max(split.known_through(step)) + 1)
     cm = ConfusionMatrix(num_labels)
     islands_total = 0
-    # forward_batch takes one image size: split each batch into same-size runs
-    chunks = [
-        list(run)
-        for start in range(0, len(samples), batch_size)
-        for _, run in groupby(
-            samples[start : start + batch_size], key=lambda s: s.image.shape
-        )
-    ]
-    for chunk in chunks:
-        preds, _ = forward_batch(params, [s.image for s in chunk])
-        for sample, pred in zip(chunk, preds):
-            ref = evaluation_labels(sample, split, step).labels
-            ids = np.argmax(pred.logits, axis=2)
-            cm.accumulate(ref, ids)
+    for start in range(0, len(samples), EVAL_BATCH):
+        chunk = samples[start : start + EVAL_BATCH]
+        logits, _ = forward_batch(params, [s.image for s in chunk])
+        for sample, ids in zip(chunk, np.argmax(logits, axis=3)):
+            cm.accumulate(evaluation_labels(sample, split, step).labels, ids)
             islands_total += single_pixel_islands(ids)
     report = grouped_report(cm, split, step, num_images=len(samples))
     report.islands_per_image = islands_total / max(1, len(samples))

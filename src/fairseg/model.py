@@ -9,7 +9,6 @@ Forward and backward are exact analytic numpy; there is no autodiff graph.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -17,7 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ConfigError, DimensionError, FormatError
-from .fileio import atomic_open, read_exact
+from .fileio import read_arrays, write_arrays
 from .numerics import RNG_ALGORITHM_ID, Rng
 from .prototypes import FeatureBank, PrototypeBank, ProtoEntry
 from .synthdata import TaskSplit
@@ -46,12 +45,6 @@ class ModelParams:
             blocks={k: v.copy() for k, v in self.blocks.items()},
             class_steps=self.class_steps,
         )
-
-
-@dataclass
-class Prediction:
-    features: np.ndarray  # (H, W, D)
-    logits: np.ndarray  # (H, W, K)
 
 
 def _glorot(rng, shape):
@@ -159,8 +152,9 @@ def forward_batch(params, images):
 
     ``images`` is a list of images or their ``stack_images`` array.  Each
     bias and ReLU is applied in place on its matmul output.  The cache rows
-    are the images' pixels in order, row-major per image.  Mixed sizes
-    raise DimensionError.
+    are the images' pixels in order, row-major per image.  Returns the
+    (B, H, W, K) logits grid, a view of the cache's logits, and the
+    BatchCache.  Mixed sizes raise DimensionError.
     """
     batch = stack_images(images)
     x = patch_matrix(batch, params.patch_size)
@@ -176,10 +170,7 @@ def forward_batch(params, images):
     logits = feats @ params.blocks["head.W"].T
     logits += params.blocks["head.b"]
     cache = BatchCache(x=x, act=act, feats=feats, logits=logits)
-    grid = batch.shape[:3]
-    views = (feats.reshape(*grid, -1), logits.reshape(*grid, -1))
-    preds = [Prediction(*per_image) for per_image in zip(*views)]
-    return preds, cache
+    return logits.reshape(*batch.shape[:3], -1), cache
 
 
 def backward_batch(params, cache, dfeats, dlogits):
@@ -246,15 +237,11 @@ def _arrays_of(state):
 
 
 def save_checkpoint(path, state):
-    """Serialize a TrainState: magic, u16 version, u32 header length, a
-    sorted-key JSON header, then each array of the header's ``arrays`` list
-    as little-endian float64, in that order, so bytes are stable.
-
-    The file is replaced only once fully written (see ``atomic_open``).
-    """
+    """Serialize a TrainState as a ``write_arrays`` container: a JSON header
+    of the run's position, model shape and prototype flags, then every
+    array as little-endian float64, so bytes are stable."""
     p = state.params
-    arrays = [(name, np.asarray(arr, dtype="<f8")) for name, arr in _arrays_of(state)]
-    header = json.dumps({
+    header = {
         "rng": RNG_ALGORITHM_ID,
         "preset": state.preset,
         "step": state.step,
@@ -267,55 +254,28 @@ def save_checkpoint(path, state):
         "bank_capacity": state.bank.capacity,
         "protos": [[cid, e.frozen, e.initialized]
                    for cid, e in sorted(state.protos.entries.items())],
-        "arrays": [[name, arr.shape] for name, arr in arrays],
-    }, sort_keys=True).encode("utf-8")
-    with atomic_open(path) as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(CHECKPOINT_VERSION.to_bytes(2, "little"))
-        fh.write(len(header).to_bytes(4, "little"))
-        fh.write(header)
-        for _, arr in arrays:
-            fh.write(arr.tobytes())
+    }
+    write_arrays(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header,
+                 _arrays_of(state), _float64)
 
 
 def load_checkpoint(path):
     """The TrainState saved at ``path``; a malformed file raises FormatError."""
-    with open(path, "rb") as fh:
-        magic = read_exact(fh, 4, "magic")
-        if magic != CHECKPOINT_MAGIC:
-            raise FormatError(
-                f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC.decode()!r}",
-                offset=0,
-            )
-        version = int.from_bytes(read_exact(fh, 2, "version"), "little")
-        if version != CHECKPOINT_VERSION:
-            raise FormatError(f"unsupported checkpoint version {version}")
-        size = int.from_bytes(read_exact(fh, 4, "header length"), "little")
-        try:
-            header = json.loads(read_exact(fh, size, "header"))
-        except ValueError as exc:
-            raise FormatError(f"checkpoint header is not JSON: {exc}") from exc
-        try:
-            if header["rng"] != RNG_ALGORITHM_ID:
-                raise FormatError(
-                    f"checkpoint written by PRNG {header['rng']!r}, this build "
-                    f"uses {RNG_ALGORITHM_ID!r}"
-                )
-            arrays = {}
-            for name, shape in header["arrays"]:
-                if not all(type(d) is int and d >= 0 for d in shape):
-                    raise FormatError(f"array {name!r} has a bad shape {shape}")
-                payload = read_exact(fh, 8 * math.prod(shape), f"array '{name}'")
-                arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
-            if fh.read(1):
-                raise FormatError("trailing bytes after the last array",
-                                  offset=fh.tell() - 1)
-            return _state_of(header, arrays)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"malformed checkpoint: {exc!r}") from exc
+    return read_arrays(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint",
+                       _float64, _state_of)
+
+
+def _float64(name):
+    return "<f8"
 
 
 def _state_of(header, arrays):
+    if header["rng"] != RNG_ALGORITHM_ID:
+        raise FormatError(
+            f"checkpoint written by PRNG {header['rng']!r}, this build "
+            f"uses {RNG_ALGORITHM_ID!r}"
+        )
+
     def group(prefix):
         return {name[len(prefix):]: arr for name, arr in arrays.items()
                 if name.startswith(prefix)}

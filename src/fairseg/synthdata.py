@@ -15,15 +15,16 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
-from .fileio import atomic_open, read_exact
+from .errors import ConfigError, DimensionError, FormatError
+from .fileio import read_arrays, write_arrays
 from .numerics import Rng
 
 IGNORE_ID = 65535
 BACKGROUND_ID = 0
 
 DATASET_MAGIC = b"FCLS"
-DATASET_VERSION = 1
+DATASET_VERSION = 2
+DATASET_DTYPES = {"images": "<f4", "labels": "<u2"}  # the arrays in file order
 
 SHAPE_KINDS = ("rect", "circle", "triangle")
 
@@ -295,68 +296,43 @@ def class_pixel_counts(samples, num_classes):
 
 
 def write_dataset(samples, path, num_classes):
-    """Write samples in the binary dataset format."""
-    with atomic_open(path) as fh:
-        fh.write(DATASET_MAGIC)
-        fh.write(DATASET_VERSION.to_bytes(2, "little"))
-        fh.write(int(num_classes).to_bytes(2, "little"))
-        fh.write(len(samples).to_bytes(4, "little"))
-        for sample in samples:
-            h, w = sample.labels.shape
-            fh.write(h.to_bytes(4, "little"))
-            fh.write(w.to_bytes(4, "little"))
-            fh.write(
-                np.ascontiguousarray(sample.image, dtype="<f4").tobytes()
-            )
-            fh.write(
-                np.ascontiguousarray(sample.labels, dtype="<u2").tobytes()
-            )
+    """Write equal-size samples as a ``write_arrays`` container: the header
+    holds ``num_classes``, then come ``images`` (N, H, W, 3) float32 and
+    ``labels`` (N, H, W) uint16.  Mixed sizes, or no samples, raise
+    DimensionError before the file is opened."""
+    sizes = {(s.image.shape, s.labels.shape) for s in samples}
+    if len(sizes) != 1:
+        raise DimensionError(f"dataset images must share one size, got {sorted(sizes)}")
+    arrays = [("images", [s.image for s in samples]),
+              ("labels", [s.labels for s in samples])]
+    write_arrays(path, DATASET_MAGIC, DATASET_VERSION,
+                 {"num_classes": int(num_classes)}, arrays, DATASET_DTYPES.__getitem__)
 
 
 def read_dataset(path):
-    """Read a dataset file; returns (samples, num_classes)."""
-    with open(path, "rb") as fh:
-        magic = read_exact(fh, 4, "magic")
-        if magic != DATASET_MAGIC:
-            raise FormatError(
-                f"bad magic {magic!r}, expected {DATASET_MAGIC.decode()!r}",
-                offset=0,
-            )
-        version = int.from_bytes(read_exact(fh, 2, "version"), "little")
-        if version != DATASET_VERSION:
-            raise FormatError(
-                f"unsupported dataset version {version}", offset=4
-            )
-        num_classes = int.from_bytes(read_exact(fh, 2, "num_classes"), "little")
-        count = int.from_bytes(read_exact(fh, 4, "count"), "little")
-        samples = []
-        for k in range(count):
-            h = int.from_bytes(read_exact(fh, 4, f"sample {k} height"), "little")
-            w = int.from_bytes(read_exact(fh, 4, f"sample {k} width"), "little")
-            if h == 0 or w == 0:
-                raise FormatError(
-                    f"sample {k} has zero-area header {h}x{w}", offset=fh.tell()
-                )
-            img_bytes = read_exact(fh, h * w * 3 * 4, f"sample {k} image")
-            lab_bytes = read_exact(fh, h * w * 2, f"sample {k} labels")
-            image = (
-                np.frombuffer(img_bytes, dtype="<f4")
-                .reshape(h, w, 3)
-                .astype(np.float64)
-            )
-            labels = np.frombuffer(lab_bytes, dtype="<u2").reshape(h, w).copy()
-            if not np.all(np.isfinite(image)):
-                raise FormatError(f"sample {k} image has non-finite values")
-            if image.min() < 0.0 or image.max() > 1.0:
-                raise FormatError(f"sample {k} image values outside [0, 1]")
-            bad = (labels > num_classes) & (labels != IGNORE_ID)
-            if bad.any():
-                raise FormatError(
-                    f"sample {k} labels outside 0..{num_classes} + ignore"
-                )
-            samples.append(SegSample(image=image, labels=labels))
-        trailing = fh.read(1)
-        if trailing:
-            raise FormatError("trailing bytes after last sample", offset=fh.tell() - 1)
-    return samples, num_classes
+    """Read a dataset file; returns (samples, num_classes).  The samples'
+    images and labels are views of the file's two arrays."""
+    return read_arrays(path, DATASET_MAGIC, DATASET_VERSION, "dataset",
+                       DATASET_DTYPES.__getitem__, _samples_of)
 
+
+def _samples_of(header, arrays):
+    num_classes = header["num_classes"]
+    if type(num_classes) is not int or not 1 <= num_classes < IGNORE_ID:
+        raise FormatError(f"num_classes {num_classes!r} outside 1..{IGNORE_ID - 1}")
+    names = [name for name, _ in header["arrays"]]
+    if names != list(DATASET_DTYPES):
+        raise FormatError(f"dataset arrays {names}, expected {list(DATASET_DTYPES)}")
+    images, labels = arrays["images"], arrays["labels"]
+    if images.ndim != 4 or images.shape[3] != 3 or labels.shape != images.shape[:3]:
+        raise FormatError(f"images {images.shape} and labels {labels.shape} are "
+                          "not (N, H, W, 3) and (N, H, W)")
+    if 0 in images.shape[1:3]:
+        raise FormatError(f"zero-area images {images.shape[1]}x{images.shape[2]}")
+    if not np.all((images >= 0.0) & (images <= 1.0)):
+        raise FormatError("image values not finite or outside [0, 1]")
+    if np.any((labels > num_classes) & (labels != IGNORE_ID)):
+        raise FormatError(f"labels outside 0..{num_classes} + ignore")
+    samples = [SegSample(image=image, labels=lab)
+               for image, lab in zip(images.astype(np.float64), labels)]
+    return samples, num_classes

@@ -1,9 +1,13 @@
-"""Shared fixtures: small benchmarks and handcrafted sample builders."""
+"""Shared fixtures: small benchmarks, handcrafted sample builders, and the
+binary container's refusals."""
+
+import json
 
 import numpy as np
 import pytest
 
 from fairseg.config import default_config
+from fairseg.errors import FormatError
 from fairseg.synthdata import BenchmarkSpec, SegSample, TaskSplit, generate
 
 # Verdict lines recorded by the acceptance tests; echoed after the run so
@@ -80,3 +84,122 @@ def separable_samples(count=12, height=12, width=12, seed=3):
             labels[r0 : r0 + 4, c0 : c0 + 4] = cid
         samples.append(SegSample(image=image, labels=labels))
     return samples
+
+
+def split_container(path):
+    """A container file's parsed JSON header and the array bytes after it."""
+    raw = path.read_bytes()
+    size = int.from_bytes(raw[6:10], "little")
+    return json.loads(raw[10 : 10 + size]), raw[10 + size :]
+
+
+def join_container(path, header, body):
+    """Rewrite a container file with these header bytes and array bytes."""
+    magic_and_version = path.read_bytes()[:6]
+    path.write_bytes(magic_and_version + len(header).to_bytes(4, "little")
+                     + header + body)
+
+
+class ContainerRefusals:
+    """The refusals of ``fileio.read_arrays``/``write_arrays``, run once per
+    file kind by each subclass.
+
+    A subclass sets ``kind`` (as in "unsupported <kind> version"),
+    ``magic`` and ``old_version``, and defines ``save(path, variant=0)``,
+    which writes a valid file (another one for ``variant=1``), and
+    ``load(path)``.
+    """
+
+    def test_bad_magic(self, tmp_path):
+        path = tmp_path / "bad.bin"
+        self.save(path)
+        raw = bytearray(path.read_bytes())
+        raw[:4] = b"NOPE"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=self.magic.decode()) as info:
+            self.load(path)
+        assert info.value.offset == 0
+
+    def test_version_mismatch(self, tmp_path):
+        path = tmp_path / "vers.bin"
+        self.save(path)
+        raw = bytearray(path.read_bytes())
+        raw[4:6] = self.old_version.to_bytes(2, "little")
+        path.write_bytes(bytes(raw))
+        message = f"unsupported {self.kind} version {self.old_version}"
+        with pytest.raises(FormatError, match=message) as info:
+            self.load(path)
+        assert info.value.offset == 4
+
+    def test_header_not_json_rejected(self, tmp_path):
+        path = tmp_path / "json.bin"
+        self.save(path)
+        _, body = split_container(path)
+        join_container(path, b"{not json", body)
+        with pytest.raises(FormatError, match=f"{self.kind} header is not JSON"):
+            self.load(path)
+
+    def test_negative_dimension_rejected(self, tmp_path):
+        path = tmp_path / "dim.bin"
+        self.save(path)
+        header, body = split_container(path)
+        header["arrays"][0][1] = [-1, 4]
+        join_container(path, json.dumps(header).encode(), body)
+        with pytest.raises(FormatError, match="bad shape"):
+            self.load(path)
+
+    def test_truncation_offset_is_the_end_of_file(self, tmp_path):
+        path = tmp_path / "trunc.bin"
+        self.save(path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-3])
+        with pytest.raises(FormatError, match="truncated file .* while reading") as info:
+            self.load(path)
+        assert info.value.offset == len(raw) - 3
+
+    def test_trailing_byte_rejected(self, tmp_path):
+        path = tmp_path / "tail.bin"
+        self.save(path)
+        raw = path.read_bytes()
+        path.write_bytes(raw + b"\0")
+        with pytest.raises(FormatError, match="trailing") as info:
+            self.load(path)
+        assert info.value.offset == len(raw)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        self.assert_failed_write_keeps(tmp_path / "latest.bin", monkeypatch)
+
+    def assert_failed_write_keeps(self, path, monkeypatch):
+        """A write whose first array fails leaves the previous file whole."""
+        self.save(path)
+        before = path.read_bytes()
+        written = []
+
+        class FailingFile:
+            """A real file whose fifth write, the first array's, raises."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
+
+            def write(self, data):
+                if len(written) == 4:
+                    raise OSError("disk full")
+                written.append(len(data))
+                return self.fh.write(data)
+
+        real_open = open
+        with monkeypatch.context() as patched, \
+                pytest.raises(OSError, match="disk full"):
+            patched.setattr("builtins.open",
+                            lambda *a, **kw: FailingFile(real_open(*a, **kw)))
+            self.save(path, variant=1)
+        assert len(written) == 4
+        assert path.read_bytes() == before
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
+        self.load(path)

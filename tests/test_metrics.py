@@ -84,10 +84,10 @@ class TestConfusionMatrix:
         assert cm.iou(1) == swapped.iou(2)
         assert cm.iou(2) == swapped.iou(1)
 
-    def test_support_and_predicted(self):
+    def test_support(self):
         cm = fill_cm([(1, 1, 7), (1, 0, 3), (0, 1, 2)])
         assert cm.support(1) == 10
-        assert cm.predicted(1) == 9
+        assert cm.support(0) == 2
 
 
 class TestMeanAndStd:
@@ -320,22 +320,20 @@ class TestEvaluateModel:
         }
         assert report.per_class_iou[1] == 1.0
 
-    def test_mixed_image_sizes_evaluate_like_one_by_one(self):
+    def test_mixed_image_sizes_rejected(self):
         samples = self.samples()
-        mixed = [
-            samples[0],
-            constant_sample(6, 7, (0.2, 0.6, 0.1), 1),
-            samples[2],
-            constant_sample(5, 9, (0.05, 0.3, 0.3), 0),
-            samples[1],
-        ]
-        report, cm = evaluate_model(oracle_params(), mixed, self.split(), step=2)
-        alone, cm_alone = evaluate_model(
-            oracle_params(), mixed, self.split(), step=2, batch_size=1
-        )
-        assert cm.total() == 3 * 64 + 42 + 45
-        assert np.array_equal(cm.matrix, cm_alone.matrix)
-        assert report.miou_all == alone.miou_all == 1.0
+        mixed = [samples[0], constant_sample(6, 7, (0.2, 0.6, 0.1), 1), samples[2]]
+        with pytest.raises(DimensionError, match="one size"):
+            evaluate_model(oracle_params(), mixed, self.split(), step=2)
+
+    def test_batches_of_eight_evaluate_like_one_at_a_time(self):
+        samples = self.samples() * 4  # 12 images: a batch of 8, then 4
+        report, cm = evaluate_model(oracle_params(), samples, self.split(), step=2)
+        for sample in samples:
+            _, alone = evaluate_model(oracle_params(), [sample], self.split(), step=2)
+            cm.matrix -= alone.matrix
+        assert not cm.matrix.any()
+        assert report.num_images == 12 and report.miou_all == 1.0
 
 
 def test_report_default_nans():

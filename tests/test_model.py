@@ -1,11 +1,12 @@
 """Patch-MLP forward/backward, head growth, checkpoint persistence."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import same_bytes
+from conftest import ContainerRefusals, join_container, same_bytes, split_container
 from fairseg.errors import ConfigError, DimensionError, FormatError
 from fairseg.losses import (
     ConsConfig,
@@ -16,6 +17,7 @@ from fairseg.losses import (
 )
 from fairseg.prototypes import ClusterConfig
 from fairseg.model import (
+    CHECKPOINT_MAGIC,
     TrainState,
     backward_batch,
     forward_batch,
@@ -45,8 +47,10 @@ def random_image(rng, h, w):
 
 
 def forward_one(params, image):
-    preds, _ = forward_batch(params, [image])
-    return preds[0]
+    """One image's features and logits grids."""
+    logits, cache = forward_batch(params, [image])
+    return SimpleNamespace(features=cache.feats.reshape(*image.shape[:2], -1),
+                           logits=logits[0])
 
 
 class TestForward:
@@ -92,11 +96,13 @@ class TestForward:
         params = small_params()
         rng = Rng(7)
         images = [random_image(rng, 6, 6) for _ in range(3)]
-        preds, _ = forward_batch(params, images)
-        for img, joint in zip(images, preds):
+        logits, cache = forward_batch(params, images)
+        assert logits.shape == (3, 6, 6, params.num_rows)
+        feats = cache.feats.reshape(3, 6, 6, -1)
+        for i, img in enumerate(images):
             alone = forward_one(params, img)
-            np.testing.assert_array_equal(alone.features, joint.features)
-            np.testing.assert_array_equal(alone.logits, joint.logits)
+            np.testing.assert_array_equal(alone.features, feats[i])
+            np.testing.assert_array_equal(alone.logits, logits[i])
 
     def test_deterministic(self):
         params = small_params()
@@ -210,7 +216,7 @@ class TestBitIdentity:
         # a bias shift that zeroes many ReLU units, so the mask matters
         for i in range(len(hidden)):
             params.blocks[f"enc{i}.b"] = rng.normals(hidden[i]) - 0.5
-        preds, cache = forward_batch(params, images)
+        logits, cache = forward_batch(params, images)
         ref = reference_forward(params, images)
         for name in ("x", "feats", "logits"):
             assert same_bytes(getattr(cache, name), ref[name]), name
@@ -218,9 +224,7 @@ class TestBitIdentity:
         assert len(cache.act) == len(hidden)
         for got, want in zip(cache.act, ref["act"]):
             assert same_bytes(got, want)
-        for i, pred in enumerate(preds):
-            rows = slice(i * 30, (i + 1) * 30)
-            assert same_bytes(pred.logits, ref["logits"][rows].reshape(6, 5, -1))
+        assert same_bytes(logits, ref["logits"].reshape(3, 6, 5, -1))
         dfeats = rng.normals(cache.feats.size).reshape(cache.feats.shape)
         dlogits = rng.normals(cache.logits.size).reshape(cache.logits.shape)
         dfeats[::4] = 0.0
@@ -416,7 +420,17 @@ def make_checkpoint(seed=51, with_distill=False):
     )
 
 
-class TestCheckpoint:
+class TestCheckpoint(ContainerRefusals):
+    kind = "checkpoint"
+    magic = CHECKPOINT_MAGIC
+    old_version = 3
+
+    def save(self, path, variant=0):
+        save_checkpoint(path, make_checkpoint(seed=51 + variant))
+
+    def load(self, path):
+        return load_checkpoint(path)
+
     @pytest.mark.parametrize("with_distill", [False, True])
     def test_save_load_save_byte_identical(self, tmp_path, with_distill):
         first = tmp_path / "a.ckpt"
@@ -457,65 +471,12 @@ class TestCheckpoint:
         )
         assert back.bank.capacity == 7
 
-    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
-        path = tmp_path / "latest.ckpt"
-        save_checkpoint(path, make_checkpoint())
-        before = path.read_bytes()
-        written = []
-
-        class FailingFile:
-            """A real file whose fifth write raises."""
-
-            def __init__(self, fh):
-                self.fh = fh
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return self.fh.__exit__(*exc)
-
-            def write(self, data):
-                if len(written) == 4:
-                    raise OSError("disk full")
-                written.append(len(data))
-                return self.fh.write(data)
-
-        real_open = open
-        with monkeypatch.context() as patched, \
-                pytest.raises(OSError, match="disk full"):
-            patched.setattr("builtins.open",
-                            lambda *a, **kw: FailingFile(real_open(*a, **kw)))
-            save_checkpoint(path, make_checkpoint(seed=52))
-        assert len(written) == 4
-        assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["latest.ckpt"]
-        assert load_checkpoint(path).iteration == 17
-
     def test_bank_queue_of_wrong_width_rejected(self, tmp_path):
         path = tmp_path / "bank.ckpt"
         ckpt = make_checkpoint()
         ckpt.bank.queues[2] = np.zeros((2, ckpt.params.feature_dim + 1))
         save_checkpoint(path, ckpt)
         with pytest.raises(DimensionError):
-            load_checkpoint(path)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.ckpt"
-        save_checkpoint(path, make_checkpoint())
-        raw = bytearray(path.read_bytes())
-        raw[:4] = b"NOPE"
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="FCLK"):
-            load_checkpoint(path)
-
-    def test_version_mismatch(self, tmp_path):
-        path = tmp_path / "vers.ckpt"
-        save_checkpoint(path, make_checkpoint())
-        raw = bytearray(path.read_bytes())
-        raw[4:6] = (9).to_bytes(2, "little")
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="version"):
             load_checkpoint(path)
 
     def test_truncated_file(self, tmp_path):
@@ -526,20 +487,11 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
-    def test_truncation_offset_is_the_end_of_file(self, tmp_path):
-        path = tmp_path / "trunc.ckpt"
-        save_checkpoint(path, make_checkpoint())
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-3])
-        with pytest.raises(FormatError, match="truncated file .* while reading") as info:
-            load_checkpoint(path)
-        assert info.value.offset == len(raw) - 3
-
     def test_header_lists_every_array_in_file_order(self, tmp_path):
         path = tmp_path / "layout.ckpt"
         ckpt = make_checkpoint(with_distill=True)
         save_checkpoint(path, ckpt)
-        header, body = split_checkpoint(path)
+        header, body = split_container(path)
         names = [name for name, _ in header["arrays"]]
         assert names[0].startswith("params/")
         assert names[-3:] == ["proto/2", "bank/0", "bank/2"]
@@ -556,18 +508,10 @@ class TestCheckpoint:
     def test_other_prng_rejected(self, tmp_path):
         path = tmp_path / "rng.ckpt"
         save_checkpoint(path, make_checkpoint())
-        header, body = split_checkpoint(path)
+        header, body = split_container(path)
         header["rng"] = "mt19937"
-        join_checkpoint(path, json.dumps(header).encode(), body)
+        join_container(path, json.dumps(header).encode(), body)
         with pytest.raises(FormatError, match="PRNG 'mt19937'"):
-            load_checkpoint(path)
-
-    def test_header_not_json_rejected(self, tmp_path):
-        path = tmp_path / "json.ckpt"
-        save_checkpoint(path, make_checkpoint())
-        _, body = split_checkpoint(path)
-        join_checkpoint(path, b"{not json", body)
-        with pytest.raises(FormatError, match="not JSON"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("class_steps", [
@@ -577,49 +521,18 @@ class TestCheckpoint:
             self, tmp_path, class_steps):
         path = tmp_path / "classes.ckpt"
         save_checkpoint(path, make_checkpoint())
-        header, body = split_checkpoint(path)
+        header, body = split_container(path)
         header["class_steps"] = class_steps
-        join_checkpoint(path, json.dumps(header).encode(), body)
+        join_container(path, json.dumps(header).encode(), body)
         with pytest.raises(FormatError, match="class registry"):
             load_checkpoint(path)
-
-    def test_negative_dimension_rejected(self, tmp_path):
-        path = tmp_path / "dim.ckpt"
-        save_checkpoint(path, make_checkpoint())
-        header, body = split_checkpoint(path)
-        header["arrays"][0][1] = [-1, 4]
-        join_checkpoint(path, json.dumps(header).encode(), body)
-        with pytest.raises(FormatError, match="bad shape"):
-            load_checkpoint(path)
-
-    def test_trailing_byte_rejected(self, tmp_path):
-        path = tmp_path / "tail.ckpt"
-        save_checkpoint(path, make_checkpoint())
-        raw = path.read_bytes()
-        path.write_bytes(raw + b"\0")
-        with pytest.raises(FormatError, match="trailing") as info:
-            load_checkpoint(path)
-        assert info.value.offset == len(raw)
 
     def test_missing_prototype_array_rejected(self, tmp_path):
         path = tmp_path / "proto.ckpt"
         save_checkpoint(path, make_checkpoint())
-        header, body = split_checkpoint(path)
+        header, body = split_container(path)
         header["protos"].append([7, False, False])
-        join_checkpoint(path, json.dumps(header).encode(), body)
+        join_container(path, json.dumps(header).encode(), body)
         with pytest.raises(FormatError, match="proto/7"):
             load_checkpoint(path)
 
-
-def split_checkpoint(path):
-    """A checkpoint file's parsed JSON header and the array bytes after it."""
-    raw = path.read_bytes()
-    size = int.from_bytes(raw[6:10], "little")
-    return json.loads(raw[10 : 10 + size]), raw[10 + size :]
-
-
-def join_checkpoint(path, header, body):
-    """Rewrite a checkpoint file with these header bytes and array bytes."""
-    magic_and_version = path.read_bytes()[:6]
-    path.write_bytes(magic_and_version + len(header).to_bytes(4, "little")
-                     + header + body)

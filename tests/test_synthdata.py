@@ -1,6 +1,7 @@
 """Benchmark generation, continual splits, label collapse, dataset I/O."""
 
 import hashlib
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,12 +9,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import tiny_spec
+from conftest import (
+    ContainerRefusals,
+    join_container,
+    same_bytes,
+    split_container,
+    tiny_spec,
+)
 from fairseg.config import default_config
-from fairseg.errors import ConfigError, FormatError
+from fairseg.errors import ConfigError, DimensionError, FormatError
+from fairseg.fileio import write_arrays
 from fairseg.metrics import normalized_entropy, write_summary
 from fairseg.synthdata import (
     BACKGROUND_ID,
+    DATASET_DTYPES,
+    DATASET_MAGIC,
+    DATASET_VERSION,
     IGNORE_ID,
     SegSample,
     TaskSplit,
@@ -236,70 +247,71 @@ class TestSelection:
             assert select_step_indices(train, tiny_split, step) == expect
 
 
-class TestDatasetIO:
-    def test_round_trip_bit_exact(self, tmp_path, tiny_dataset):
-        train, _ = tiny_dataset
+class TestDatasetIO(ContainerRefusals):
+    kind = "dataset"
+    magic = DATASET_MAGIC
+    old_version = 1
+
+    @pytest.fixture(autouse=True)
+    def _train(self, tiny_dataset):
+        self.train = tiny_dataset[0]
+
+    def save(self, path, variant=0):
+        write_dataset(self.train[2 * variant : 2 * variant + 2], path, num_classes=4)
+
+    def load(self, path):
+        return read_dataset(path)
+
+    def test_round_trip_bit_exact(self, tmp_path):
         path = tmp_path / "train.bin"
-        write_dataset(train, path, num_classes=4)
+        write_dataset(self.train, path, num_classes=4)
         back, num_classes = read_dataset(path)
         assert num_classes == 4
-        assert len(back) == len(train)
-        for a, b in zip(train, back):
-            assert np.array_equal(a.image, b.image)
-            assert np.array_equal(a.labels, b.labels)
+        assert len(back) == len(self.train)
+        for a, b in zip(self.train, back):
+            assert same_bytes(a.image, b.image)
+            assert same_bytes(a.labels, b.labels)
 
-    def test_write_is_deterministic(self, tmp_path, tiny_dataset):
-        train, _ = tiny_dataset
+    def test_write_is_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-        write_dataset(train, p1, num_classes=4)
-        write_dataset(train, p2, num_classes=4)
+        write_dataset(self.train, p1, num_classes=4)
+        write_dataset(self.train, p2, num_classes=4)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_corrupted_magic(self, tmp_path, tiny_dataset):
-        train, _ = tiny_dataset
-        path = tmp_path / "bad.bin"
-        write_dataset(train[:2], path, num_classes=4)
-        raw = bytearray(path.read_bytes())
-        raw[:4] = b"XXXX"
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="FCLS"):
-            read_dataset(path)
-
-    def test_truncated_payload(self, tmp_path, tiny_dataset):
-        train, _ = tiny_dataset
+    def test_truncated_payload(self, tmp_path):
         path = tmp_path / "short.bin"
-        write_dataset(train[:2], path, num_classes=4)
+        self.save(path)
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 7])
         with pytest.raises(FormatError):
             read_dataset(path)
 
-    def test_truncation_names_field_and_end_of_file(self, tmp_path, tiny_dataset):
-        train, _ = tiny_dataset
+    def test_truncation_names_field_and_end_of_file(self, tmp_path):
         path = tmp_path / "short.bin"
-        write_dataset(train[:2], path, num_classes=4)
+        self.save(path)
+        header, body = split_container(path)
+        assert header["arrays"] == [["images", [2, 16, 16, 3]], ["labels", [2, 16, 16]]]
         raw = path.read_bytes()
-        path.write_bytes(raw[: len(raw) - 7])
-        with pytest.raises(FormatError, match="while reading sample 1 labels") as info:
+        path.write_bytes(raw[: len(raw) - 2 * 16 * 16 * 2 - 7])
+        with pytest.raises(FormatError, match="while reading array 'images'") as info:
             read_dataset(path)
-        assert info.value.offset == len(raw) - 7
+        assert info.value.offset == len(raw) - 2 * 16 * 16 * 2 - 7
 
-    def test_header_payload_mismatch(self, tmp_path, tiny_dataset):
-        train, _ = tiny_dataset
+    def test_header_payload_mismatch(self, tmp_path):
         path = tmp_path / "miscount.bin"
-        write_dataset(train[:2], path, num_classes=4)
-        raw = bytearray(path.read_bytes())
-        # sample count lives after magic(4) + version(2) + num_classes(2)
-        raw[8:12] = (5).to_bytes(4, "little")
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError):
+        self.save(path)
+        header, body = split_container(path)
+        header["arrays"][0][1][0] = header["arrays"][1][1][0] = 5
+        join_container(path, json.dumps(header).encode(), body)
+        with pytest.raises(FormatError, match="truncated"):
             read_dataset(path)
 
     @pytest.mark.parametrize("name", ["summary.txt", "train.bin"])
-    def test_failed_write_keeps_previous_file(self, tmp_path, tiny_dataset,
-                                              name):
-        train, _ = tiny_dataset
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, name):
         path = tmp_path / name
+        if name == "train.bin":
+            self.assert_failed_write_keeps(path, monkeypatch)
+            return
 
         class Unwritable:
             def __format__(self, spec):
@@ -308,20 +320,68 @@ class TestDatasetIO:
         def report(**fields):
             return SimpleNamespace(summary_fields=lambda: fields)
 
-        if name == "summary.txt":
-            write_summary(path, report(step="1", miou_all="0.5"))
-            before = path.read_bytes()
-            # the first line is written before the second one fails
-            with pytest.raises(RuntimeError):
-                write_summary(path, report(step="2", miou_all=Unwritable()))
-        else:
-            write_dataset(train[:2], path, num_classes=4)
-            before = path.read_bytes()
-            # the header and two samples are written before the third fails
-            with pytest.raises(AttributeError):
-                write_dataset(train[:2] + [None], path, num_classes=4)
+        write_summary(path, report(step="1", miou_all="0.5"))
+        before = path.read_bytes()
+        # the first line is written before the second one fails
+        with pytest.raises(RuntimeError):
+            write_summary(path, report(step="2", miou_all=Unwritable()))
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == [name]
+
+    @pytest.mark.parametrize("mixed", [True, False], ids=["mixed", "empty"])
+    def test_mixed_sizes_rejected_before_the_file_opens(self, tmp_path, mixed):
+        path = tmp_path / "mixed.bin"
+        samples = self.train[:2] + [make_sample(np.zeros((16, 15)))] if mixed else []
+        with pytest.raises(DimensionError, match="one size"):
+            write_dataset(samples, path, num_classes=4)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("arrays, match", [
+        ([("images", (2, 4, 4, 3))], "dataset arrays"),
+        ([("images", (2, 4, 4, 3)), ("labels", (2, 4, 4)), ("extra", (2,))], "extra"),
+        ([("images", (2, 4, 4, 3)), ("labels", (2, 4, 5))], "not .N, H, W, 3."),
+        ([("images", (2, 4, 4, 3)), ("labels", (1, 8, 4))], "not .N, H, W, 3."),
+        ([("images", (2, 4, 4)), ("labels", (2, 4, 4))], "not .N, H, W, 3."),
+        ([("images", (2, 0, 4, 3)), ("labels", (2, 0, 4))], "zero-area"),
+        ([("labels", (2, 4, 4)), ("images", (2, 4, 4, 3))], "dataset arrays"),
+    ], ids=["missing", "extra", "mismatched", "same_bytes_other_shape",
+            "not_rgb", "zero_area", "out_of_order"])
+    def test_array_set_and_shapes_rejected(self, tmp_path, arrays, match):
+        path = tmp_path / "arrays.bin"
+        dtypes = dict(DATASET_DTYPES, extra="<f4")
+        write_arrays(path, DATASET_MAGIC, DATASET_VERSION, {"num_classes": 4},
+                     [(name, np.zeros(shape)) for name, shape in arrays],
+                     dtypes.__getitem__)
+        with pytest.raises(FormatError, match=match):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("num_classes", [0, 65535, "4", None])
+    def test_num_classes_outside_range_rejected(self, tmp_path, num_classes):
+        path = tmp_path / "classes.bin"
+        self.save(path)
+        header, body = split_container(path)
+        header["num_classes"] = num_classes
+        join_container(path, json.dumps(header).encode(), body)
+        with pytest.raises(FormatError, match="num_classes"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("pixel", [np.nan, np.inf, -0.5, 1.5])
+    def test_image_values_not_finite_or_outside_unit_range_rejected(self, tmp_path, pixel):
+        path = tmp_path / "values.bin"
+        sample = make_sample(np.zeros((4, 4)))
+        sample.image[1, 2, 0] = pixel
+        write_dataset([sample], path, num_classes=4)
+        with pytest.raises(FormatError, match=r"not finite or outside \[0, 1\]"):
+            read_dataset(path)
+
+    def test_label_outside_classes_rejected(self, tmp_path):
+        path = tmp_path / "labels.bin"
+        sample = make_sample([[0, 1], [IGNORE_ID, 5]])
+        write_dataset([sample], path, num_classes=4)
+        with pytest.raises(FormatError, match=r"labels outside 0\.\.4"):
+            read_dataset(path)
+        write_dataset([sample], path, num_classes=5)
+        assert read_dataset(path)[1] == 5
 
 
 @given(st.integers(2, 12), st.integers(1, 4))
