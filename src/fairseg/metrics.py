@@ -222,8 +222,9 @@ def evaluate_model(params, samples, split, step):
     islands_total = 0
     for start in range(0, len(samples), EVAL_BATCH):
         chunk = samples[start : start + EVAL_BATCH]
-        logits, _ = forward_batch(params, [s.image for s in chunk])
-        for sample, ids in zip(chunk, np.argmax(logits, axis=3)):
+        # only the ids outlive the forward, so one batch cache is live at a time
+        batch_ids = np.argmax(forward_batch(params, [s.image for s in chunk])[0], axis=3)
+        for sample, ids in zip(chunk, batch_ids):
             cm.accumulate(evaluation_labels(sample, split, step).labels, ids)
             islands_total += single_pixel_islands(ids)
     report = grouped_report(cm, split, step, num_images=len(samples))

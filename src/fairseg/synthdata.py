@@ -1,6 +1,6 @@
 """Procedural imbalanced segmentation benchmarks and the continual split.
 
-Images are (H, W, 3) grids in [0, 1]; label maps are (H, W) uint16 with
+Images are (H, W, 3) float32 grids in [0, 1]; label maps are (H, W) uint16 with
 0 = background and 65535 = ignore.  Each class is keyed by a (shape kind,
 base color) pair; shapes are painted back-to-front so later shapes occlude
 earlier ones, which erodes minority classes the way real long-tail pixel
@@ -48,7 +48,7 @@ COLOR_JITTER = 0.1
 class SegSample:
     """One RGB image grid plus its integer label map."""
 
-    image: np.ndarray  # (H, W, 3) float64 in [0, 1]
+    image: np.ndarray  # (H, W, 3) float32 in [0, 1]
     labels: np.ndarray  # (H, W) uint16
 
 
@@ -222,9 +222,8 @@ def _generate_image(spec, cdf, palette, rng):
         noise = rng.normals(h * w * 3).reshape(h, w, 3)
         image += spec.noise_sigma * noise
     np.clip(image, 0.0, 1.0, out=image)
-    # quantize through float32 so the file format round-trips bit-exactly
-    image = image.astype(np.float32).astype(np.float64)
-    return SegSample(image=image, labels=labels)
+    # float32, the file's dtype, so a write/read round trip is bit-exact
+    return SegSample(image=image.astype(np.float32), labels=labels)
 
 
 def generate(spec):
@@ -334,5 +333,5 @@ def _samples_of(header, arrays):
     if np.any((labels > num_classes) & (labels != IGNORE_ID)):
         raise FormatError(f"labels outside 0..{num_classes} + ignore")
     samples = [SegSample(image=image, labels=lab)
-               for image, lab in zip(images.astype(np.float64), labels)]
+               for image, lab in zip(images, labels)]
     return samples, num_classes

@@ -1,6 +1,7 @@
 """Confusion matrices, IoU groups, fairness measures, island counts."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from conftest import constant_sample
 from fairseg.errors import DimensionError, LabelError, UnavailableError
 from fairseg.metrics import (
+    EVAL_BATCH,
     ConfusionMatrix,
     MetricsReport,
     evaluate_model,
@@ -19,7 +21,7 @@ from fairseg.metrics import (
     single_pixel_islands,
     write_report_csv,
 )
-from fairseg.model import init_params
+from fairseg.model import forward_batch, init_params
 from fairseg.synthdata import IGNORE_ID, TaskSplit
 
 
@@ -325,6 +327,24 @@ class TestEvaluateModel:
         mixed = [samples[0], constant_sample(6, 7, (0.2, 0.6, 0.1), 1), samples[2]]
         with pytest.raises(DimensionError, match="one size"):
             evaluate_model(oracle_params(), mixed, self.split(), step=2)
+
+    def test_one_batch_cache_live_at_a_time(self):
+        # tracemalloc counts live NumPy bytes, so this does not depend on
+        # how the allocator returns memory to the system
+        params = init_params(0, (1, 2), patch_size=5, feature_dim=16, hidden=(64, 32))
+        samples = [constant_sample(16, 16, (0.1 * (i % 9), 0.5, 0.2), i % 3)
+                   for i in range(3 * EVAL_BATCH)]
+        _, cache = forward_batch(params, [s.image for s in samples[:EVAL_BATCH]])
+        cache_bytes = sum(a.nbytes for a in
+                          [cache.x, *cache.act, cache.feats, cache.logits])
+        del cache
+        tracemalloc.start()
+        try:
+            evaluate_model(params, samples, self.split(), step=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * cache_bytes
 
     def test_batches_of_eight_evaluate_like_one_at_a_time(self):
         samples = self.samples() * 4  # 12 images: a batch of 8, then 4
