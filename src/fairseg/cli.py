@@ -9,7 +9,6 @@ configuration before running.
 from __future__ import annotations
 
 import argparse
-import csv
 import operator
 import os
 import re
@@ -20,7 +19,6 @@ import numpy as np
 
 from .config import load_config
 from .errors import ConfigError, FairsegError, FormatError, LabelError
-from .fileio import atomic_open
 from .losses import (
     ConsConfig,
     cluster_loss,
@@ -32,7 +30,6 @@ from .metrics import (
     evaluate_model,
     normalized_entropy,
     read_summary,
-    write_report_csv,
     write_summary,
 )
 from .model import load_checkpoint
@@ -79,8 +76,9 @@ def cmd_gen(args):
         share = n / total if total else 0.0
         tag = "background" if cid == 0 else f"class {cid}"
         print(f"  {tag}: {n} px ({share:.4f})")
-    ent = normalized_entropy(counts[1:])
-    print(f"normalized entropy over foreground classes: {ent:.4f}")
+    if spec.num_classes >= 2:
+        ent = normalized_entropy(counts[1:])
+        print(f"normalized entropy over foreground classes: {ent:.4f}")
     return EXIT_OK
 
 
@@ -161,7 +159,6 @@ def cmd_eval(args):
     report, _ = evaluate_model(ckpt.params, samples, split, step)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
-    write_report_csv(os.path.join(out_dir, "report.csv"), report)
     write_summary(os.path.join(out_dir, "summary.txt"), report)
     print(f"evaluated {len(samples)} images at step {step}")
     print(f"  mIoU all      {report.miou_all:.4f}")
@@ -192,12 +189,13 @@ def _bounded_offsets(rng, count, dim, lo=0.3, hi=0.8):
     return (mag * signs).reshape(count, dim)
 
 
-def run_gradcheck(trials, seed, height=8, width=8, dim=4):
+def run_gradcheck(trials, seed):
     """Finite-difference check for every loss; returns [(name, max_err)].
 
     Instances are random but bounded away from gradient degeneracies
     (zero offsets, vanishing kernels) — see _bounded_offsets.
     """
+    height, width, dim = 8, 8, 4
     results = []
     shape = (height, width, dim)
     n = height * width
@@ -263,8 +261,8 @@ def run_gradcheck(trials, seed, height=8, width=8, dim=4):
         cfg = ConsConfig(sigma_color=0.3, window=3)
         a = b = None
         for _ in range(100):
-            a = softmax(rng.normals(dim), axis=-1)
-            b = softmax(rng.normals(dim), axis=-1)
+            a = softmax(rng.normals(dim))
+            b = softmax(rng.normals(dim))
             if np.min(np.abs(a - b)) >= 0.02:
                 break
         rr, cc = np.meshgrid(
@@ -436,19 +434,8 @@ def claim_values(groups):
 
 def cmd_report(args):
     groups = group_runs(load_run_summary(d) for d in args.run_dirs)
-    rows = {name: {"name": name, **{c: float(np.mean([r[c] for r in runs.values()]))
-                                    for c in _REPORT_COLUMNS}}
-            for name, runs in groups.items()}
     header = ["name", *_REPORT_COLUMNS]
-    if args.baseline is not None:
-        base = rows.get(args.baseline)
-        if base is None:
-            raise ConfigError(f"--baseline {args.baseline!r} names no run group")
-        header += ["delta_miou_all", "delta_miou_initial"]
-        for row in rows.values():
-            row["delta_miou_all"] = row["miou_all"] - base["miou_all"]
-            row["delta_miou_initial"] = row["miou_initial"] - base["miou_initial"]
-    widths = [max(len(h), 24 if h in _REPORT_COLUMNS else 14) for h in header]
+    widths = [14] + [24] * len(_REPORT_COLUMNS)
 
     def line(cells):
         return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
@@ -456,24 +443,17 @@ def cmd_report(args):
     print("each metric: mean over the group's runs [min, max]")
     print(line(header))
     print("-" * len(line(header)))
-    for name, row in rows.items():
-        vals = {h: [r[h] for r in groups[name].values()] for h in _REPORT_COLUMNS}
-        print(line([name] + [
-            f"{row[h]:.4f}"
-            + (f" [{np.min(vals[h]):.4f}, {np.max(vals[h]):.4f}]" if h in vals else "")
-            for h in header[1:]
-        ]))
+    for name, runs in groups.items():
+        cells = [name]
+        for h in _REPORT_COLUMNS:
+            v = [r[h] for r in runs.values()]
+            cells.append(f"{np.mean(v):.4f} [{np.min(v):.4f}, {np.max(v):.4f}]")
+        print(line(cells))
     claims = claim_values(groups)
     if claims:
         print("\nclaims on the group means, then per seed:")
     for cv in claims:
         print(f"  {'holds' if cv.holds else 'FAILS'}  {cv.describe()}")
-    if args.out is not None:
-        with atomic_open(args.out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=header)
-            writer.writeheader()
-            writer.writerows(rows.values())
-        print(f"wrote {args.out}")
     return EXIT_OK
 
 
@@ -537,9 +517,6 @@ def build_parser():
              "and the claims of acceptance criteria 5-7",
     )
     p.add_argument("run_dirs", nargs="+")
-    p.add_argument("--out", default=None,
-                   help="also write the group means as a CSV here")
-    p.add_argument("--baseline", help="run group for the delta columns")
     p.set_defaults(func=cmd_report)
     return parser
 

@@ -123,7 +123,7 @@ def weighted_ce(logits, labels, mask, row_weights=None):
         if row_weights.shape != (k,):
             raise DimensionError(f"row_weights must have shape ({k},)")
         w = row_weights[ys]
-    logp = log_softmax(z.reshape(-1, k)[sel], axis=1)
+    logp = log_softmax(z.reshape(-1, k)[sel])
     image = sel // n  # image of each supervised pixel
     counts = np.bincount(image, minlength=b)
     sums = np.bincount(image, weights=-w * logp[np.arange(sel.size), ys], minlength=b)

@@ -8,7 +8,6 @@ prediction are excluded from mIoU instead of dragging it to zero.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, fields
 from typing import Dict
 
@@ -78,12 +77,6 @@ class ConfusionMatrix:
                 out[c] = v
         return out
 
-    def pixel_accuracy(self):
-        total = self.matrix.sum()
-        if total == 0:
-            return 0.0
-        return float(np.trace(self.matrix) / total)
-
 
 def mean_iou(per_class, ids):
     """Mean IoU over the requested ids, skipping absent classes."""
@@ -143,16 +136,13 @@ class MetricsReport:
     step: int
     num_images: int
     per_class_iou: Dict[int, float] = field(default_factory=dict)
-    per_class_pixels: Dict[int, int] = field(default_factory=dict)
     miou_initial: float = float("nan")
     miou_later: float = float("nan")
-    miou_fg: float = float("nan")
     miou_all: float = float("nan")
     miou_avg: float = float("nan")  # mean of per-step mIoU(all); filled by runs
     miou_major: float = float("nan")
     miou_minor: float = float("nan")
     iou_std_fg: float = 0.0
-    pixel_accuracy: float = 0.0
     islands_per_image: float = 0.0
 
     def summary_fields(self):
@@ -197,15 +187,12 @@ def grouped_report(cm, split, step, num_images=0):
         step=step,
         num_images=num_images,
         per_class_iou=per_class,
-        per_class_pixels={c: cm.support(c) for c in cm.present_ids()},
         miou_initial=mean_iou(per_class, initial),
         miou_later=mean_iou(per_class, later) if later else float("nan"),
-        miou_fg=mean_iou(per_class, fg),
         miou_all=mean_iou(per_class, [0] + fg),
         miou_major=mean_iou(per_class, major),
         miou_minor=mean_iou(per_class, minor),
         iou_std_fg=iou_std(per_class, fg),
-        pixel_accuracy=cm.pixel_accuracy(),
     )
 
 
@@ -230,21 +217,6 @@ def evaluate_model(params, samples, split, step):
     report = grouped_report(cm, split, step, num_images=len(samples))
     report.islands_per_image = islands_total / max(1, len(samples))
     return report, cm
-
-
-def write_report_csv(path, report):
-    """One row per evaluated class: id, pixels, IoU."""
-    with atomic_open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class_id", "pixels", "iou"])
-        for cid in sorted(report.per_class_iou):
-            writer.writerow(
-                [
-                    cid,
-                    report.per_class_pixels.get(cid, 0),
-                    repr(report.per_class_iou[cid]),
-                ]
-            )
 
 
 def write_summary(path, report):

@@ -218,24 +218,24 @@ def channel_max(a):
     return top
 
 
-def softmax(logits, axis=-1):
-    """Numerically stable softmax (max-subtracted) along ``axis``."""
-    z = np.moveaxis(np.asarray(logits, dtype=np.float64), axis, -1)
+def softmax(logits):
+    """Numerically stable softmax (max-subtracted) along the last axis."""
+    z = np.asarray(logits, dtype=np.float64)
     if z.size == 0:
         raise DimensionError("softmax of empty input")
     z = z - channel_max(z)[..., None]  # the output; exp and division in place
     np.exp(z, out=z)
     z /= channel_sum(z)[..., None]
-    return np.moveaxis(z, -1, axis)
+    return z
 
 
-def log_softmax(logits, axis=-1):
-    z = np.moveaxis(np.asarray(logits, dtype=np.float64), axis, -1)
+def log_softmax(logits):
+    z = np.asarray(logits, dtype=np.float64)
     if z.size == 0:
         raise DimensionError("log_softmax of empty input")
     z = z - channel_max(z)[..., None]
     z -= np.log(channel_sum(np.exp(z)))[..., None]
-    return np.moveaxis(z, -1, axis)
+    return z
 
 
 def relative_error(analytic, fd):

@@ -32,7 +32,7 @@ from .losses import (
     weighted_ce,
 )
 from .fileio import atomic_open
-from .metrics import evaluate_model, read_summary, write_report_csv, write_summary
+from .metrics import evaluate_model, read_summary, write_summary
 from .model import (
     ModelParams,
     TrainState,
@@ -474,8 +474,8 @@ def run_continual(cfg, samples, out_dir=None, test_samples=None,
     any) to config.resolved.ini once every resume check has passed, then
     per-step checkpoints (step<t>.ckpt), a rolling latest.ckpt after every
     epoch, and a loss CSV.  When ``test_samples`` is given, evaluates
-    after each step and writes report_step<t>.csv and summary_step<t>.txt
-    at once, then summary.txt after the last step.  ``resume_from`` restarts from a
+    after each step and writes summary_step<t>.txt at once, then
+    summary.txt after the last step.  ``resume_from`` restarts from a
     checkpoint at its recorded epoch boundary and continues
     bit-identically: each step from the checkpoint's on trains the epochs
     it has left, then takes the same step end as a fresh run.  The loss
@@ -560,9 +560,6 @@ def run_continual(cfg, samples, out_dir=None, test_samples=None,
                 report.miou_avg = float(np.mean(mious))
             reports.append(report)
             if out_dir is not None:
-                write_report_csv(
-                    os.path.join(out_dir, f"report_step{t}.csv"), report
-                )
                 write_summary(
                     os.path.join(out_dir, f"summary_step{t}.txt"), report
                 )

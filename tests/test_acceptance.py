@@ -239,13 +239,13 @@ def test_criterion_9_determinism_and_resume(grid):
         (first / name).read_bytes() == (again / name).read_bytes()
         for name in (
             "step1.ckpt", "step2.ckpt", "latest.ckpt", "losses.csv",
-            "report_step2.csv", "summary.txt",
+            "summary.txt",
         )
     )
     resumed_ok = all(
         (resumed / name).read_bytes() == (first / name).read_bytes()
         for name in (
-            "step2.ckpt", "losses.csv", "report_step2.csv", "summary.txt",
+            "step2.ckpt", "losses.csv", "summary.txt",
         )
     )
     ok = identical and resumed_ok

@@ -1,7 +1,6 @@
 """Command-line entry points and INI configuration loading."""
 
 import contextlib
-import csv
 import importlib.metadata
 import io
 import os
@@ -281,6 +280,17 @@ class TestGen:
         assert "[benchmark]" in out
         assert "num_classes = 4" in out
 
+    def test_one_class_benchmark_exits_0(self, tmp_path):
+        ini = tmp_path / "one.ini"
+        ini.write_text(SMALL_INI.replace("num_classes = 4", "num_classes = 1")
+                       .replace("steps = 2-2", "steps = 1"))
+        code, out = run_cli("gen", "--config", str(ini), "--out", str(tmp_path / "d"))
+        assert code == 0
+        assert sorted(os.listdir(tmp_path / "d")) == [
+            "config.resolved.ini", "test.bin", "train.bin"]
+        assert "class 1:" in out
+        assert "normalized entropy" not in out
+
     def test_bad_config_exits_2(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("[benchmark]\nshapes = 9\n")
@@ -292,13 +302,11 @@ class TestGen:
 class TestTrain:
     def test_run_artifacts(self, workspace):
         out, text = workspace["runs"]["full"]
-        for name in (
-            "step1.ckpt", "step2.ckpt", "latest.ckpt", "losses.csv",
-            "config.resolved.ini", "summary.txt",
-            "report_step1.csv", "report_step2.csv",
-            "summary_step1.txt", "summary_step2.txt",
-        ):
-            assert (out / name).exists(), name
+        assert sorted(os.listdir(out)) == [
+            "config.resolved.ini", "latest.ckpt", "losses.csv",
+            "step1.ckpt", "step2.ckpt",
+            "summary.txt", "summary_step1.txt", "summary_step2.txt",
+        ]
         assert "head rows 3" in text
         assert "head rows 5" in text
         assert "step 2 eval" in text
@@ -417,8 +425,7 @@ class TestEval:
             "--out", str(tmp_path),
         )
         assert code == 0
-        assert (tmp_path / "report.csv").exists()
-        assert (tmp_path / "summary.txt").exists()
+        assert os.listdir(tmp_path) == ["summary.txt"]
         assert "mIoU all" in text
 
     def test_step_one_view(self, workspace, tmp_path):
@@ -483,20 +490,6 @@ class TestGradcheckCommand:
 
 
 class TestReport:
-    def test_table_with_deltas(self, workspace, tmp_path):
-        full, _ = workspace["runs"]["full"]
-        ft, _ = workspace["runs"]["fine-tune"]
-        csv_path = tmp_path / "table.csv"
-        code, text = run_cli(
-            "report", str(ft), str(full), "--out", str(csv_path),
-            "--baseline", "fine-tune",
-        )
-        assert code == 0
-        assert "delta_miou_all" in text
-        header = csv_path.read_text().splitlines()[0]
-        assert header.startswith("name,miou_initial")
-        assert "delta_miou_initial" in header
-
     def test_missing_run_dir_exits_3(self, tmp_path):
         code, _ = run_cli("report", str(tmp_path / "ghost"))
         assert code == 3
@@ -509,31 +502,42 @@ class TestReport:
         assert code == 3
         assert "summary line without '='" in capsys.readouterr().err
 
-    def test_unmatched_baseline_exits_2(self, workspace, capsys):
-        full, _ = workspace["runs"]["full"]
-        code, text = run_cli("report", str(full), "--baseline", "fine-tune-s1")
-        assert code == 2
-        assert "'fine-tune-s1'" in capsys.readouterr().err
-        assert text == ""
-
     def test_seed_runs_form_one_group(self, tmp_path):
         for name, miou_all, miou_initial in (
                 ("x-s1", 0.2, 0.5), ("x-s2", 0.4, 0.1), ("y", 0.5, 0.7)):
             (tmp_path / name).mkdir()
             (tmp_path / name / "summary.txt").write_text(
                 f"miou_all={miou_all!r}\nmiou_initial={miou_initial!r}\n")
-        out = tmp_path / "table.csv"
         runs = (str(tmp_path / n) for n in ("x-s1", "x-s2", "y"))
-        code, text = run_cli("report", *runs, "--baseline", "x", "--out", str(out))
+        code, text = run_cli("report", *runs)
         assert code == 0
         assert [l.split()[0] for l in text.splitlines()[3:5]] == ["x", "y"]
         assert "0.3000 [0.2000, 0.4000]" in text.splitlines()[3]
-        with open(out) as fh:
-            rows = {r["name"]: r for r in csv.DictReader(fh)}
-        assert float(rows["x"]["miou_all"]) == np.mean([0.2, 0.4])
-        assert float(rows["x"]["delta_miou_all"]) == 0.0
-        assert float(rows["y"]["delta_miou_all"]) == 0.5 - np.mean([0.2, 0.4])
-        assert float(rows["y"]["delta_miou_initial"]) == 0.7 - np.mean([0.5, 0.1])
+
+    def test_older_run_directory_reports_and_resumes(self, workspace, tmp_path):
+        # runs written before summaries lost miou_fg and pixel_accuracy also
+        # hold report_step<t>.csv; report and --resume read neither
+        fresh, _ = workspace["runs"]["full"]
+        old = tmp_path / "full"
+        shutil.copytree(fresh, old)
+        for t in (1, 2):
+            (old / f"report_step{t}.csv").write_text("class_id,pixels,iou\n0,9,0.5\n")
+        for name in ("summary.txt", "summary_step1.txt", "summary_step2.txt"):
+            text = (old / name).read_text()
+            (old / name).write_text(text.replace(
+                "miou_all=", "miou_fg=0.25\nmiou_all=").replace(
+                "islands_per_image=", "pixel_accuracy=0.75\nislands_per_image="))
+        assert run_cli("report", str(old)) == run_cli("report", str(fresh))
+        shutil.copy(old / "step1.ckpt", old / "latest.ckpt")
+        code, _ = run_cli(
+            "train", "--config", str(workspace["ini"]),
+            "--dataset", str(workspace["data"] / "train.bin"),
+            "--test", str(workspace["data"] / "test.bin"),
+            "--out", str(old), "--resume",
+        )
+        assert code == 0
+        for name in ("step2.ckpt", "latest.ckpt", "losses.csv", "summary.txt"):
+            assert (old / name).read_bytes() == (fresh / name).read_bytes(), name
 
     def test_same_run_twice_exits_2(self, workspace, tmp_path, capsys):
         full, _ = workspace["runs"]["full"]

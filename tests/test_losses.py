@@ -92,7 +92,7 @@ class TestWeightedCE:
         plain = weighted_ce(logits, labels, mask)
         weighted = weighted_ce(logits, labels, mask, row_weights=np.ones(4))
         assert plain.value == pytest.approx(weighted.value, abs=1e-15)
-        logp = np.log(softmax(logits, axis=1))
+        logp = np.log(softmax(logits))
         expect = float(np.mean(-logp[np.arange(12), labels]))
         assert plain.value == pytest.approx(expect, abs=1e-12)
 
@@ -384,7 +384,7 @@ class TestConsLoss:
         rng = Rng(121)
         h, w, k = 5, 4, 3
         image = rng.uniforms(h * w * 3).reshape(h, w, 3)
-        probs = softmax(rng.normals(h * w * k).reshape(h, w, k), axis=-1)
+        probs = softmax(rng.normals(h * w * k).reshape(h, w, k))
         cfg = ConsConfig(sigma_color=0.25).validate()
         out = cons_loss(image, probs, cfg)
         assert out.value == pytest.approx(
@@ -394,14 +394,14 @@ class TestConsLoss:
     def test_tiny_color_scale_kills_loss(self):
         rng = Rng(122)
         image = rng.uniforms(6 * 6 * 3).reshape(6, 6, 3)
-        probs = softmax(rng.normals(6 * 6 * 3).reshape(6, 6, 3), axis=-1)
+        probs = softmax(rng.normals(6 * 6 * 3).reshape(6, 6, 3))
         out = cons_loss(image, probs, ConsConfig(sigma_color=1e-3))
         assert out.value < 1e-12
 
     def test_flip_symmetry(self):
         rng = Rng(123)
         image = rng.uniforms(5 * 7 * 3).reshape(5, 7, 3)
-        probs = softmax(rng.normals(5 * 7 * 2).reshape(5, 7, 2), axis=-1)
+        probs = softmax(rng.normals(5 * 7 * 2).reshape(5, 7, 2))
         cfg = ConsConfig()
         a = cons_loss(image, probs, cfg)
         b = cons_loss(image[::-1, ::-1], probs[::-1, ::-1], cfg)
@@ -410,8 +410,8 @@ class TestConsLoss:
     def test_probs_gradient_matches_brute_force_fd(self):
         rng = Rng(124)
         image = (0.5 + 0.1 * (2 * rng.uniforms(4 * 4 * 3) - 1)).reshape(4, 4, 3)
-        a = softmax(rng.normals(3), axis=-1)
-        b = softmax(rng.normals(3), axis=-1)
+        a = softmax(rng.normals(3))
+        b = softmax(rng.normals(3))
         region = (np.arange(4) < 2)[:, None] & np.ones(4, bool)[None, :]
         probs0 = np.where(region[..., None], a, b)
         cfg = ConsConfig(sigma_color=0.3)
@@ -432,7 +432,7 @@ class TestConsLoss:
         cfg = ConsConfig(sigma_color=0.3)
 
         def loss(params):
-            probs = softmax(params["logits"], axis=-1)
+            probs = softmax(params["logits"])
             out = cons_loss(image, probs, cfg)
             return GradSlot(
                 value=out.value, grads={"logits": out.grads["logits"]}
@@ -443,7 +443,7 @@ class TestConsLoss:
     def test_softmax_jacobian_identity(self):
         rng = Rng(126)
         for _ in range(20):
-            p = softmax(rng.normals(5), axis=-1)
+            p = softmax(rng.normals(5))
             d = rng.normals(5)
             jac = np.diag(p) - np.outer(p, p)
             np.testing.assert_allclose(
@@ -592,7 +592,7 @@ class TestBatchContract:
         image = rng.uniforms(self.B * self.H * self.W * 3).reshape(
             self.B, self.H, self.W, 3
         )
-        probs = softmax(self.normals(rng, self.B, self.H, self.W, 4), axis=-1)
+        probs = softmax(self.normals(rng, self.B, self.H, self.W, 4))
         probs[1] = probs[1, 0, 0]
         self.assert_batch_is_sum(lambda x, p: cons_loss(x, p, cfg), image, probs)
 
@@ -811,7 +811,7 @@ class TestBitIdentity:
     def cons_case(self, seed, b, h, w, k=4):
         rng = Rng(seed)
         image = rng.uniforms(b * h * w * 3).reshape(b, h, w, 3)
-        probs = softmax(self.normals(rng, b, h, w, k), axis=-1)
+        probs = softmax(self.normals(rng, b, h, w, k))
         # equal neighbours: zero differences in both directions
         image[0, : h // 2] = image[0, 0, 0]
         probs[0, : h // 2] = probs[0, 0, 0]

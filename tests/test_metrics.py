@@ -1,6 +1,5 @@
 """Confusion matrices, IoU groups, fairness measures, island counts."""
 
-import csv
 import tracemalloc
 
 import numpy as np
@@ -19,7 +18,6 @@ from fairseg.metrics import (
     mean_iou,
     normalized_entropy,
     single_pixel_islands,
-    write_report_csv,
 )
 from fairseg.model import forward_batch, init_params
 from fairseg.synthdata import IGNORE_ID, TaskSplit
@@ -38,7 +36,6 @@ class TestConfusionMatrix:
         cm = fill_cm([(0, 0, 10), (1, 1, 5), (2, 2, 3)])
         assert np.trace(cm.matrix) == cm.total() == 18
         assert cm.iou(1) == 1.0
-        assert cm.pixel_accuracy() == 1.0
 
     def test_disjoint_prediction_zero_iou(self):
         cm = fill_cm([(1, 2, 8)])
@@ -215,7 +212,6 @@ class TestGroupedReport:
         assert report.per_class_iou[4] == 0.5
         assert report.miou_initial == pytest.approx(0.25)
         assert report.miou_later == pytest.approx(0.75)
-        assert report.miou_fg == pytest.approx(0.5)
         # background IoU: tp=100, fn=0, fp=10 -> 100/110
         assert report.miou_all == pytest.approx((100 / 110 + 2.0) / 5)
         assert report.num_images == 4
@@ -224,29 +220,14 @@ class TestGroupedReport:
         cm = fill_cm([(1, 1, 10), (2, 2, 10), (3, 3, 10), (4, 4, 10)])
         report = grouped_report(cm, self.split(), step=2)
         assert report.iou_std_fg == 0.0
-        assert report.miou_fg == 1.0
 
     def test_summary_fields_round_trip(self):
         cm = fill_cm([(1, 1, 10), (2, 2, 4)])
         report = grouped_report(cm, self.split(), step=1, num_images=2)
         fields = report.summary_fields()
         assert fields["step"] == "1"
-        assert float(fields["miou_fg"]) == report.miou_fg
+        assert float(fields["miou_all"]) == report.miou_all
         assert float(fields["iou_class_1"]) == 1.0
-
-    def test_report_csv(self, tmp_path):
-        cm = fill_cm([(1, 1, 10), (2, 2, 4), (2, 1, 4)])
-        report = grouped_report(cm, self.split(), step=1, num_images=2)
-        path = tmp_path / "report.csv"
-        write_report_csv(path, report)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["class_id", "pixels", "iou"]
-        body = {int(r[0]): r for r in rows[1:]}
-        # class 1: tp=10, fp=4 (the 2->1 confusion), fn=0
-        assert float(body[1][2]) == pytest.approx(10 / 14)
-        assert int(body[2][1]) == 8
-        assert float(body[2][2]) == 0.5
 
 
 def oracle_params():
@@ -294,7 +275,6 @@ class TestEvaluateModel:
         assert report.miou_initial == 1.0
         assert report.miou_later == 1.0
         assert report.iou_std_fg == 0.0
-        assert report.pixel_accuracy == 1.0
         assert report.islands_per_image == 0.0
         assert cm.total() == 3 * 64
 

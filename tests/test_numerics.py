@@ -280,7 +280,7 @@ class TestSoftmax:
         z = logits - np.max(logits, axis=1, keepdims=True)
         e = np.exp(z)
         fresh = e / np.sum(e, axis=1, keepdims=True)
-        assert same_bytes(softmax(logits, axis=1), fresh)
+        assert same_bytes(softmax(logits), fresh)
         assert same_bytes(logits, before)
 
     @pytest.mark.parametrize("k", range(1, 21))
@@ -289,19 +289,9 @@ class TestSoftmax:
         logits[:, 0] = np.maximum(logits[:, 0], -1e3)  # no row of only -inf
         z = logits - np.max(logits, axis=1, keepdims=True)
         e = np.exp(z)
-        assert same_bytes(softmax(logits, axis=1), e / np.sum(e, axis=1, keepdims=True))
+        assert same_bytes(softmax(logits), e / np.sum(e, axis=1, keepdims=True))
         log_p = z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
-        assert same_bytes(log_softmax(logits, axis=1), log_p)
-
-    def test_any_axis(self):
-        logits = Rng(22).normals(4 * 5 * 3).reshape(4, 5, 3)
-        e = np.exp(logits - np.max(logits, axis=1, keepdims=True))
-        np.testing.assert_allclose(
-            softmax(logits, axis=1), e / np.sum(e, axis=1, keepdims=True), rtol=1e-15
-        )
-        np.testing.assert_allclose(
-            log_softmax(logits, axis=0), np.log(softmax(logits, axis=0)), atol=1e-14
-        )
+        assert same_bytes(log_softmax(logits), log_p)
 
     def test_log_softmax_consistency(self):
         v = np.array([0.3, -1.2, 2.0, 0.0])

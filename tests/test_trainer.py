@@ -55,7 +55,6 @@ def tiny_config(**overrides):
 # every file a run with test samples writes, config aside
 RUN_FILES = (
     "step1.ckpt", "step2.ckpt", "latest.ckpt", "losses.csv",
-    "report_step1.csv", "report_step2.csv",
     "summary_step1.txt", "summary_step2.txt", "summary.txt",
 )
 
@@ -561,8 +560,7 @@ class TestRunContinual:
             names = set(os.listdir(redo))
             assert names >= {"summary.txt"} | {
                 f"{kind}{s}.{ext}" for s in range(k, 4)
-                for kind, ext in (("step", "ckpt"), ("report_step", "csv"),
-                                  ("summary_step", "txt"))
+                for kind, ext in (("step", "ckpt"), ("summary_step", "txt"))
             }
             for name in names:
                 assert (redo / name).read_bytes() == (out / name).read_bytes(), (k, name)
