@@ -1,10 +1,10 @@
 """Many ``fairseg`` runs side by side, each a fresh one-BLAS-thread process.
 
-Run bytes depend on the BLAS thread count, so each run's environment sets
-the thread variables to 1 before NumPy is imported; the caller's is not
-changed.  (A ``multiprocessing`` spawn child inherits the caller's
-environment and re-imports its main script, and so NumPy, before any
-worker code runs.)
+A BLAS build may round a product differently with more threads, so each
+run's environment sets the thread variables to 1 before NumPy is
+imported; the caller's is not changed.  (A ``multiprocessing`` spawn
+child inherits the caller's environment and re-imports its main script,
+and so NumPy, before any worker code runs.)
 """
 
 import os

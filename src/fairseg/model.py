@@ -22,7 +22,7 @@ from .prototypes import FeatureBank, PrototypeBank, ProtoEntry
 from .synthdata import TaskSplit
 
 CHECKPOINT_MAGIC = b"FCLK"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 @dataclass
@@ -30,12 +30,16 @@ class ModelParams:
     patch_size: int
     feature_dim: int
     hidden: Tuple[int, ...]
-    blocks: dict  # name -> float64 array
+    blocks: dict  # name -> float32 array; the model computes in its dtype
     class_steps: Tuple[Tuple[int, ...], ...]  # class ids per step; row c is class c
 
     @property
     def num_rows(self):
         return self.blocks["head.W"].shape[0]
+
+    @property
+    def dtype(self):
+        return self.blocks["head.W"].dtype
 
     def copy(self):
         return ModelParams(
@@ -51,11 +55,11 @@ def _glorot(rng, shape):
     fan_out, fan_in = shape
     bound = math.sqrt(6.0 / (fan_in + fan_out))
     u = rng.uniforms(fan_out * fan_in).reshape(shape)
-    return (2.0 * u - 1.0) * bound
+    return ((2.0 * u - 1.0) * bound).astype(np.float32)
 
 
 def init_params(seed, initial_classes, patch_size, feature_dim, hidden):
-    """Glorot-uniform initialization; head gets 1 + len(initial_classes) rows.
+    """Glorot-uniform float32 blocks; head gets 1 + len(initial_classes) rows.
 
     The sizes are those of a validated ``TrainConfig``.
     """
@@ -64,13 +68,13 @@ def init_params(seed, initial_classes, patch_size, feature_dim, hidden):
     in_dim = patch_size * patch_size * 3
     for i, width in enumerate(hidden):
         blocks[f"enc{i}.W"] = _glorot(root.split(f"init/enc{i}.W"), (width, in_dim))
-        blocks[f"enc{i}.b"] = np.zeros(width, dtype=np.float64)
+        blocks[f"enc{i}.b"] = np.zeros(width, dtype=np.float32)
         in_dim = width
     blocks["feat.W"] = _glorot(root.split("init/feat.W"), (feature_dim, in_dim))
-    blocks["feat.b"] = np.zeros(feature_dim, dtype=np.float64)
+    blocks["feat.b"] = np.zeros(feature_dim, dtype=np.float32)
     rows = 1 + len(initial_classes)
     blocks["head.W"] = _glorot(root.split("init/head.W"), (rows, feature_dim))
-    blocks["head.b"] = np.zeros(rows, dtype=np.float64)
+    blocks["head.b"] = np.zeros(rows, dtype=np.float32)
     return ModelParams(
         patch_size=patch_size,
         feature_dim=feature_dim,
@@ -84,7 +88,8 @@ def grow_head(params, new_classes, rng):
     """Append head rows for new classes; existing rows are untouched.
 
     New rows use the Glorot rule for the grown head shape, drawn from the
-    caller's step-scoped generator; new biases are zero.
+    caller's step-scoped generator; new biases are zero.  The new rows take
+    the old blocks' dtype, so growth never promotes the head.
     """
     new_classes = tuple(new_classes)
     if len(new_classes) < 1:
@@ -95,10 +100,10 @@ def grow_head(params, new_classes, rng):
     rows_after = old_w.shape[0] + len(new_classes)
     bound = math.sqrt(6.0 / (d + rows_after))
     u = rng.uniforms(len(new_classes) * d).reshape(len(new_classes), d)
-    new_rows = (2.0 * u - 1.0) * bound
+    new_rows = ((2.0 * u - 1.0) * bound).astype(old_w.dtype)
     blocks = {k: v.copy() for k, v in params.blocks.items()}
     blocks["head.W"] = np.vstack([old_w, new_rows])
-    blocks["head.b"] = np.concatenate([old_b, np.zeros(len(new_classes))])
+    blocks["head.b"] = np.concatenate([old_b, np.zeros(len(new_classes), old_b.dtype)])
     return ModelParams(
         patch_size=params.patch_size,
         feature_dim=params.feature_dim,
@@ -110,8 +115,9 @@ def grow_head(params, new_classes, rng):
 
 def patch_matrix(images, patch_size):
     """(B*H*W, k*k*3) flattened reflect-padded neighborhoods of a (B, H, W, 3)
-    batch; rows are the images' pixels in order, row-major per image."""
-    images = np.asarray(images, dtype=np.float64)
+    batch in its dtype; rows are the images' pixels in order, row-major per
+    image."""
+    images = np.asarray(images)
     if images.ndim != 4 or images.shape[3] != 3:
         raise DimensionError(f"images must be (B, H, W, 3), got {images.shape}")
     b, h, w, _ = images.shape
@@ -139,25 +145,26 @@ class BatchCache:
 
 
 def stack_images(images):
-    """Equal-size images as one float64 (B, H, W, 3) array; an array that
-    already is one is returned as it is.  Mixed sizes raise DimensionError."""
+    """Equal-size images as one float32 (B, H, W, 3) array; a float32 array
+    is returned as it is.  Mixed sizes raise DimensionError."""
     sizes = {np.shape(img) for img in images}
     if len(sizes) > 1:
         raise DimensionError(f"batch images must share one size, got {sorted(sizes)}")
-    return np.asarray(images, dtype=np.float64)
+    return np.asarray(images, dtype=np.float32)
 
 
 def forward_batch(params, images):
     """Forward equal-size images through one stacked set of matmuls.
 
-    ``images`` is a list of images or their ``stack_images`` array.  Each
-    bias and ReLU is applied in place on its matmul output.  The cache rows
-    are the images' pixels in order, row-major per image.  Returns the
-    (B, H, W, K) logits grid, a view of the cache's logits, and the
-    BatchCache.  Mixed sizes raise DimensionError.
+    ``images`` is a list of images or their ``stack_images`` array.  The
+    patch matrix, activations, features and logits take the parameters'
+    dtype.  Each bias and ReLU is applied in place on its matmul output.
+    The cache rows are the images' pixels in order, row-major per image.
+    Returns the (B, H, W, K) logits grid, a view of the cache's logits, and
+    the BatchCache.  Mixed sizes raise DimensionError.
     """
     batch = stack_images(images)
-    x = patch_matrix(batch, params.patch_size)
+    x = patch_matrix(batch.astype(params.dtype, copy=False), params.patch_size)
     a = x
     act = []
     for i in range(len(params.hidden)):
@@ -174,7 +181,8 @@ def forward_batch(params, images):
 
 
 def backward_batch(params, cache, dfeats, dlogits):
-    """Exact parameter gradients from stacked upstream feature/logit grads."""
+    """Exact parameter gradients from stacked upstream feature/logit grads,
+    which are cast to the parameters' dtype first (losses give float64)."""
     if dlogits.shape != cache.logits.shape:
         raise DimensionError(
             f"upstream logits grad shape {dlogits.shape} != {cache.logits.shape}"
@@ -183,6 +191,8 @@ def backward_batch(params, cache, dfeats, dlogits):
         raise DimensionError(
             f"upstream features grad shape {dfeats.shape} != {cache.feats.shape}"
         )
+    dfeats = np.asarray(dfeats, dtype=params.dtype)
+    dlogits = np.asarray(dlogits, dtype=params.dtype)
     grads = {}
     grads["head.W"] = dlogits.T @ cache.feats
     grads["head.b"] = dlogits.sum(axis=0)
@@ -239,7 +249,8 @@ def _arrays_of(state):
 def save_checkpoint(path, state):
     """Serialize a TrainState as a ``write_arrays`` container: a JSON header
     of the run's position, model shape and prototype flags, then every
-    array as little-endian float64, so bytes are stable."""
+    array little-endian: the model, momentum and distill blocks as float32,
+    the prototypes and banks as float64, so bytes are stable."""
     p = state.params
     header = {
         "rng": RNG_ALGORITHM_ID,
@@ -256,17 +267,17 @@ def save_checkpoint(path, state):
                    for cid, e in sorted(state.protos.entries.items())],
     }
     write_arrays(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header,
-                 _arrays_of(state), _float64)
+                 _arrays_of(state), _dtype_of)
 
 
 def load_checkpoint(path):
     """The TrainState saved at ``path``; a malformed file raises FormatError."""
     return read_arrays(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint",
-                       _float64, _state_of)
+                       _dtype_of, _state_of)
 
 
-def _float64(name):
-    return "<f8"
+def _dtype_of(name):
+    return "<f8" if name.startswith(("proto/", "bank/")) else "<f4"
 
 
 def _state_of(header, arrays):

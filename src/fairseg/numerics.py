@@ -1,8 +1,9 @@
 """Deterministic numeric substrate: seeded PRNG, channel reductions, softmax,
 gradient checking.
 
-All training math runs in 64-bit floats on plain numpy arrays.  Image-like
-data ("grids") are C-contiguous float64 arrays of shape (H, W, C).  Random
+The losses, prototypes and gradient checks run in 64-bit floats on plain
+numpy arrays; the model computes in its parameters' 32-bit floats.
+Image-like data ("grids") are C-contiguous arrays of shape (H, W, C).  Random
 numbers come from a fixed, documented PCG32 generator so that runs are
 bit-reproducible across platforms; sub-streams are derived by hashing
 (seed, label) and are therefore independent of call order.  Array draws

@@ -841,14 +841,14 @@ class TestBitIdentity:
         self.assert_cons_near_loop(image, probs, cfg)
 
 
-# A training-shaped forward and cluster loss; prints a digest of every
-# output byte.  Run in a fresh interpreter so that the BLAS thread count in
+# A training-shaped forward, cluster loss and backward; prints a digest of
+# every output byte.  Run in a fresh interpreter so that the BLAS thread count in
 # its environment holds when NumPy is imported.
 BLAS_CHILD = """
 import hashlib
 import numpy as np
 from fairseg.losses import IGNORE_ID, cluster_loss
-from fairseg.model import forward_batch, init_params
+from fairseg.model import backward_batch, forward_batch, init_params
 from fairseg.numerics import Rng
 from fairseg.prototypes import ClusterConfig, PrototypeBank
 
@@ -867,20 +867,23 @@ labels = np.array([rng.randint(7) for _ in range(6 * 32 * 32)]).reshape(6, 32, 3
 labels[labels == 6] = IGNORE_ID
 labels[4] = IGNORE_ID
 cl = cluster_loss(feats, labels, protos, ClusterConfig(margin=10.0).validate())
+dlogits = rng.normals(cache.logits.size).reshape(cache.logits.shape)
+grads = backward_batch(params, cache, cl.grads["features"].reshape(-1, 16), dlogits)
 h = hashlib.sha256(np.float64(cl.value).tobytes())
-for arr in (cache.feats, cache.logits, cl.grads["features"]):
+for arr in (cache.feats, cache.logits, cl.grads["features"],
+            *(grads[name] for name in sorted(grads))):
     h.update(np.ascontiguousarray(arr).tobytes())
 print(h.hexdigest())
 """
 
 
 def test_bytes_do_not_depend_on_blas_threads():
-    """The forward pass and the cluster loss's products give the same bytes
-    with one and with two BLAS threads, each count set before NumPy is
-    imported.  ``backward_batch`` is left out: with two OpenBLAS 0.3.31
-    threads its first-layer weight gradient, a (64, 6144) x (6144, 75)
-    product at the acceptance sizes, already rounds differently (see
-    ROADMAP item 1)."""
+    """The float32 forward and backward passes (sgemm) and the cluster
+    loss's float64 products give the same bytes with one and with two BLAS
+    threads, each count set before NumPy is imported.  This includes the
+    first-layer weight gradient, a (64, 6144) x (6144, 75) product at the
+    acceptance sizes, which two OpenBLAS 0.3.31 threads round differently
+    in float64 (dgemm)."""
     import fairseg
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(fairseg.__file__)))

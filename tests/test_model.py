@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import ContainerRefusals, join_container, same_bytes, split_container
+from fairseg import model
 from fairseg.errors import ConfigError, DimensionError, FormatError
 from fairseg.losses import (
     ConsConfig,
@@ -160,8 +161,11 @@ def patch_matrix_one(image, patch_size):
 
 
 def reference_forward(params, images):
-    """Fresh-array forward pass keeping the pre-activations; returns a dict."""
-    x = np.vstack([patch_matrix_one(img, params.patch_size) for img in images])
+    """Fresh-array forward pass in the parameters' dtype, keeping the
+    pre-activations; the probabilities are taken in float64, as the losses
+    take them.  Returns a dict."""
+    x = np.vstack([patch_matrix_one(img.astype(params.dtype), params.patch_size)
+                   for img in images])
     a = x
     pre, act = [], []
     for i in range(len(params.hidden)):
@@ -171,13 +175,17 @@ def reference_forward(params, images):
         act.append(a)
     feats = a @ params.blocks["feat.W"].T + params.blocks["feat.b"]
     logits = feats @ params.blocks["head.W"].T + params.blocks["head.b"]
-    e = np.exp(logits - np.max(logits, axis=1, keepdims=True))
+    z = logits.astype(np.float64)
+    e = np.exp(z - np.max(z, axis=1, keepdims=True))
     return dict(x=x, pre=pre, act=act, feats=feats, logits=logits,
                 probs=e / np.sum(e, axis=1, keepdims=True))
 
 
 def reference_backward(params, ref, dfeats, dlogits):
-    """Backward pass masking with ``pre > 0`` and fresh arrays throughout."""
+    """Backward pass masking with ``pre > 0`` and fresh arrays throughout,
+    on upstream gradients cast to the parameters' dtype."""
+    dfeats = dfeats.astype(params.dtype)
+    dlogits = dlogits.astype(params.dtype)
     grads = {}
     grads["head.W"] = dlogits.T @ ref["feats"]
     grads["head.b"] = dlogits.sum(axis=0)
@@ -212,10 +220,11 @@ class TestBitIdentity:
     def test_forward_and_backward_equal_reference(self, hidden):
         params = small_params(seed=93, classes=(1, 2, 3), hidden=hidden)
         rng = Rng(94)
-        images = [random_image(rng, 6, 5) for _ in range(3)]
+        images = [random_image(rng, 6, 5).astype(np.float32) for _ in range(3)]
         # a bias shift that zeroes many ReLU units, so the mask matters
         for i in range(len(hidden)):
-            params.blocks[f"enc{i}.b"] = rng.normals(hidden[i]) - 0.5
+            shifted = rng.normals(hidden[i]) - 0.5
+            params.blocks[f"enc{i}.b"] = shifted.astype(params.dtype)
         logits, cache = forward_batch(params, images)
         ref = reference_forward(params, images)
         for name in ("x", "feats", "logits"):
@@ -244,12 +253,48 @@ class TestBitIdentity:
             assert (pre <= 0).any() and (pre > 0).any()
 
 
+class TestFloat32Accuracy:
+    """The float32 model against the same parameters in float64."""
+
+    # relative to each float64 array's largest magnitude; ~840 float32
+    # epsilons, room for the rounding of sums over 6144 batch rows
+    RTOL = 1e-4
+
+    def test_agrees_with_float64_at_acceptance_sizes(self):
+        rng = Rng(300)
+        p32 = grow_head(init_params(3, (1, 2, 3, 4, 5), 5, 16, (64, 32)),
+                        (6, 7, 8), rng.split("grow"))
+        for name, arr in p32.blocks.items():
+            if name.endswith(".b"):  # nonzero biases, so every term counts
+                p32.blocks[name] = (0.1 * rng.normals(arr.size)).astype(np.float32)
+        p64 = p32.copy()
+        p64.blocks = {k: v.astype(np.float64) for k, v in p32.blocks.items()}
+        images = rng.uniforms(6 * 32 * 32 * 3).reshape(6, 32, 32, 3).astype(np.float32)
+        _, c32 = forward_batch(p32, images)
+        _, c64 = forward_batch(p64, images)
+        dfeats = rng.normals(c64.feats.size).reshape(c64.feats.shape)
+        dlogits = rng.normals(c64.logits.size).reshape(c64.logits.shape)
+        g32 = backward_batch(p32, c32, dfeats, dlogits)
+        g64 = backward_batch(p64, c64, dfeats, dlogits)
+        # the dtype follows the parameters
+        for arr in [c32.x, c32.feats, c32.logits, *c32.act, *g32.values()]:
+            assert arr.dtype == np.float32
+        for arr in [c64.x, c64.feats, c64.logits, *c64.act, *g64.values()]:
+            assert arr.dtype == np.float64
+        pairs = [("feats", c32.feats, c64.feats), ("logits", c32.logits, c64.logits)]
+        pairs += [(name, g32[name], g64[name]) for name in g64]
+        for name, got, want in pairs:
+            err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+            assert err <= self.RTOL, (name, err)
+
+
 class TestGrowHead:
     def test_rows_preserved(self):
         params = small_params(2, (1, 2, 3, 4, 5))
         assert params.num_rows == 6
         grown = grow_head(params, (6, 7, 8), Rng(77).split("grow/step2"))
         assert grown.num_rows == 9
+        assert all(arr.dtype == np.float32 for arr in grown.blocks.values())
         np.testing.assert_array_equal(
             grown.blocks["head.W"][:6], params.blocks["head.W"]
         )
@@ -396,7 +441,8 @@ def make_checkpoint(seed=51, with_distill=False):
     if with_distill:
         distill_params = params.copy()
         params = grow_head(params, (3,), rng.split("grow"))
-    momentum = {k: np.asarray(rng.normals(v.size)).reshape(v.shape) * 0.01
+    # momentum in the parameters' dtype, as init_state makes it
+    momentum = {k: (rng.normals(v.size).reshape(v.shape) * 0.01).astype(v.dtype)
                 for k, v in params.blocks.items()}
     protos = PrototypeBank(params.feature_dim)
     protos.register([0, 1, 2])
@@ -471,6 +517,18 @@ class TestCheckpoint(ContainerRefusals):
         )
         assert back.bank.capacity == 7
 
+    def test_version_4_checkpoint_refused(self, tmp_path, monkeypatch):
+        """A version-4 file, every array float64, is refused, not misread."""
+        path = tmp_path / "v4.ckpt"
+        with monkeypatch.context() as old:
+            old.setattr(model, "CHECKPOINT_VERSION", 4)
+            old.setattr(model, "_dtype_of", lambda name: "<f8")
+            save_checkpoint(path, make_checkpoint())
+        with pytest.raises(FormatError,
+                           match="unsupported checkpoint version 4") as info:
+            load_checkpoint(path)
+        assert info.value.offset == 4
+
     def test_bank_queue_of_wrong_width_rejected(self, tmp_path):
         path = tmp_path / "bank.ckpt"
         ckpt = make_checkpoint()
@@ -502,7 +560,9 @@ class TestCheckpoint(ContainerRefusals):
         assert header["protos"] == [[0, False, False], [1, True, True],
                                     [2, False, False]]
         assert header["bank_capacity"] == 7
-        sizes = [8 * int(np.prod(shape)) for _, shape in header["arrays"]]
+        # model blocks are float32; prototypes and banks float64
+        sizes = [(8 if name.startswith(("proto/", "bank/")) else 4)
+                 * int(np.prod(shape)) for name, shape in header["arrays"]]
         assert len(body) == sum(sizes)
 
     def test_other_prng_rejected(self, tmp_path):

@@ -173,7 +173,9 @@ class TestEffectiveLabels:
 
 class TestSgdUpdate:
     def test_pure_decay_contracts_by_closed_form(self):
+        # float64 parameters: the tolerance is about the update's arithmetic
         params = init_state(tiny_config()).params
+        params.blocks = {n: a.astype(np.float64) for n, a in params.blocks.items()}
         theta0 = {n: a.copy() for n, a in params.blocks.items()}
         momentum = {n: np.zeros_like(a) for n, a in params.blocks.items()}
         zero = {n: np.zeros_like(a) for n, a in params.blocks.items()}
@@ -393,6 +395,45 @@ class TestRunContinual:
         assert (redo / "losses.csv").read_bytes() == (
             out / "losses.csv"
         ).read_bytes()
+
+    @pytest.mark.parametrize("preset", ["distill", "full"])
+    def test_model_stays_float32_and_resumes_byte_identically(
+            self, tmp_path, tiny_dataset, monkeypatch, preset):
+        """Head growth keeps every model array float32, so the float32
+        checkpoint holds it exactly: resuming from step1.ckpt and from a
+        mid-step latest.ckpt leaves the uninterrupted run's files."""
+        train, test = tiny_dataset
+        cfg = tiny_config(preset=preset)
+        straight = tmp_path / "straight"
+        real_save = trainer.save_checkpoint
+
+        def save_and_keep_mid_step(path, state):
+            real_save(path, state)
+            if os.path.basename(path) == "latest.ckpt" and (
+                    state.step, state.epoch) == (2, 1):
+                shutil.copy(path, tmp_path / "mid.ckpt")
+
+        monkeypatch.setattr(trainer, "save_checkpoint", save_and_keep_mid_step)
+        state = run_continual(cfg, train, out_dir=straight,
+                              test_samples=test).state
+        monkeypatch.undo()
+        models = [state.params.blocks, state.momentum]
+        if preset == "distill":
+            models.append(state.distill_params.blocks)
+        assert all(arr.dtype == np.float32
+                   for blocks in models for arr in blocks.values())
+        assert all(entry.vector.dtype == np.float64
+                   for entry in state.protos.entries.values())
+        for resume_from in (straight / "step1.ckpt", tmp_path / "mid.ckpt"):
+            out = tmp_path / f"from-{resume_from.stem}"
+            shutil.copytree(straight, out)
+            for name in ("step2.ckpt", "latest.ckpt", "summary_step2.txt",
+                         "summary.txt"):
+                (out / name).unlink()
+            run_continual(cfg, train, out_dir=out, test_samples=test,
+                          resume_from=resume_from)
+            for name in RUN_FILES:
+                assert (out / name).read_bytes() == (straight / name).read_bytes()
 
     def test_resume_without_loss_log_rejected(self, tmp_path, tiny_dataset):
         train, _ = tiny_dataset
