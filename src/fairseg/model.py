@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, FormatError
+from .errors import ConfigError, DimensionError, FormatError, StateError
 from .fileio import read_arrays, write_arrays
 from .numerics import RNG_ALGORITHM_ID, Rng
 from .prototypes import FeatureBank, PrototypeBank, ProtoEntry
@@ -58,29 +58,41 @@ def _glorot(rng, shape):
     return ((2.0 * u - 1.0) * bound).astype(np.float32)
 
 
+def block_shapes(patch_size, feature_dim, hidden, class_steps):
+    """Each model block's name and shape; the head has a row for background
+    and for every class of ``class_steps``."""
+    shapes = {}
+    in_dim = patch_size * patch_size * 3
+    for i, width in enumerate(hidden):
+        shapes[f"enc{i}.W"] = (width, in_dim)
+        shapes[f"enc{i}.b"] = (width,)
+        in_dim = width
+    rows = 1 + sum(len(ids) for ids in class_steps)
+    shapes.update({"feat.W": (feature_dim, in_dim), "feat.b": (feature_dim,),
+                   "head.W": (rows, feature_dim), "head.b": (rows,)})
+    return shapes
+
+
 def init_params(seed, initial_classes, patch_size, feature_dim, hidden):
-    """Glorot-uniform float32 blocks; head gets 1 + len(initial_classes) rows.
+    """Glorot-uniform float32 weights, each from its own stream, and zero
+    biases; head gets 1 + len(initial_classes) rows.
 
     The sizes are those of a validated ``TrainConfig``.
     """
     root = Rng(seed)
-    blocks = {}
-    in_dim = patch_size * patch_size * 3
-    for i, width in enumerate(hidden):
-        blocks[f"enc{i}.W"] = _glorot(root.split(f"init/enc{i}.W"), (width, in_dim))
-        blocks[f"enc{i}.b"] = np.zeros(width, dtype=np.float32)
-        in_dim = width
-    blocks["feat.W"] = _glorot(root.split("init/feat.W"), (feature_dim, in_dim))
-    blocks["feat.b"] = np.zeros(feature_dim, dtype=np.float32)
-    rows = 1 + len(initial_classes)
-    blocks["head.W"] = _glorot(root.split("init/head.W"), (rows, feature_dim))
-    blocks["head.b"] = np.zeros(rows, dtype=np.float32)
+    class_steps = (tuple(initial_classes),)
+    blocks = {
+        name: _glorot(root.split(f"init/{name}"), shape) if name.endswith(".W")
+        else np.zeros(shape, dtype=np.float32)
+        for name, shape in block_shapes(patch_size, feature_dim, hidden,
+                                        class_steps).items()
+    }
     return ModelParams(
         patch_size=patch_size,
         feature_dim=feature_dim,
         hidden=tuple(hidden),
         blocks=blocks,
-        class_steps=(tuple(initial_classes),),
+        class_steps=class_steps,
     )
 
 
@@ -250,7 +262,15 @@ def save_checkpoint(path, state):
     """Serialize a TrainState as a ``write_arrays`` container: a JSON header
     of the run's position, model shape and prototype flags, then every
     array little-endian: the model, momentum and distill blocks as float32,
-    the prototypes and banks as float64, so bytes are stable."""
+    the prototypes and banks as float64, so bytes are stable.  An array of
+    another dtype raises StateError before the file is opened, so it is
+    never rounded into the file and the previous file stays."""
+    arrays = _arrays_of(state)
+    for name, arr in arrays:
+        if not np.can_cast(arr.dtype, _dtype_of(name), casting="equiv"):
+            raise StateError(
+                f"checkpoint array {name} is {arr.dtype}, stored as {_dtype_of(name)}"
+            )
     p = state.params
     header = {
         "rng": RNG_ALGORITHM_ID,
@@ -266,8 +286,8 @@ def save_checkpoint(path, state):
         "protos": [[cid, e.frozen, e.initialized]
                    for cid, e in sorted(state.protos.entries.items())],
     }
-    write_arrays(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header,
-                 _arrays_of(state), _dtype_of)
+    write_arrays(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header, arrays,
+                 _dtype_of)
 
 
 def load_checkpoint(path):
@@ -292,22 +312,37 @@ def _state_of(header, arrays):
                 if name.startswith(prefix)}
 
     feature_dim = header["feature_dim"]
+    hidden = tuple(header["hidden"])
     class_steps = tuple(tuple(ids) for ids in header["class_steps"])
     try:  # head row c predicts class c only for a split's numbering
         TaskSplit(class_steps).validate()
     except ConfigError as exc:
         raise FormatError(f"checkpoint class registry: {exc}") from exc
 
-    def model(blocks, steps):
+    def blocks_of(prefix, shapes):
+        """The ``prefix`` arrays, which must be exactly ``shapes``."""
+        blocks = group(prefix)
+        for name in sorted(blocks.keys() | shapes.keys()):
+            if name not in shapes:
+                raise FormatError(f"checkpoint array {prefix}{name} is not a model block")
+            found = blocks[name].shape if name in blocks else "missing"
+            if found != shapes[name]:
+                raise FormatError(f"checkpoint array {prefix}{name} is {found}, "
+                                  f"expected shape {shapes[name]}")
+        return blocks
+
+    def model(prefix, steps):
+        shapes = block_shapes(header["patch_size"], feature_dim, hidden, steps)
         return ModelParams(patch_size=header["patch_size"], feature_dim=feature_dim,
-                           hidden=tuple(header["hidden"]), blocks=blocks,
+                           hidden=hidden, blocks=blocks_of(prefix, shapes),
                            class_steps=steps)
 
-    params = model(group("params/"), class_steps)
+    params = model("params/", class_steps)
     for name, arr in params.blocks.items():
         if not np.all(np.isfinite(arr)):
             raise FormatError(f"parameter block {name} has non-finite values")
-    distill = group("distill/")
+    momentum = blocks_of("momentum/", {k: a.shape for k, a in params.blocks.items()})
+    distill = any(name.startswith("distill/") for name in arrays)
     protos = PrototypeBank(feature_dim)
     for cid, frozen, initialized in header["protos"]:
         protos.entries[cid] = ProtoEntry(vector=arrays[f"proto/{cid}"],
@@ -317,12 +352,12 @@ def _state_of(header, arrays):
         bank.deposit_many(int(cid), queue)
     return TrainState(
         params=params,
-        momentum=group("momentum/"),
+        momentum=momentum,
         protos=protos,
         bank=bank,
         preset=header["preset"],
         step=header["step"],
         epoch=header["epoch"],
         iteration=header["iteration"],
-        distill_params=model(distill, class_steps[:-1]) if distill else None,
+        distill_params=model("distill/", class_steps[:-1]) if distill else None,
     )

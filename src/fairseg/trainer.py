@@ -252,12 +252,10 @@ def enter_step(state, cfg):
     new_classes = sorted(cfg.split.classes_at(step))
     state.params = grow_head(state.params, new_classes, rng)
     for name, arr in state.params.blocks.items():
-        if name not in state.momentum or state.momentum[name].shape != arr.shape:
-            grown = np.zeros_like(arr)
-            if name in state.momentum:
-                old = state.momentum[name]
-                grown[tuple(slice(0, s) for s in old.shape)] = old
-            state.momentum[name] = grown
+        old = state.momentum[name]
+        if old.shape != arr.shape:  # the head's new rows start at rest
+            state.momentum[name] = np.zeros_like(arr)
+            state.momentum[name][: len(old)] = old
     known = sorted(cfg.split.known_through(step - 1))
     freezable = [c for c in known if state.protos.is_initialized(c)]
     freeze_previous(state.protos, freezable)
@@ -299,11 +297,14 @@ def run_step(state, cfg, data, on_epoch_end=None):
 
     ``data`` is the step's list of SegSamples with collapsed labels, all
     of one image size (a batch of mixed sizes raises DimensionError, and a
-    label with no head row LabelError, when it is reached).  Each
-    iteration stacks its batch and calls every loss once on it.  Resumes
-    from state.epoch when it is nonzero.  Each epoch makes one loss-log row
-    of per-epoch mean loss terms, passed to ``on_epoch_end(state, row)``;
-    the StepOutcome holds them in order.
+    label with no head row LabelError, when it is reached).  When the
+    preset distills, the frozen previous-step model first forwards the
+    step's images once, ``batch_size`` at a time, and its features are the
+    distillation targets of every epoch; a resumed step computes them
+    again.  Each iteration stacks its batch and calls every loss once on
+    it.  Resumes from state.epoch when it is nonzero.  Each epoch makes one
+    loss-log row of per-epoch mean loss terms, passed to
+    ``on_epoch_end(state, row)``; the StepOutcome holds them in order.
     """
     step = state.step
     if not data:
@@ -328,6 +329,14 @@ def run_step(state, cfg, data, on_epoch_end=None):
             counts, cfg.weights.smoothing, cfg.weights.clamp_min,
             cfg.weights.clamp_max,
         )
+    teacher = None  # the previous-step model's (n, H, W, D) features, indexed like data
+    if terms.distill and state.distill_params is not None:
+        # in training-batch chunks, so that one chunk's cache is live at a time
+        step_images = stack_images([s.image for s in data])
+        chunks = [step_images[i : i + cfg.batch_size] for i in range(0, n, cfg.batch_size)]
+        teacher = np.concatenate(
+            [forward_batch(state.distill_params, c)[1].feats for c in chunks]
+        ).reshape(*step_images.shape[:3], -1)
     for epoch in range(state.epoch, cfg.epochs):
         order = list(range(n))
         Rng(cfg.seed).split(f"step{step}/epoch{epoch}/order").shuffle(order)
@@ -359,9 +368,8 @@ def run_step(state, cfg, data, on_epoch_end=None):
                 co = cons_loss(images, probs, cfg.cons)
                 sums["cons"] += co.value / bsz
                 dlogits += _scaled(co, "logits", cfg.weights.lambda_cons, bsz)
-            if terms.distill and state.distill_params is not None:
-                _, prev = forward_batch(state.distill_params, images)
-                di = distill_loss(feats, prev.feats.reshape(feats.shape))
+            if teacher is not None:
+                di = distill_loss(feats, teacher[picked])
                 sums["distill"] += di.value / bsz
                 g = _scaled(di, "features", cfg.weights.lambda_distill, bsz)
                 if dfeats is None:

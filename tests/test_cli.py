@@ -11,9 +11,10 @@ import sys
 import numpy as np
 import pytest
 
-from fairseg import cli
+from fairseg import cli, trainer
 from fairseg.config import DEFAULTS, default_config, load_config
 from fairseg.errors import ConfigError
+from fairseg.model import load_checkpoint, save_checkpoint
 from fairseg.synthdata import TaskSplit
 from fairseg.trainer import TrainConfig
 
@@ -403,6 +404,43 @@ class TestTrain:
         )
         assert code == 2
         assert differ in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+    @pytest.mark.parametrize("source, prefix, block", [
+        ("mid-step", "momentum", "enc0.W"),
+        ("step1", "params", "enc0.b"),
+        ("step1", "momentum", "enc0.W"),
+    ], ids=["mid_step_momentum", "step1_params", "step1_momentum"])
+    def test_resume_from_checkpoint_without_model_array_exits_3(
+            self, workspace, tmp_path, monkeypatch, capsys, source, prefix, block):
+        """Such a file must not load: a mid-step resume would stop in a bare
+        KeyError, and a step-boundary one would zero-fill the momentum."""
+        argv = ("train", "--config", str(workspace["ini"]),
+                "--dataset", str(workspace["data"] / "train.bin"),
+                "--test", str(workspace["data"] / "test.bin"))
+        checkpoint = workspace["runs"]["full"][0] / "step1.ckpt"
+        if source == "mid-step":
+            real_save = trainer.save_checkpoint
+
+            def save_and_keep_mid_step(path, state):
+                real_save(path, state)
+                if os.path.basename(path) == "latest.ckpt" and (
+                        state.step, state.epoch) == (2, 1):
+                    shutil.copy(path, tmp_path / "mid.ckpt")
+
+            monkeypatch.setattr(trainer, "save_checkpoint", save_and_keep_mid_step)
+            assert run_cli(*argv, "--out", str(tmp_path / "fresh"))[0] == 0
+            monkeypatch.undo()
+            checkpoint = tmp_path / "mid.ckpt"
+        run = tmp_path / "run"
+        shutil.copytree(workspace["runs"]["full"][0], run)
+        state = load_checkpoint(checkpoint)
+        del {"params": state.params.blocks, "momentum": state.momentum}[prefix][block]
+        save_checkpoint(run / "latest.ckpt", state)
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        code, _ = run_cli(*argv, "--out", str(run), "--resume")
+        assert code == 3
+        assert f"{prefix}/{block} is missing" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
     def test_steps_flag_overrides_split(self, workspace, tmp_path):

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import ContainerRefusals, join_container, same_bytes, split_container
 from fairseg import model
-from fairseg.errors import ConfigError, DimensionError, FormatError
+from fairseg.errors import ConfigError, DimensionError, FormatError, StateError
 from fairseg.losses import (
     ConsConfig,
     cluster_loss,
@@ -520,10 +520,13 @@ class TestCheckpoint(ContainerRefusals):
     def test_version_4_checkpoint_refused(self, tmp_path, monkeypatch):
         """A version-4 file, every array float64, is refused, not misread."""
         path = tmp_path / "v4.ckpt"
+        ckpt = make_checkpoint()
+        ckpt.params.blocks = {k: v.astype(np.float64) for k, v in ckpt.params.blocks.items()}
+        ckpt.momentum = {k: v.astype(np.float64) for k, v in ckpt.momentum.items()}
         with monkeypatch.context() as old:
             old.setattr(model, "CHECKPOINT_VERSION", 4)
             old.setattr(model, "_dtype_of", lambda name: "<f8")
-            save_checkpoint(path, make_checkpoint())
+            save_checkpoint(path, ckpt)
         with pytest.raises(FormatError,
                            match="unsupported checkpoint version 4") as info:
             load_checkpoint(path)
@@ -596,3 +599,40 @@ class TestCheckpoint(ContainerRefusals):
         with pytest.raises(FormatError, match="proto/7"):
             load_checkpoint(path)
 
+    def test_float64_model_block_refused_and_previous_file_kept(self, tmp_path):
+        path = tmp_path / "f64.ckpt"
+        save_checkpoint(path, make_checkpoint())
+        before = path.read_bytes()
+        ckpt = make_checkpoint(seed=52)
+        ckpt.params.blocks["head.W"] = ckpt.params.blocks["head.W"].astype(np.float64)
+        with pytest.raises(StateError, match="params/head.W is float64, stored as <f4"):
+            save_checkpoint(path, ckpt)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f64.ckpt"]
+
+    @pytest.mark.parametrize("name, shape, message", [
+        ("params/enc0.b", None, "params/enc0.b is missing"),
+        ("momentum/enc0.W", None, "momentum/enc0.W is missing"),
+        ("distill/head.b", None, "distill/head.b is missing"),
+        ("params/head.W", (3, 4), r"params/head.W is \(3, 4\), expected shape \(4, 4\)"),
+        ("momentum/head.b", (3,), r"momentum/head.b is \(3,\), expected shape \(4,\)"),
+        ("distill/head.W", (4, 4), r"distill/head.W is \(4, 4\), expected shape \(3, 4\)"),
+        ("params/enc9.W", (2, 2), "params/enc9.W is not a model block"),
+    ], ids=["params_missing", "momentum_missing", "distill_missing", "params_shape",
+            "momentum_shape", "distill_shape", "extra_block"])
+    def test_model_array_missing_or_misshaped_rejected(self, tmp_path, name,
+                                                         shape, message):
+        """Model, momentum and distill blocks must be exactly those of the
+        header's model shape; the distill model has one step less."""
+        path = tmp_path / "blocks.ckpt"
+        ckpt = make_checkpoint(with_distill=True)
+        prefix, block = name.split("/")
+        arrays = {"params": ckpt.params.blocks, "momentum": ckpt.momentum,
+                  "distill": ckpt.distill_params.blocks}[prefix]
+        if shape is None:
+            del arrays[block]
+        else:
+            arrays[block] = np.zeros(shape, dtype=np.float32)
+        save_checkpoint(path, ckpt)
+        with pytest.raises(FormatError, match=message):
+            load_checkpoint(path)

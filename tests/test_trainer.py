@@ -378,6 +378,34 @@ class TestRunContinual:
             np.testing.assert_array_equal(arr, frozen.blocks[name])
         assert result.outcomes[-1].loss_trace[-1]["distill"] > 0.0
 
+    def test_previous_step_model_forwards_each_step_image_once(
+            self, tmp_path, tiny_dataset, monkeypatch):
+        """Once per run_step, mid-step resume included, not once per epoch."""
+        train, _ = tiny_dataset
+        cfg = tiny_config(preset="distill", epochs=3)
+        step_images = len(select_step_indices(train, cfg.split, 2))
+        real_forward, real_save = trainer.forward_batch, trainer.save_checkpoint
+        calls = []  # (params, images) of every forward
+
+        def counting_forward(params, images):
+            calls.append((params, len(images)))
+            return real_forward(params, images)
+
+        def save_and_keep_mid_step(path, state):
+            real_save(path, state)
+            if os.path.basename(path) == "latest.ckpt" and (
+                    state.step, state.epoch) == (2, 1):
+                shutil.copy(path, tmp_path / "mid.ckpt")
+
+        monkeypatch.setattr(trainer, "forward_batch", counting_forward)
+        monkeypatch.setattr(trainer, "save_checkpoint", save_and_keep_mid_step)
+        out = tmp_path / "run"
+        for resume_from in (None, tmp_path / "mid.ckpt"):
+            calls.clear()
+            teacher = run_continual(cfg, train, out_dir=out,
+                                    resume_from=resume_from).state.distill_params
+            assert sum(n for params, n in calls if params is teacher) == step_images
+
     def test_resume_from_step_boundary_matches(self, tmp_path, tiny_dataset):
         train, _ = tiny_dataset
         cfg = tiny_config()
