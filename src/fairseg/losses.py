@@ -1,5 +1,11 @@
 """Training objectives with exact analytic gradients.
 
+Each loss computes in the dtype of the model outputs it is given
+(``numerics.float_dtype``): the model's float32 features and logits give
+float32 arithmetic and float32 gradients, float64 stays float64, and any
+other dtype is upcast to float64.  Prototypes keep their float64 storage
+and are cast to the features' dtype once per call.
+
 Every loss returns a GradSlot whose gradients flow to the model's forward
 outputs: "logits" for the cross-entropy and consistency terms, "features"
 for the clustering and distillation terms.  Inputs are one image, (H, W, C)
@@ -19,8 +25,10 @@ cancellation has eaten most of its digits, so that pair (and any
 non-finite one) takes the direct difference f - p for its distance and
 its gradient term; a pixel on a prototype is then at distance exactly 0.
 At 1e-3 a pair just above the threshold keeps the loop form's value and
-gradient to 1e-12 relative (``tests/test_losses.py::TestBitIdentity``), and
-a ``full`` acceptance run has 2 of its 12.8M pairs below it.  The products
+gradient to 1e-12 relative in float64
+(``tests/test_losses.py::TestBitIdentity``); in float32 its squared
+distance keeps about eps / NEAR = 1.2e-4 of its value, within the bound of
+``TestFloat32Accuracy``.  The products
 are per image, not per batch: BLAS rounds a row block of one (B*n, D)
 product differently from an (n, D) product in some shapes (one pixel per
 image, one prototype), and an image's gradient must not depend on the
@@ -35,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, LabelError
-from .numerics import GradSlot, channel_sum, log_softmax
+from .numerics import GradSlot, channel_sum, float_dtype, log_softmax
 from .synthdata import IGNORE_ID
 
 # A feature/prototype pair whose expanded squared distance is at most this
@@ -81,9 +89,11 @@ class LossWeights:
         return self
 
 
-def _flatten_pixels(arr, what, channels=None):
-    """(B, N, C) float64 view of a batch (B, H, W, C) or one image (H, W, C) / (N, C)."""
-    arr = np.asarray(arr, dtype=np.float64)
+def _flatten_pixels(arr, what, channels=None, dtype=None):
+    """(B, N, C) view of a batch (B, H, W, C) or one image (H, W, C) / (N, C),
+    in ``dtype`` (default: its ``float_dtype``)."""
+    arr = np.asarray(arr)
+    arr = arr.astype(dtype or float_dtype(arr), copy=False)
     if arr.ndim not in (2, 3, 4):
         raise DimensionError(f"{what} must be (B, H, W, C), (H, W, C) or (N, C)")
     if channels is not None and arr.shape[-1] != channels:
@@ -92,13 +102,24 @@ def _flatten_pixels(arr, what, channels=None):
     return arr.reshape(batch, -1, arr.shape[-1])
 
 
+@dataclass
+class CESlot(GradSlot):
+    """``weighted_ce``'s result: also the softmax of every pixel's logits,
+    shaped like them, which the consistency term reads."""
+
+    probs: np.ndarray = None
+
+
 def weighted_ce(logits, labels, mask, row_weights=None):
     """Importance-weighted cross entropy over supervised pixels.
 
     ``labels`` holds head-row indices; ``mask`` selects supervised pixels;
     ``row_weights`` is a per-row weight vector (None = plain CE).  The
     gradient flows to the logits.  An image with nothing supervised
-    contributes zero loss.
+    contributes zero loss.  One max-subtract/exp/sum pass over every pixel
+    gives the log-probabilities and ``probs``; when every pixel is
+    supervised the value and gradient take all rows as they are, otherwise
+    the supervised rows are gathered and their gradient scattered.
     """
     shape = np.asarray(logits).shape
     z = _flatten_pixels(logits, "logits")
@@ -107,32 +128,39 @@ def weighted_ce(logits, labels, mask, row_weights=None):
     m = np.asarray(mask, dtype=bool).reshape(-1)
     if y.size != b * n or m.size != b * n:
         raise DimensionError("labels/mask size does not match logits")
-    sel = np.flatnonzero(m)
-    grad = np.zeros((b * n, k))
-    if sel.size == 0:
-        return GradSlot(value=0.0, grads={"logits": grad.reshape(shape)})
-    ys = y[sel].astype(np.int64)
+    logp = log_softmax(z.reshape(-1, k))
+    probs = np.exp(logp)
+    whole = m.all()
+    pix = np.arange(b * n) if whole else np.flatnonzero(m)  # supervised pixels
+    if pix.size == 0:
+        return CESlot(value=0.0, grads={"logits": np.zeros(shape, z.dtype)},
+                      probs=probs.reshape(shape))
+    ys = y[pix].astype(np.int64)
     if ys.min() < 0 or ys.max() >= k:
         raise LabelError(
             f"supervised label outside head range 0..{k - 1}"
         )
     if row_weights is None:
-        w = np.ones(sel.size)
+        w = np.ones(pix.size, z.dtype)
     else:
         row_weights = np.asarray(row_weights, dtype=np.float64)
         if row_weights.shape != (k,):
             raise DimensionError(f"row_weights must have shape ({k},)")
-        w = row_weights[ys]
-    logp = log_softmax(z.reshape(-1, k)[sel])
-    image = sel // n  # image of each supervised pixel
+        w = row_weights.astype(z.dtype)[ys]
+    image = pix // n  # image of each supervised pixel
     counts = np.bincount(image, minlength=b)
-    sums = np.bincount(image, weights=-w * logp[np.arange(sel.size), ys], minlength=b)
+    sums = np.bincount(image, weights=-w * logp[pix, ys], minlength=b)
     value = float(np.sum(sums / np.maximum(counts, 1)))
-    p = np.exp(logp)
-    g = p * w[:, None]
-    g[np.arange(sel.size), ys] -= w
-    grad[sel] = g / counts[image, None]
-    return GradSlot(value=value, grads={"logits": grad.reshape(shape)})
+    g = (probs if whole else probs[pix]) * w[:, None]
+    g[np.arange(pix.size), ys] -= w
+    g /= counts.astype(z.dtype)[image, None]
+    if whole:
+        grad = g
+    else:
+        grad = np.zeros((b * n, k), z.dtype)
+        grad[pix] = g
+    return CESlot(value=value, grads={"logits": grad.reshape(shape)},
+                  probs=probs.reshape(shape))
 
 
 def class_weights(counts, smoothing, clamp_min, clamp_max):
@@ -169,6 +197,7 @@ def cluster_loss(features, labels, protos, cfg, counters=None):
     shape = np.asarray(features).shape
     fb = _flatten_pixels(features, "features", channels=protos.feature_dim)
     b, n, d = fb.shape
+    dtype = fb.dtype
     y = np.asarray(labels).reshape(-1)
     if y.size != b * n:
         raise DimensionError("labels size does not match features")
@@ -180,16 +209,14 @@ def cluster_loss(features, labels, protos, cfg, counters=None):
     if not live.any() or not init_ids:
         if counters is not None:
             counters["cluster_skipped_pixels"] += int(n_live.sum())
-        return GradSlot(value=0.0, grads={"features": np.zeros(shape)})
-    if counters is not None:
-        uninit = live & ~np.isin(y, np.array(init_ids, dtype=y.dtype))
-        counters["cluster_skipped_pixels"] += int(np.count_nonzero(uninit))
+        return GradSlot(value=0.0, grads={"features": np.zeros(shape, dtype)})
     _, pm = protos.initialized_matrix()
+    pm = pm.astype(dtype, copy=False)  # float64 storage, the features' arithmetic
     k = pm.shape[0]
     f = fb.reshape(b * n, d)
     # d2 = ||f||^2 - 2 f.p + ||p||^2: one (n, k) product per image, so an
     # image's bytes do not depend on the batch it is in
-    d2 = np.empty((b, n, k))
+    d2 = np.empty((b, n, k), dtype)
     for i in range(b):
         np.matmul(fb[i], pm.T, out=d2[i])
     d2 = d2.reshape(b * n, k)
@@ -207,20 +234,24 @@ def cluster_loss(features, labels, protos, cfg, counters=None):
     dist = np.sqrt(d2, out=d2)
     delta = cfg.margin
     match = (y[:, None] == np.asarray(init_ids)) & live[:, None]
+    if counters is not None:  # live pixels whose class has no prototype yet
+        counters["cluster_skipped_pixels"] += int(
+            np.count_nonzero(live & ~match.any(axis=1))
+        )
     active = (dist < delta) & ~match & live[:, None]
     terms = np.where(active, delta - dist, 0.0)
     np.copyto(terms, dist, where=match)
     loss = channel_sum(terms)  # per pixel
     # weights sign / dist: +1 pulls a pixel toward its own prototype, -1
     # pushes it off a near other one, 0 leaves it (and distance 0) alone
-    sign = match.astype(np.float64)
+    sign = match.astype(dtype)
     sign -= active
     w = np.divide(sign, dist, out=np.zeros_like(dist), where=dist != 0)
     w_near = w[rows, cols]
     w[rows, cols] = 0.0
     # sum_c w_c (f - p_c) = f sum_c w_c - W P, again one product per image;
     # the near pairs add their direct differences
-    wp = np.empty((b, n, d))
+    wp = np.empty((b, n, d), dtype)
     w3 = w.reshape(b, n, k)
     for i in range(b):
         np.matmul(w3[i], pm, out=wp[i])
@@ -228,7 +259,7 @@ def cluster_loss(features, labels, protos, cfg, counters=None):
     grad -= wp.reshape(b * n, d)
     np.add.at(grad, rows, w_near[:, None] * diff)
     dead = n_live == 0
-    n_live = np.maximum(n_live, 1)
+    n_live = np.maximum(n_live, 1).astype(dtype)
     grad = grad.reshape(b, n, d)
     grad /= n_live[:, None, None]
     grad[dead] = 0.0  # +0.0, as the early return gives
@@ -258,8 +289,9 @@ def cons_loss(image, probs, cfg):
     color-affinity kernel, averaged over ordered neighbor pairs.  Gradients
     are returned on probs and, through the softmax Jacobian, on logits.
     """
-    img = np.asarray(image, dtype=np.float64)
-    pr = np.asarray(probs, dtype=np.float64)
+    img, pr = np.asarray(image), np.asarray(probs)
+    dtype = float_dtype(img, pr)
+    img, pr = img.astype(dtype, copy=False), pr.astype(dtype, copy=False)
     if img.ndim not in (3, 4) or pr.ndim != img.ndim or img.shape[:-1] != pr.shape[:-1]:
         raise DimensionError(
             "image and probs must be (B, H, W, C) or (H, W, C) with equal B, H, W"
@@ -269,7 +301,7 @@ def cons_loss(image, probs, cfg):
         img, pr = img[None], pr[None]
     h, w = pr.shape[1:3]
     dprobs = np.zeros_like(pr)
-    values = np.zeros(pr.shape[0])
+    values = np.zeros(pr.shape[0], dtype)
     n_pairs = 0  # per image
     two_s1 = 2.0 * cfg.sigma_color**2
     for dr, dc in _window_offsets(cfg.window):
@@ -302,9 +334,10 @@ def cons_loss(image, probs, cfg):
 
 def distill_loss(features_now, features_prev):
     """Mean per-pixel feature distance to the frozen previous-step model."""
-    shape = np.asarray(features_now).shape
-    fn = _flatten_pixels(features_now, "features_now")
-    fp = _flatten_pixels(features_prev, "features_prev")
+    fn, fp = np.asarray(features_now), np.asarray(features_prev)
+    shape, dtype = fn.shape, float_dtype(fn, fp)
+    fn = _flatten_pixels(fn, "features_now", dtype=dtype)
+    fp = _flatten_pixels(fp, "features_prev", dtype=dtype)
     if fn.shape != fp.shape:
         raise DimensionError(
             f"feature shapes differ: {fn.shape} vs {fp.shape}"

@@ -1,8 +1,11 @@
 """Deterministic numeric substrate: seeded PRNG, channel reductions, softmax,
 gradient checking.
 
-The losses, prototypes and gradient checks run in 64-bit floats on plain
-numpy arrays; the model computes in its parameters' 32-bit floats.
+The model computes in its parameters' 32-bit floats, and the losses,
+softmax and channel reductions in the dtype of the arrays they are given
+(``float_dtype``): float32 in gives float32 arithmetic, float64 stays
+float64, and any other dtype, or a mix, is upcast to float64.  Prototypes,
+banks and gradient checks are float64.
 Image-like data ("grids") are C-contiguous arrays of shape (H, W, C).  Random
 numbers come from a fixed, documented PCG32 generator so that runs are
 bit-reproducible across platforms; sub-streams are derived by hashing
@@ -22,7 +25,8 @@ combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the leftover
 channels, from 8 to 128; halves of a multiple of 8 above that.  Every
 kernel that moved from ``np.sum`` to these helpers therefore keeps the run
 bytes.  ``tests/test_numerics.py::TestChannelReductions`` pins the rule
-against ``np.sum`` and ``np.max`` for 1..300 channels.
+against ``np.sum`` and ``np.max`` for 1..300 channels, in float32 and
+float64.
 """
 
 from __future__ import annotations
@@ -189,6 +193,19 @@ def _pairwise_sum(a, lo, n):
     return total
 
 
+def float_dtype(*arrays):
+    """The dtype a kernel computes in for these arrays: float32 when every
+    one is float32, else float64."""
+    f32 = all(a.dtype == np.float32 for a in arrays)
+    return np.dtype(np.float32 if f32 else np.float64)
+
+
+def as_float(a):
+    """``a`` as an array of ``float_dtype(a)``; no copy when it is one."""
+    a = np.asarray(a)
+    return a.astype(float_dtype(a), copy=False)
+
+
 def channel_sum(a):
     """``np.sum`` over the last axis, in NumPy's order for a contiguous row.
 
@@ -197,7 +214,7 @@ def channel_sum(a):
     payload are unspecified where a row adds a NaN and makes another
     (inf - inf), as NumPy's compiled loop does not fix its operand order.
     """
-    a = np.asarray(a, dtype=np.float64)
+    a = as_float(a)
     total = _pairwise_sum(a, 0, a.shape[-1])
     if a.shape[-1] >= 8:
         total += 0.0  # NumPy adds the row to +0.0: an all -0.0 row sums to +0.0
@@ -212,7 +229,7 @@ def channel_max(a):
     on its SIMD lane layout.  Subtracting either from the row gives the same
     exponentials, so ``softmax`` and ``log_softmax`` keep their bytes.
     """
-    a = np.asarray(a, dtype=np.float64)
+    a = as_float(a)
     top = np.array(a[..., 0])
     for c in range(1, a.shape[-1]):
         np.maximum(top, a[..., c], out=top)
@@ -220,8 +237,9 @@ def channel_max(a):
 
 
 def softmax(logits):
-    """Numerically stable softmax (max-subtracted) along the last axis."""
-    z = np.asarray(logits, dtype=np.float64)
+    """Numerically stable softmax (max-subtracted) along the last axis, in
+    the logits' ``float_dtype``."""
+    z = as_float(logits)
     if z.size == 0:
         raise DimensionError("softmax of empty input")
     z = z - channel_max(z)[..., None]  # the output; exp and division in place
@@ -231,7 +249,9 @@ def softmax(logits):
 
 
 def log_softmax(logits):
-    z = np.asarray(logits, dtype=np.float64)
+    """Max-subtracted log-probabilities along the last axis, in the logits'
+    ``float_dtype``."""
+    z = as_float(logits)
     if z.size == 0:
         raise DimensionError("log_softmax of empty input")
     z = z - channel_max(z)[..., None]

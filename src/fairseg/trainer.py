@@ -44,7 +44,7 @@ from .model import (
     save_checkpoint,
     stack_images,
 )
-from .numerics import Rng, softmax
+from .numerics import Rng
 from .prototypes import (
     ClusterConfig,
     FeatureBank,
@@ -363,9 +363,8 @@ def run_step(state, cfg, data, on_epoch_end=None):
                 )
                 sums["cluster"] += cl.value / bsz
                 dfeats = _scaled(cl, "features", cfg.weights.lambda_cluster, bsz)
-            if terms.cons:
-                probs = softmax(cache.logits).reshape(*grid, -1)
-                co = cons_loss(images, probs, cfg.cons)
+            if terms.cons:  # on the probabilities CE computed
+                co = cons_loss(images, ce.probs, cfg.cons)
                 sums["cons"] += co.value / bsz
                 dlogits += _scaled(co, "logits", cfg.weights.lambda_cons, bsz)
             if teacher is not None:

@@ -3,6 +3,7 @@
 import contextlib
 import importlib.metadata
 import io
+import json
 import os
 import shutil
 import subprocess
@@ -11,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import join_container, split_container
 from fairseg import cli, trainer
 from fairseg.config import DEFAULTS, default_config, load_config
 from fairseg.errors import ConfigError
@@ -441,6 +443,43 @@ class TestTrain:
         code, _ = run_cli(*argv, "--out", str(run), "--resume")
         assert code == 3
         assert f"{prefix}/{block} is missing" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+    @pytest.mark.parametrize("case, message", [
+        ("proto_width", "proto/1 is (7,), expected shape (4,)"),
+        ("bank_width", "bank/0 is (3, 5), expected shape (n <= 500, 4)"),
+        ("bank_length", "bank/0 is (501, 4), expected shape (n <= 500, 4)"),
+        ("proto_unlisted", "proto/2 has no header entry"),
+    ], ids=["proto_width", "bank_width", "bank_length", "proto_unlisted"])
+    def test_resume_from_checkpoint_with_bad_prototype_or_bank_exits_3(
+            self, workspace, tmp_path, capsys, case, message):
+        """Prototype vectors are (feature_dim,), bank queues hold at most
+        the capacity's rows of feature_dim, and every prototype array has
+        its header entry; anything else is refused by name."""
+        run = tmp_path / "run"
+        shutil.copytree(workspace["runs"]["full"][0], run)
+        state = load_checkpoint(run / "step1.ckpt")
+        if case == "proto_width":
+            state.protos.entries[1].vector = np.zeros(7)
+        elif case == "bank_width":
+            state.bank.queues[0] = np.zeros((3, 5))
+        elif case == "bank_length":
+            state.bank.queues[0] = np.zeros((501, 4))
+        save_checkpoint(run / "latest.ckpt", state)
+        if case == "proto_unlisted":
+            path = run / "latest.ckpt"
+            header, body = split_container(path)
+            header["protos"] = [row for row in header["protos"] if row[0] != 2]
+            join_container(path, json.dumps(header).encode(), body)
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        code, _ = run_cli(
+            "train", "--config", str(workspace["ini"]),
+            "--dataset", str(workspace["data"] / "train.bin"),
+            "--test", str(workspace["data"] / "test.bin"),
+            "--out", str(run), "--resume",
+        )
+        assert code == 3
+        assert message in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
     def test_steps_flag_overrides_split(self, workspace, tmp_path):

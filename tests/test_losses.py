@@ -22,6 +22,7 @@ from fairseg.losses import (
     distill_loss,
     weighted_ce,
 )
+from fairseg.model import forward_batch, grow_head, init_params
 from fairseg.numerics import GradSlot, Rng, finite_diff_check, softmax
 from fairseg.prototypes import ClusterConfig, PrototypeBank
 
@@ -841,21 +842,146 @@ class TestBitIdentity:
         self.assert_cons_near_loop(image, probs, cfg)
 
 
-# A training-shaped forward, cluster loss and backward; prints a digest of
-# every output byte.  Run in a fresh interpreter so that the BLAS thread count in
-# its environment holds when NumPy is imported.
+class TestFloat32Accuracy:
+    """Each loss computes in the dtype of the model outputs it is given.
+
+    On float32 inputs at the acceptance sizes (6 images of 32 x 32, D = 16,
+    K = 9) each loss's value and gradients stay within a stated bound of
+    the float64 result on the same values.  Bounds are in float32 epsilons
+    of the float64 value, or of each float64 gradient's largest magnitude.
+    """
+
+    EPS = float(np.finfo(np.float32).eps)
+    # a few roundings per element, and float32 sums over 1024 pixels
+    BOUND = 16 * EPS
+    # a pair just above the direct-difference threshold keeps about
+    # EPS / NEAR of its expanded squared distance
+    CLUSTER_BOUND = EPS / NEAR
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        rng = Rng(310)
+        params = grow_head(init_params(3, (1, 2, 3, 4, 5), 5, 16, (64, 32)),
+                           (6, 7, 8), rng.split("grow"))
+        for name, arr in params.blocks.items():
+            if name.endswith(".b"):  # nonzero biases, so every term counts
+                params.blocks[name] = (0.1 * rng.normals(arr.size)).astype(np.float32)
+        images = rng.uniforms(6 * 32 * 32 * 3).reshape(6, 32, 32, 3).astype(np.float32)
+        logits, cache = forward_batch(params, images)
+        k = logits.shape[-1]
+        labels = np.array(
+            [rng.randint(k) for _ in range(6 * 32 * 32)]
+        ).reshape(6, 32, 32)
+        return images, logits, cache.feats.reshape(6, 32, 32, 16), labels
+
+    def assert_close(self, got, want, bound):
+        """float32 ``got`` against float64 ``want``: the dtypes, then the bound."""
+        if isinstance(want, float):
+            assert abs(got - want) <= bound * abs(want), (got, want)
+            return
+        assert got.dtype == np.float32 and want.dtype == np.float64
+        err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert err <= bound, err / self.EPS
+
+    @pytest.mark.parametrize("supervised", [1.0, 0.2])
+    def test_weighted_ce(self, case, supervised):
+        _, logits, _, labels = case
+        rng = Rng(311)
+        mask = rng.uniforms(labels.size).reshape(labels.shape) < supervised
+        weights = 0.1 + 4.9 * rng.uniforms(logits.shape[-1])
+        got = weighted_ce(logits, labels, mask, weights)
+        want = weighted_ce(logits.astype(np.float64), labels, mask, weights)
+        self.assert_close(got.value, want.value, self.BOUND)
+        self.assert_close(got.grads["logits"], want.grads["logits"], self.BOUND)
+        self.assert_close(got.probs, want.probs, self.BOUND)
+        # the probabilities are exp(log-probabilities): the softmax, to rounding
+        probs = softmax(logits.astype(np.float64))
+        assert np.max(np.abs(want.probs - probs)) <= 8 * np.finfo(np.float64).eps
+
+    @pytest.mark.parametrize("margin", [2.0, 10.0])
+    def test_cluster_loss(self, case, margin):
+        """Prototypes near some pixels (float32 values, so a pixel on one is
+        at distance 0 in both dtypes), and pixels whose expanded squared
+        distance to their own prototype sits around ``NEAR``."""
+        _, _, feats, labels = case
+        rng = Rng(312)
+        feats = feats.copy()
+        k = 9
+        protos = make_protos({
+            c: (feats[c % 6, 3 * c, c] + 0.1 * rng.normals(16)).astype(np.float32)
+            for c in range(k)
+        })
+        labels = labels.copy()
+        labels[labels == 8] = IGNORE_ID
+        for j, ratio in enumerate([0.0, 0.5, 0.99, 1.01, 1.5, 2.0, 4.0, 10.0, 100.0] * 6):
+            cid = j % k
+            p = protos.entries[cid].vector
+            u = rng.normals(16)
+            u /= np.sqrt(u @ u)
+            t = 0.0
+            for _ in range(6):  # |f - p|^2 = ratio * NEAR * (|f|^2 + |p|^2)
+                f = p + t * u
+                t = math.sqrt(ratio * NEAR * (f @ f + p @ p))
+            feats[j % 6, 5 + j // 6, 7] = p + t * u
+            labels[j % 6, 5 + j // 6, 7] = cid
+        cfg = ClusterConfig(margin=margin).validate()
+        got = cluster_loss(feats, labels, protos, cfg)
+        want = cluster_loss(feats.astype(np.float64), labels, protos, cfg)
+        self.assert_close(got.value, want.value, self.BOUND)
+        self.assert_close(got.grads["features"], want.grads["features"],
+                          self.CLUSTER_BOUND)
+
+    @pytest.mark.parametrize("sigma", [0.1, 0.3])
+    def test_cons_loss(self, case, sigma):
+        images, logits, _, _ = case
+        cfg = ConsConfig(sigma_color=sigma).validate()
+        got = cons_loss(images, softmax(logits), cfg)
+        want = cons_loss(images.astype(np.float64),
+                         softmax(logits).astype(np.float64), cfg)
+        self.assert_close(got.value, want.value, self.BOUND)
+        for name in ("probs", "logits"):
+            self.assert_close(got.grads[name], want.grads[name], self.BOUND)
+
+    def test_distill_loss(self, case):
+        _, _, feats, _ = case
+        rng = Rng(313)
+        prev = (feats + 0.3 * rng.normals(feats.size).reshape(feats.shape)).astype(np.float32)
+        prev[0, 0, 0] = feats[0, 0, 0]  # distance 0: no gradient in either dtype
+        got = distill_loss(feats, prev)
+        want = distill_loss(feats.astype(np.float64), prev.astype(np.float64))
+        self.assert_close(got.value, want.value, self.BOUND)
+        self.assert_close(got.grads["features"], want.grads["features"], self.BOUND)
+        assert not got.grads["features"][0, 0, 0].any()
+
+    def test_other_dtypes_compute_in_float64(self):
+        """float16 and integer inputs are upcast to float64, as before, and
+        so are inputs of mixed dtypes."""
+        z = np.arange(12, dtype=np.float16).reshape(4, 3)
+        ce = weighted_ce(z, np.zeros(4, np.int64), np.ones(4, bool))
+        assert ce.grads["logits"].dtype == ce.probs.dtype == np.float64
+        di = distill_loss(np.ones((2, 2), np.float32), np.zeros((2, 2)))
+        assert di.grads["features"].dtype == np.float64
+        image = np.zeros((3, 3, 3), np.uint8)
+        co = cons_loss(image, softmax(np.zeros((3, 3, 2), np.float32)), ConsConfig())
+        assert co.grads["logits"].dtype == np.float64
+
+
+# A training-shaped forward, every float32 loss of the full preset and
+# backward; prints a digest of every output byte.  Run in a fresh interpreter
+# so that the BLAS thread count in its environment holds when NumPy is
+# imported.
 BLAS_CHILD = """
 import hashlib
 import numpy as np
-from fairseg.losses import IGNORE_ID, cluster_loss
+from fairseg.losses import IGNORE_ID, ConsConfig, cluster_loss, cons_loss, weighted_ce
 from fairseg.model import backward_batch, forward_batch, init_params
 from fairseg.numerics import Rng
 from fairseg.prototypes import ClusterConfig, PrototypeBank
 
 rng = Rng(190)
 params = init_params(3, (1, 2, 3, 4, 5), 5, 16, (64, 32))
-images = rng.uniforms(6 * 32 * 32 * 3).reshape(6, 32, 32, 3)
-_, cache = forward_batch(params, list(images))
+images = rng.uniforms(6 * 32 * 32 * 3).reshape(6, 32, 32, 3).astype(np.float32)
+_, cache = forward_batch(params, images)
 feats = cache.feats.reshape(6, 32, 32, 16)
 protos = PrototypeBank(16)
 protos.register(range(6))
@@ -867,20 +993,26 @@ labels = np.array([rng.randint(7) for _ in range(6 * 32 * 32)]).reshape(6, 32, 3
 labels[labels == 6] = IGNORE_ID
 labels[4] = IGNORE_ID
 cl = cluster_loss(feats, labels, protos, ClusterConfig(margin=10.0).validate())
-dlogits = rng.normals(cache.logits.size).reshape(cache.logits.shape)
-grads = backward_batch(params, cache, cl.grads["features"].reshape(-1, 16), dlogits)
-h = hashlib.sha256(np.float64(cl.value).tobytes())
-for arr in (cache.feats, cache.logits, cl.grads["features"],
-            *(grads[name] for name in sorted(grads))):
+ce = weighted_ce(cache.logits.reshape(6, 32, 32, -1), labels, labels != IGNORE_ID,
+                 0.5 + rng.uniforms(6))
+co = cons_loss(images, ce.probs, ConsConfig().validate())
+dlogits = ce.grads["logits"] + 10.0 * co.grads["logits"]
+grads = backward_batch(params, cache, cl.grads["features"].reshape(-1, 16),
+                       dlogits.reshape(cache.logits.shape))
+h = hashlib.sha256(np.float64([cl.value, ce.value, co.value]).tobytes())
+for arr in (cache.feats, cache.logits, cl.grads["features"], ce.grads["logits"],
+            ce.probs, co.grads["logits"], *(grads[name] for name in sorted(grads))):
+    assert arr.dtype == np.float32
     h.update(np.ascontiguousarray(arr).tobytes())
 print(h.hexdigest())
 """
 
 
 def test_bytes_do_not_depend_on_blas_threads():
-    """The float32 forward and backward passes (sgemm) and the cluster
-    loss's float64 products give the same bytes with one and with two BLAS
-    threads, each count set before NumPy is imported.  This includes the
+    """The float32 forward and backward passes (sgemm) and the float32 CE,
+    cluster and consistency values and gradients give the same bytes with
+    one and with two BLAS threads, each count set before NumPy is
+    imported.  This includes the cluster loss's per-image products and the
     first-layer weight gradient, a (64, 6144) x (6144, 75) product at the
     acceptance sizes, which two OpenBLAS 0.3.31 threads round differently
     in float64 (dgemm)."""

@@ -71,13 +71,25 @@ class TestForward:
             params.blocks[name] = np.zeros_like(params.blocks[name])
         pred = forward_one(params, random_image(Rng(3), 6, 6))
         k = params.num_rows
-        np.testing.assert_allclose(softmax(pred.logits), 1.0 / k, atol=1e-15)
+        np.testing.assert_allclose(
+            softmax(pred.logits.astype(np.float64)), 1.0 / k, atol=1e-15
+        )
+        # the float32 logits' softmax is float32: exp(0) / k, rounded once
+        probs = softmax(pred.logits)
+        assert probs.dtype == np.float32
+        assert np.all(probs == np.float32(1.0) / np.float32(k))
 
     def test_probs_are_distributions(self):
         params = small_params()
         pred = forward_one(params, random_image(Rng(4), 8, 5))
-        sums = softmax(pred.logits).sum(axis=2)
+        sums = softmax(pred.logits.astype(np.float64)).sum(axis=2)
         np.testing.assert_allclose(sums, 1.0, atol=1e-9)
+        # in float32 each of the k terms and the running sum round once
+        probs = softmax(pred.logits)
+        assert probs.dtype == np.float32
+        k = params.num_rows
+        bound = (2 * k + 2) * np.finfo(np.float32).eps
+        assert np.max(np.abs(probs.sum(axis=2) - 1.0)) <= bound
 
     def test_locality(self):
         params = small_params(patch_size=5)
@@ -162,8 +174,8 @@ def patch_matrix_one(image, patch_size):
 
 def reference_forward(params, images):
     """Fresh-array forward pass in the parameters' dtype, keeping the
-    pre-activations; the probabilities are taken in float64, as the losses
-    take them.  Returns a dict."""
+    pre-activations; the probabilities are taken in the logits' dtype, as
+    the losses take them.  Returns a dict."""
     x = np.vstack([patch_matrix_one(img.astype(params.dtype), params.patch_size)
                    for img in images])
     a = x
@@ -175,8 +187,7 @@ def reference_forward(params, images):
         act.append(a)
     feats = a @ params.blocks["feat.W"].T + params.blocks["feat.b"]
     logits = feats @ params.blocks["head.W"].T + params.blocks["head.b"]
-    z = logits.astype(np.float64)
-    e = np.exp(z - np.max(z, axis=1, keepdims=True))
+    e = np.exp(logits - np.max(logits, axis=1, keepdims=True))
     return dict(x=x, pre=pre, act=act, feats=feats, logits=logits,
                 probs=e / np.sum(e, axis=1, keepdims=True))
 
@@ -218,8 +229,20 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("hidden", [(6,), (7, 5), ()])
     def test_forward_and_backward_equal_reference(self, hidden):
-        params = small_params(seed=93, classes=(1, 2, 3), hidden=hidden)
-        rng = Rng(94)
+        self.assert_equal_reference(hidden, feature_dim=4, seed=94)
+
+    @pytest.mark.parametrize("hidden, feature_dim", [((1,), 4), ((6,), 1)],
+                             ids=["hidden", "feature"])
+    def test_one_wide_layer_equals_reference(self, hidden, feature_dim):
+        """A one-wide layer's bias gradient is a one-column sum, which NumPy
+        adds pairwise; on this seed's data adding the rows in order gives
+        other bytes for both layers."""
+        self.assert_equal_reference(hidden, feature_dim, seed=99)
+
+    def assert_equal_reference(self, hidden, feature_dim, seed):
+        params = small_params(seed=93, classes=(1, 2, 3), hidden=hidden,
+                              feature_dim=feature_dim)
+        rng = Rng(seed)
         images = [random_image(rng, 6, 5).astype(np.float32) for _ in range(3)]
         # a bias shift that zeroes many ReLU units, so the mask matters
         for i in range(len(hidden)):
@@ -230,6 +253,11 @@ class TestBitIdentity:
         for name in ("x", "feats", "logits"):
             assert same_bytes(getattr(cache, name), ref[name]), name
         assert same_bytes(softmax(cache.logits), ref["probs"])
+        # against the float64 softmax of the same logits: each probability
+        # rounds in the subtraction, exp, the k-term sum and the division
+        probs64 = softmax(cache.logits.astype(np.float64))
+        bound = (params.num_rows + 4) * np.finfo(np.float32).eps
+        assert np.max(np.abs(ref["probs"] - probs64)) <= bound
         assert len(cache.act) == len(hidden)
         for got, want in zip(cache.act, ref["act"]):
             assert same_bytes(got, want)
@@ -537,7 +565,8 @@ class TestCheckpoint(ContainerRefusals):
         ckpt = make_checkpoint()
         ckpt.bank.queues[2] = np.zeros((2, ckpt.params.feature_dim + 1))
         save_checkpoint(path, ckpt)
-        with pytest.raises(DimensionError):
+        with pytest.raises(FormatError,
+                           match=r"bank/2 is \(2, 5\), expected shape \(n <= 7, 4\)"):
             load_checkpoint(path)
 
     def test_truncated_file(self, tmp_path):

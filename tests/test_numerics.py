@@ -234,6 +234,16 @@ class TestChannelReductions:
                 assert np.array_equal(got[either], want[either]), c
                 assert same_bytes(got[~either], want[~either]), c
 
+    def test_float32_same_bytes(self):
+        """A float32 array is reduced in float32, in NumPy's float32 order."""
+        for c in CHANNELS:
+            for a in layouts(scattered(c, (3, 4, 5, c), (np.inf,)).astype(np.float32)):
+                want = np.sum(np.ascontiguousarray(a), axis=-1)
+                assert same_bytes(channel_sum(a), want), c
+                top = channel_max(a)
+                assert top.dtype == np.float32
+                assert np.array_equal(top, np.max(a, axis=-1)), c
+
     def test_one_row(self):
         v = scattered(5, (3, 20))[2]
         assert same_bytes(channel_sum(v), np.sum(v))
@@ -292,6 +302,21 @@ class TestSoftmax:
         assert same_bytes(softmax(logits), e / np.sum(e, axis=1, keepdims=True))
         log_p = z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
         assert same_bytes(log_softmax(logits), log_p)
+
+    @pytest.mark.parametrize("k", [1, 3, 9, 20])
+    def test_dtype_follows_the_logits(self, k):
+        """float32 logits give float32 results by the same formula; other
+        dtypes than float32 and float64 are upcast to float64."""
+        logits = (scattered(60 + k, (40, k)) * 30.0).astype(np.float32)
+        z = logits - np.max(logits, axis=1, keepdims=True)
+        e = np.exp(z)
+        assert same_bytes(softmax(logits), e / np.sum(e, axis=1, keepdims=True))
+        log_p = z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
+        assert same_bytes(log_softmax(logits), log_p)
+        for other in (np.float16, np.int64):
+            wide = logits.astype(other)
+            assert same_bytes(softmax(wide), softmax(wide.astype(np.float64)))
+            assert same_bytes(log_softmax(wide), log_softmax(wide.astype(np.float64)))
 
     def test_log_softmax_consistency(self):
         v = np.array([0.3, -1.2, 2.0, 0.0])
