@@ -204,11 +204,11 @@ def run_gradcheck(trials, seed):
         labels = np.array(
             [rng.randint(dim) for _ in range(n)], dtype=np.int64
         ).reshape(height, width)
-        mask = rng.uniforms(n).reshape(height, width) > 0.3
+        labels[rng.uniforms(n).reshape(height, width) <= 0.3] = IGNORE_ID
         weights = 0.5 + 1.5 * rng.uniforms(dim)
         z0 = rng.normals(n * dim).reshape(shape)
         return (
-            lambda p: weighted_ce(p["logits"], labels, mask, weights),
+            lambda p: weighted_ce(p["logits"], labels, weights),
             {"logits": z0},
         )
 

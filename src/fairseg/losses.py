@@ -110,55 +110,45 @@ class CESlot(GradSlot):
     probs: np.ndarray = None
 
 
-def weighted_ce(logits, labels, mask, row_weights=None):
+def weighted_ce(logits, labels, row_weights=None):
     """Importance-weighted cross entropy over supervised pixels.
 
-    ``labels`` holds head-row indices; ``mask`` selects supervised pixels;
-    ``row_weights`` is a per-row weight vector (None = plain CE).  The
-    gradient flows to the logits.  An image with nothing supervised
-    contributes zero loss.  One max-subtract/exp/sum pass over every pixel
-    gives the log-probabilities and ``probs``; when every pixel is
-    supervised the value and gradient take all rows as they are, otherwise
-    the supervised rows are gathered and their gradient scattered.
+    ``labels`` holds head-row indices, or ``IGNORE_ID`` for a pixel without
+    supervision; ``row_weights`` is a per-row weight vector (None = plain
+    CE).  The gradient flows to the logits.  One max-subtract/exp/sum pass
+    over every pixel gives the log-probabilities and ``probs``, and the
+    value and gradient take every row: an ignored pixel has weight 0, so it
+    adds nothing and its gradient row is +0.0.  An image with nothing
+    supervised contributes zero loss.
     """
     shape = np.asarray(logits).shape
     z = _flatten_pixels(logits, "logits")
     b, n, k = z.shape
     y = np.asarray(labels).reshape(-1)
-    m = np.asarray(mask, dtype=bool).reshape(-1)
-    if y.size != b * n or m.size != b * n:
-        raise DimensionError("labels/mask size does not match logits")
+    if y.size != b * n:
+        raise DimensionError("labels size does not match logits")
     logp = log_softmax(z.reshape(-1, k))
     probs = np.exp(logp)
-    whole = m.all()
-    pix = np.arange(b * n) if whole else np.flatnonzero(m)  # supervised pixels
-    if pix.size == 0:
-        return CESlot(value=0.0, grads={"logits": np.zeros(shape, z.dtype)},
-                      probs=probs.reshape(shape))
-    ys = y[pix].astype(np.int64)
+    live = y != IGNORE_ID
+    ys = np.where(live, y, 0).astype(np.int64)  # ignored pixels read row 0
     if ys.min() < 0 or ys.max() >= k:
-        raise LabelError(
-            f"supervised label outside head range 0..{k - 1}"
-        )
+        raise LabelError(f"supervised label outside head range 0..{k - 1}")
     if row_weights is None:
-        w = np.ones(pix.size, z.dtype)
+        w = np.ones(b * n, z.dtype)
     else:
         row_weights = np.asarray(row_weights, dtype=np.float64)
         if row_weights.shape != (k,):
             raise DimensionError(f"row_weights must have shape ({k},)")
         w = row_weights.astype(z.dtype)[ys]
-    image = pix // n  # image of each supervised pixel
-    counts = np.bincount(image, minlength=b)
-    sums = np.bincount(image, weights=-w * logp[pix, ys], minlength=b)
-    value = float(np.sum(sums / np.maximum(counts, 1)))
-    g = (probs if whole else probs[pix]) * w[:, None]
-    g[np.arange(pix.size), ys] -= w
-    g /= counts.astype(z.dtype)[image, None]
-    if whole:
-        grad = g
-    else:
-        grad = np.zeros((b * n, k), z.dtype)
-        grad[pix] = g
+    w[~live] = 0.0
+    rows = np.arange(b * n)
+    image = rows // n
+    counts = np.maximum(np.count_nonzero(live.reshape(b, n), axis=1), 1)
+    sums = np.bincount(image, weights=-w * logp[rows, ys], minlength=b)
+    value = float(np.sum(sums / counts))
+    grad = probs * w[:, None]
+    grad[rows, ys] -= w
+    grad /= counts.astype(z.dtype)[image, None]
     return CESlot(value=value, grads={"logits": grad.reshape(shape)},
                   probs=probs.reshape(shape))
 

@@ -182,25 +182,23 @@ class TrackedDataset:
 def build_effective_labels(labels, features, protos, step):
     """Merge ground truth with pseudo-labels for collapsed label maps.
 
-    Returns (effective ids, ce_mask); the mask is every non-ignore pixel
-    of the effective ids.  At step 1 those are the labels as-is.  Later,
-    foreground pixels keep their label while background pixels receive the
-    nearest-prototype pseudo-label (possibly 0 = unknown), or ignore if no
-    prototype is initialized yet.  Pseudo-labels feed cross-entropy as well
-    as clustering: without them the desk-scale model has no supervision on
-    background pixels after step 1, and the new-class head rows take over
-    every pixel.
+    Returns the effective ids.  At step 1 those are the labels as-is.
+    Later, foreground pixels keep their label while background pixels
+    receive the nearest-prototype pseudo-label (possibly 0 = unknown), or
+    ``IGNORE_ID`` if no prototype is initialized yet.  Pseudo-labels feed
+    cross-entropy as well as clustering: without them the desk-scale model
+    has no supervision on background pixels after step 1, and the new-class
+    head rows take over every pixel.
     """
     y = np.asarray(labels)
     eff = y.astype(np.int64)
     bg = y == 0
     if step > 1 and bg.any():
         if protos.initialized_ids():
-            feats = np.asarray(features, dtype=np.float64)
-            eff[bg] = pseudo_label_map(protos, feats[bg])
+            eff[bg] = pseudo_label_map(protos, np.asarray(features)[bg])
         else:
             eff[bg] = IGNORE_ID
-    return eff, eff != IGNORE_ID
+    return eff
 
 
 def sgd_update(params, momentum, grads, lr, mu, weight_decay):
@@ -349,10 +347,10 @@ def run_step(state, cfg, data, on_epoch_end=None):
             grid = labels.shape  # (B, H, W)
             bsz = grid[0]
             feats = cache.feats.reshape(*grid, -1)
-            eff, ce_mask = build_effective_labels(labels, feats, state.protos, step)
+            eff = build_effective_labels(labels, feats, state.protos, step)
             # CE's gradient array is dlogits; each other term's gradient is
             # scaled in place (x lambda, then / batch) and added
-            ce = weighted_ce(cache.logits.reshape(*grid, -1), eff, ce_mask, row_weights)
+            ce = weighted_ce(cache.logits.reshape(*grid, -1), eff, row_weights)
             sums["ce"] += ce.value / bsz
             dlogits = ce.grads["logits"].reshape(cache.logits.shape)
             dlogits /= bsz

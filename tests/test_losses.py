@@ -15,6 +15,7 @@ from fairseg.losses import (
     NEAR,
     ConsConfig,
     LossWeights,
+    _flatten_pixels,
     _probs_to_logits_grad,
     class_weights,
     cluster_loss,
@@ -23,7 +24,7 @@ from fairseg.losses import (
     weighted_ce,
 )
 from fairseg.model import forward_batch, grow_head, init_params
-from fairseg.numerics import GradSlot, Rng, finite_diff_check, softmax
+from fairseg.numerics import GradSlot, Rng, finite_diff_check, log_softmax, softmax
 from fairseg.prototypes import ClusterConfig, PrototypeBank
 
 
@@ -89,9 +90,8 @@ class TestWeightedCE:
         rng = Rng(101)
         logits = rng.normals(12 * 4).reshape(12, 4)
         labels = np.array([rng.randint(4) for _ in range(12)])
-        mask = np.ones(12, dtype=bool)
-        plain = weighted_ce(logits, labels, mask)
-        weighted = weighted_ce(logits, labels, mask, row_weights=np.ones(4))
+        plain = weighted_ce(logits, labels)
+        weighted = weighted_ce(logits, labels, row_weights=np.ones(4))
         assert plain.value == pytest.approx(weighted.value, abs=1e-15)
         logp = np.log(softmax(logits))
         expect = float(np.mean(-logp[np.arange(12), labels]))
@@ -101,57 +101,48 @@ class TestWeightedCE:
         labels = np.array([0, 1, 2])
         logits = np.full((3, 3), -50.0)
         logits[np.arange(3), labels] = 50.0
-        out = weighted_ce(
-            logits, labels, np.ones(3, bool), row_weights=np.array([9.0, 0.5, 3.0])
-        )
+        out = weighted_ce(logits, labels, row_weights=np.array([9.0, 0.5, 3.0]))
         assert out.value < 1e-8
 
     def test_no_supervised_pixels(self):
-        out = weighted_ce(np.zeros((4, 3)), np.zeros(4), np.zeros(4, bool))
+        out = weighted_ce(np.zeros((4, 3)), np.full(4, IGNORE_ID))
         assert out.value == 0.0
         assert not out.grads["logits"].any()
 
     def test_label_out_of_range(self):
         with pytest.raises(LabelError):
-            weighted_ce(np.zeros((2, 3)), np.array([0, 3]), np.ones(2, bool))
+            weighted_ce(np.zeros((2, 3)), np.array([0, 3]))
 
     def test_bad_row_weights_shape(self):
         with pytest.raises(DimensionError):
-            weighted_ce(
-                np.zeros((2, 3)),
-                np.zeros(2),
-                np.ones(2, bool),
-                row_weights=np.ones(2),
-            )
+            weighted_ce(np.zeros((2, 3)), np.zeros(2), row_weights=np.ones(2))
 
-    def test_mask_excludes_pixels(self):
+    def test_ignored_pixels_excluded(self):
         rng = Rng(102)
         logits = rng.normals(8 * 3).reshape(8, 3)
         labels = np.array([rng.randint(3) for _ in range(8)])
-        mask = np.zeros(8, dtype=bool)
-        mask[:5] = True
-        masked = weighted_ce(logits, labels, mask)
-        direct = weighted_ce(logits[:5], labels[:5], np.ones(5, bool))
-        assert masked.value == pytest.approx(direct.value, abs=1e-15)
-        assert not masked.grads["logits"][5:].any()
+        labels[5:] = IGNORE_ID
+        ignored = weighted_ce(logits, labels)
+        direct = weighted_ce(logits[:5], labels[:5])
+        assert ignored.value == pytest.approx(direct.value, abs=1e-15)
+        assert not ignored.grads["logits"][5:].any()
 
     def test_shift_invariance(self):
         rng = Rng(103)
         logits = rng.normals(6 * 4).reshape(6, 4)
         labels = np.array([rng.randint(4) for _ in range(6)])
-        mask = np.ones(6, bool)
-        a = weighted_ce(logits, labels, mask)
-        b = weighted_ce(logits + 13.5, labels, mask)
+        a = weighted_ce(logits, labels)
+        b = weighted_ce(logits + 13.5, labels)
         assert a.value == pytest.approx(b.value, abs=1e-9)
 
     def test_gradient_matches_finite_differences(self):
         rng = Rng(104)
         labels = np.array([rng.randint(4) for _ in range(9)])
-        mask = rng.uniforms(9) > 0.3
+        labels[rng.uniforms(9) <= 0.3] = IGNORE_ID
         weights = np.asarray(rng.uniforms(4)) * 1.5 + 0.5
 
         def loss(params):
-            return weighted_ce(params["logits"], labels, mask, row_weights=weights)
+            return weighted_ce(params["logits"], labels, row_weights=weights)
 
         logits0 = rng.normals(9 * 4).reshape(9, 4)
         assert finite_diff_check(loss, {"logits": logits0}) <= 1e-5
@@ -160,8 +151,78 @@ class TestWeightedCE:
         rng = Rng(105)
         logits = rng.normals(4 * 4 * 3).reshape(4, 4, 3)
         labels = np.zeros((4, 4), dtype=np.int64)
-        out = weighted_ce(logits, labels, np.ones((4, 4), bool))
+        out = weighted_ce(logits, labels)
         assert out.grads["logits"].shape == (4, 4, 3)
+
+
+def two_path_weighted_ce(logits, labels, mask, row_weights=None):
+    """The earlier ``weighted_ce``: a boolean ``mask`` of supervised pixels,
+    all rows when every pixel is supervised, and otherwise a gather of the
+    supervised rows and a scatter of their gradient into zeros."""
+    shape = np.asarray(logits).shape
+    z = _flatten_pixels(logits, "logits")
+    b, n, k = z.shape
+    y = np.asarray(labels).reshape(-1)
+    m = np.asarray(mask, dtype=bool).reshape(-1)
+    logp = log_softmax(z.reshape(-1, k))
+    probs = np.exp(logp)
+    whole = m.all()
+    pix = np.arange(b * n) if whole else np.flatnonzero(m)
+    if pix.size == 0:
+        return 0.0, np.zeros(shape, z.dtype), probs.reshape(shape)
+    ys = y[pix].astype(np.int64)
+    if row_weights is None:
+        w = np.ones(pix.size, z.dtype)
+    else:
+        w = np.asarray(row_weights, dtype=np.float64).astype(z.dtype)[ys]
+    image = pix // n
+    counts = np.bincount(image, minlength=b)
+    sums = np.bincount(image, weights=-w * logp[pix, ys], minlength=b)
+    value = float(np.sum(sums / np.maximum(counts, 1)))
+    g = (probs if whole else probs[pix]) * w[:, None]
+    g[np.arange(pix.size), ys] -= w
+    g /= counts.astype(z.dtype)[image, None]
+    if whole:
+        grad = g
+    else:
+        grad = np.zeros((b * n, k), z.dtype)
+        grad[pix] = g
+    return value, grad.reshape(shape), probs.reshape(shape)
+
+
+class TestOnePathCE:
+    """``weighted_ce`` with ``IGNORE_ID`` labels gives the bytes of the
+    earlier mask-and-two-path form: value, gradient, probabilities, dtype."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("supervision", ["all", "some", "none"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("grid", [(3, 5, 4), (5, 4)])
+    def test_matches_two_path_form(self, dtype, supervision, weighted, grid):
+        rng = Rng(160)
+        k = 5
+        # spread logits, so some probabilities underflow to exactly 0
+        logits = (20.0 * rng.normals(int(np.prod(grid)) * k)).reshape(*grid, k)
+        logits = logits.astype(dtype)
+        labels = np.array([rng.randint(k) for _ in range(int(np.prod(grid)))])
+        labels = labels.reshape(grid)
+        if supervision == "some":
+            labels[(rng.uniforms(labels.size) <= 0.4).reshape(grid)] = IGNORE_ID
+            if len(grid) == 3:
+                labels[1] = IGNORE_ID  # an image with nothing supervised
+        elif supervision == "none":
+            labels[...] = IGNORE_ID
+        weights = 0.1 + 4.9 * rng.uniforms(k) if weighted else None
+        live = labels != IGNORE_ID
+        got = weighted_ce(logits, labels, weights)
+        value, grad, probs = two_path_weighted_ce(logits, labels, live, weights)
+        assert repr(got.value) == repr(value)
+        assert same_bytes(got.grads["logits"], grad)
+        assert same_bytes(got.probs, probs)
+        assert got.grads["logits"].dtype == got.probs.dtype == dtype
+        # unsupervised rows are +0.0, not -0.0 or NaN
+        ignored = got.grads["logits"][~live]
+        assert same_bytes(ignored, np.zeros(ignored.shape, dtype))
 
 
 class TestClusterLoss:
@@ -538,12 +599,12 @@ class TestBatchContract:
         labels = np.array(
             [rng.randint(k) for _ in range(self.B * self.H * self.W)]
         ).reshape(self.B, self.H, self.W)
-        mask = rng.uniforms(self.B * self.H * self.W).reshape(labels.shape) > 0.3
-        mask[1] = False
+        unsupervised = rng.uniforms(self.B * self.H * self.W) <= 0.3
+        labels[unsupervised.reshape(labels.shape)] = IGNORE_ID
+        labels[1] = IGNORE_ID
         weights = 0.5 + rng.uniforms(k)
         self.assert_batch_is_sum(
-            lambda z, y, m: weighted_ce(z, y, m, row_weights=weights),
-            logits, labels, mask,
+            lambda z, y: weighted_ce(z, y, row_weights=weights), logits, labels
         )
 
     def test_cluster_loss(self):
@@ -887,10 +948,11 @@ class TestFloat32Accuracy:
     def test_weighted_ce(self, case, supervised):
         _, logits, _, labels = case
         rng = Rng(311)
-        mask = rng.uniforms(labels.size).reshape(labels.shape) < supervised
+        unsupervised = rng.uniforms(labels.size).reshape(labels.shape) >= supervised
+        labels = np.where(unsupervised, IGNORE_ID, labels)
         weights = 0.1 + 4.9 * rng.uniforms(logits.shape[-1])
-        got = weighted_ce(logits, labels, mask, weights)
-        want = weighted_ce(logits.astype(np.float64), labels, mask, weights)
+        got = weighted_ce(logits, labels, weights)
+        want = weighted_ce(logits.astype(np.float64), labels, weights)
         self.assert_close(got.value, want.value, self.BOUND)
         self.assert_close(got.grads["logits"], want.grads["logits"], self.BOUND)
         self.assert_close(got.probs, want.probs, self.BOUND)
@@ -957,7 +1019,7 @@ class TestFloat32Accuracy:
         """float16 and integer inputs are upcast to float64, as before, and
         so are inputs of mixed dtypes."""
         z = np.arange(12, dtype=np.float16).reshape(4, 3)
-        ce = weighted_ce(z, np.zeros(4, np.int64), np.ones(4, bool))
+        ce = weighted_ce(z, np.zeros(4, np.int64))
         assert ce.grads["logits"].dtype == ce.probs.dtype == np.float64
         di = distill_loss(np.ones((2, 2), np.float32), np.zeros((2, 2)))
         assert di.grads["features"].dtype == np.float64
@@ -993,8 +1055,7 @@ labels = np.array([rng.randint(7) for _ in range(6 * 32 * 32)]).reshape(6, 32, 3
 labels[labels == 6] = IGNORE_ID
 labels[4] = IGNORE_ID
 cl = cluster_loss(feats, labels, protos, ClusterConfig(margin=10.0).validate())
-ce = weighted_ce(cache.logits.reshape(6, 32, 32, -1), labels, labels != IGNORE_ID,
-                 0.5 + rng.uniforms(6))
+ce = weighted_ce(cache.logits.reshape(6, 32, 32, -1), labels, 0.5 + rng.uniforms(6))
 co = cons_loss(images, ce.probs, ConsConfig().validate())
 dlogits = ce.grads["logits"] + 10.0 * co.grads["logits"]
 grads = backward_batch(params, cache, cl.grads["features"].reshape(-1, 16),

@@ -421,7 +421,6 @@ class TestBackward:
         labels = np.array(
             [rng.randint(5) for _ in range(h * w)], dtype=np.int64
         ).reshape(h, w)
-        mask = np.ones((h, w), dtype=bool)
         protos = PrototypeBank(5)
         protos.register([0, 1, 2, 3, 4])
         for cid in range(5):
@@ -440,10 +439,7 @@ class TestBackward:
             feats = cache.feats.reshape(h, w, 5)
             logits = cache.logits.reshape(h, w, -1)
             ce = weighted_ce(
-                logits.reshape(h * w, -1),
-                labels.reshape(-1),
-                mask.reshape(-1),
-                row_weights=row_weights,
+                logits.reshape(h * w, -1), labels.reshape(-1), row_weights=row_weights
             )
             clu = cluster_loss(feats, labels, protos, ccfg)
             con = cons_loss(image, softmax(cache.logits).reshape(h, w, -1), ncfg)

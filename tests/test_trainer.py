@@ -130,45 +130,41 @@ class TestEffectiveLabels:
 
     def test_step_one_passthrough(self):
         labels = np.array([[0, 1], [2, IGNORE_ID]], dtype=np.uint16)
-        eff, ce = build_effective_labels(
+        eff = build_effective_labels(
             labels, np.zeros((2, 2, 2)), PrototypeBank(2), step=1
         )
         assert eff.tolist() == [[0, 1], [2, IGNORE_ID]]
-        assert ce.tolist() == [[True, True], [True, False]]
+        assert (eff != IGNORE_ID).tolist() == [[True, True], [True, False]]
 
     def test_pseudo_label_from_frozen_prototype(self):
         protos = self.protos_with({0: [0.0, 0.0], 3: [5.0, 5.0]})
         labels = np.array([[0, 4]], dtype=np.uint16)
         features = np.array([[[5.0, 5.0], [9.0, 9.0]]])
-        eff, ce = build_effective_labels(labels, features, protos, step=2)
+        eff = build_effective_labels(labels, features, protos, step=2)
         assert eff[0, 0] == 3  # background pixel adopts the nearest old class
         assert eff[0, 1] == 4  # supervised pixel untouched
-        assert ce.tolist() == [[True, True]]  # pseudo-labels feed CE too
+        assert (eff != IGNORE_ID).all()  # pseudo-labels feed CE too
 
     def test_pseudo_label_can_stay_unknown(self):
         protos = self.protos_with({0: [0.0, 0.0], 3: [5.0, 5.0]})
         labels = np.array([[0]], dtype=np.uint16)
         features = np.array([[[0.1, -0.1]]])
-        eff, _ = build_effective_labels(labels, features, protos, step=2)
+        eff = build_effective_labels(labels, features, protos, step=2)
         assert eff[0, 0] == 0
 
     def test_no_initialized_prototypes_marks_ignore(self):
         labels = np.array([[0, 3]], dtype=np.uint16)
-        eff, ce = build_effective_labels(
+        eff = build_effective_labels(
             labels, np.zeros((1, 2, 2)), PrototypeBank(2), step=2
         )
         assert eff[0, 0] == IGNORE_ID
         assert eff[0, 1] == 3
-        assert ce.tolist() == [[False, True]]
 
     def test_ignore_sentinel_survives(self):
         protos = self.protos_with({0: [0.0, 0.0]})
         labels = np.array([[IGNORE_ID]], dtype=np.uint16)
-        eff, ce = build_effective_labels(
-            labels, np.zeros((1, 1, 2)), protos, step=2
-        )
+        eff = build_effective_labels(labels, np.zeros((1, 1, 2)), protos, step=2)
         assert eff[0, 0] == IGNORE_ID
-        assert not ce[0, 0]
 
 
 class TestSgdUpdate:
@@ -319,9 +315,9 @@ class TestRunContinual:
         train, _ = tiny_dataset
         seen = []  # the row weights of every CE call, in order
 
-        def recording_ce(logits, labels, mask, row_weights=None):
+        def recording_ce(logits, labels, row_weights=None):
             seen.append(row_weights)
-            return weighted_ce(logits, labels, mask, row_weights)
+            return weighted_ce(logits, labels, row_weights)
 
         monkeypatch.setattr(trainer, "weighted_ce", recording_ce)
         cfg = tiny_config(preset="cluster-class", epochs=1)
