@@ -70,34 +70,39 @@ def read_arrays(path, magic, version, what, dtype_of, decode):
     Another magic or version, a header that is not JSON, a bad shape, a
     short file, trailing bytes, and a KeyError, TypeError or ValueError
     out of ``dtype_of`` or ``decode`` raise FormatError; ``what`` names the
-    kind of file in the messages.
+    kind of file in the messages, and every message names ``path``.
     """
     with open(path, "rb") as fh:
         found = read_exact(fh, 4, "magic")
         if found != magic:
             raise FormatError(
-                f"bad magic {found!r}, expected {magic.decode()!r}", offset=0
+                f"{path}: bad magic {found!r}, expected {magic.decode()!r}", offset=0
             )
         found = int.from_bytes(read_exact(fh, 2, "version"), "little")
         if found != version:
-            raise FormatError(f"unsupported {what} version {found}", offset=4)
+            raise FormatError(f"{path}: unsupported {what} version {found}", offset=4)
         size = int.from_bytes(read_exact(fh, 4, "header length"), "little")
         try:
             header = json.loads(read_exact(fh, size, "header"))
         except ValueError as exc:
-            raise FormatError(f"{what} header is not JSON: {exc}") from exc
+            raise FormatError(f"{path}: {what} header is not JSON: {exc}") from exc
         try:
             arrays = {}
             for name, shape in header["arrays"]:
                 if not all(type(d) is int and d >= 0 for d in shape):
-                    raise FormatError(f"array {name!r} has a bad shape {shape}")
+                    raise FormatError(f"{path}: array {name!r} has a bad shape {shape}")
                 dtype = np.dtype(dtype_of(name))
                 payload = read_exact(fh, dtype.itemsize * math.prod(shape),
                                      f"array '{name}'")
                 arrays[name] = np.frombuffer(payload, dtype).reshape(shape).copy()
             if fh.read(1):
-                raise FormatError("trailing bytes after the last array",
+                raise FormatError(f"{path}: trailing bytes after the last array",
                                   offset=fh.tell() - 1)
-            return decode(header, arrays)
         except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"malformed {what}: {exc!r}") from exc
+            raise FormatError(f"{path}: malformed {what}: {exc!r}") from exc
+    try:
+        return decode(header, arrays)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: malformed {what}: {exc!r}") from exc
+    except FormatError as exc:  # decode's own refusals carry no offset
+        raise FormatError(f"{path}: {exc}") from exc

@@ -10,7 +10,7 @@ Forward and backward are exact analytic numpy; there is no autodiff graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -22,7 +22,11 @@ from .prototypes import FeatureBank, PrototypeBank, ProtoEntry
 from .synthdata import TaskSplit
 
 CHECKPOINT_MAGIC = b"FCLK"
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
+
+# the loss log's columns, one row per epoch: three ints, then floats
+LOG_FIELDS = ("step", "epoch", "iteration", "lr", "ce", "cluster", "cons", "distill",
+              "total")
 
 
 @dataclass
@@ -241,7 +245,8 @@ def backward_batch(params, cache, dfeats, dlogits):
 class TrainState:
     """Everything needed to resume a continual run at an epoch boundary.
 
-    It is also the checkpoint: ``save_checkpoint`` writes it whole and
+    It is also the checkpoint and the one resume point: ``save_checkpoint``
+    writes it whole, the run's loss log and earlier mIoUs included, and
     ``load_checkpoint`` returns it.
     """
 
@@ -254,6 +259,8 @@ class TrainState:
     epoch: int = 0  # completed epochs within the current step
     iteration: int = 0  # step-local iteration counter (Algorithm-style)
     distill_params: Optional[ModelParams] = None  # frozen previous-step model
+    log: list = field(default_factory=list)  # the loss-log rows so far
+    mious: list = field(default_factory=list)  # mIoU(all) of each evaluated earlier step
 
 
 def _arrays_of(state):
@@ -268,7 +275,8 @@ def _arrays_of(state):
 
 def save_checkpoint(path, state):
     """Serialize a TrainState as a ``write_arrays`` container: a JSON header
-    of the run's position, model shape and prototype flags, then every
+    of the run's position, model shape, prototype flags, loss log and
+    earlier steps' mIoU(all), then every
     array little-endian: the model, momentum and distill blocks as float32,
     the prototypes and banks as float64, so bytes are stable.  An array of
     another dtype raises StateError before the file is opened, so it is
@@ -293,6 +301,8 @@ def save_checkpoint(path, state):
         "bank_capacity": state.bank.capacity,
         "protos": [[cid, e.frozen, e.initialized]
                    for cid, e in sorted(state.protos.entries.items())],
+        "log": state.log,
+        "mious": state.mious,
     }
     write_arrays(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header, arrays,
                  _dtype_of)
@@ -370,6 +380,7 @@ def _state_of(header, arrays):
             raise FormatError(f"checkpoint array bank/{cid} is {queue.shape}, "
                               f"expected shape (n <= {capacity}, {feature_dim})")
         bank.deposit_many(int(cid), queue)
+    log, mious = _resume_point(header)
     return TrainState(
         params=params,
         momentum=momentum,
@@ -380,4 +391,21 @@ def _state_of(header, arrays):
         epoch=header["epoch"],
         iteration=header["iteration"],
         distill_params=model("distill/", class_steps[:-1]) if distill else None,
+        log=log,
+        mious=mious,
     )
+
+
+def _resume_point(header):
+    """The header's loss log, a list of rows of exactly LOG_FIELDS, and its
+    mIoUs, a list of at most ``step - 1`` floats."""
+    log, mious, step = header["log"], header["mious"], header["step"]
+    kinds = {name: int if i < 3 else float for i, name in enumerate(LOG_FIELDS)}
+    if type(log) is not list or not all(
+            type(row) is dict and row.keys() == kinds.keys()
+            and all(type(row[k]) is kind for k, kind in kinds.items()) for row in log):
+        raise FormatError(f"checkpoint log is not a list of {', '.join(LOG_FIELDS)} rows")
+    if type(mious) is not list or len(mious) >= step or not all(
+            type(m) is float for m in mious):
+        raise FormatError(f"checkpoint mious is not a list of at most {step - 1} mIoU values")
+    return log, mious

@@ -32,8 +32,9 @@ from .losses import (
     weighted_ce,
 )
 from .fileio import atomic_open
-from .metrics import evaluate_model, read_summary, write_summary
+from .metrics import evaluate_model, write_summary
 from .model import (
+    LOG_FIELDS,
     ModelParams,
     TrainState,
     backward_batch,
@@ -59,18 +60,6 @@ from .synthdata import (
     class_pixel_counts,
     collapse_labels,
     select_step_indices,
-)
-
-LOG_FIELDS = (
-    "step",
-    "epoch",
-    "iteration",
-    "lr",
-    "ce",
-    "cluster",
-    "cons",
-    "distill",
-    "total",
 )
 
 
@@ -438,39 +427,6 @@ def write_loss_log(path, rows):
                              for k, v in row.items()})
 
 
-def _read_loss_log(path, before):
-    """The rows of a loss log whose (step, epoch) comes before ``before``."""
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if tuple(reader.fieldnames or ()) != LOG_FIELDS:
-                raise FormatError(f"{path} does not have the loss log columns")
-            rows = [
-                {k: int(v) if k in ("step", "epoch", "iteration") else float(v)
-                 for k, v in row.items()}
-                for row in reader
-            ]
-    except (OSError, TypeError, ValueError) as exc:
-        raise FormatError(f"cannot read the loss log {path}: {exc!r}") from exc
-    return [row for row in rows if (row["step"], row["epoch"]) < before]
-
-
-def _read_step_miou(out_dir, step):
-    """The mIoU(all) an earlier process of this run wrote for ``step``."""
-    if out_dir is None:
-        raise FormatError(
-            f"resuming after step {step} needs its summary, but there is "
-            "no run directory"
-        )
-    path = os.path.join(out_dir, f"summary_step{step}.txt")
-    try:
-        return float(read_summary(path)["miou_all"])
-    except (OSError, KeyError, ValueError) as exc:
-        raise FormatError(
-            f"cannot read the step {step} mIoU(all) from {path}: {exc!r}"
-        ) from exc
-
-
 def run_continual(cfg, samples, out_dir=None, test_samples=None,
                   resume_from=None, resolved_config=None):
     """Run every step of the split in sequence; the only writer of ``out_dir``.
@@ -483,12 +439,13 @@ def run_continual(cfg, samples, out_dir=None, test_samples=None,
     summary.txt after the last step.  ``resume_from`` restarts from a
     checkpoint at its recorded epoch boundary and continues
     bit-identically: each step from the checkpoint's on trains the epochs
-    it has left, then takes the same step end as a fresh run.  The loss
-    CSV keeps the rows already in ``out_dir`` from before that boundary,
-    and the mIoU(all) of earlier steps is read back from their summaries;
-    a missing loss CSV or summary raises FormatError, and a checkpoint
-    whose [model] keys, split steps through its step, bank capacity or
-    preset differ from ``cfg`` ConfigError.
+    it has left, then takes the same step end as a fresh run.  The
+    checkpoint is the whole resume point: it holds the loss-log rows and
+    the earlier steps' mIoU(all), and no file of ``out_dir`` is read.  A
+    checkpoint whose [model] keys, split steps through its step, bank
+    capacity or preset differ from ``cfg`` raises ConfigError, and one
+    that lacks an earlier step's mIoU(all) when ``test_samples`` is given
+    FormatError.
     The CSV is rewritten before each latest.ckpt, so the two always agree.
     """
     cfg.validate()
@@ -521,17 +478,17 @@ def run_continual(cfg, samples, out_dir=None, test_samples=None,
                 f"{resume_from}: checkpoint differs from the config in "
                 + ", ".join(differ)
             )
-    log_rows = []
+        if test_samples is not None and len(state.mious) < state.step - 1:
+            raise FormatError(
+                f"{resume_from}: a resume with a test set needs the mIoU(all) "
+                f"of steps 1-{state.step - 1}, but the checkpoint holds "
+                f"{len(state.mious)}, as after training without a test set"
+            )
     outcomes = []
     reports = []
-    mious = []  # mIoU(all) of every evaluated step, earlier processes included
-    if test_samples is not None:
-        mious = [_read_step_miou(out_dir, s) for s in range(1, state.step)]
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         log_path = os.path.join(out_dir, "losses.csv")
-        if resume_from is not None:
-            log_rows = _read_loss_log(log_path, (state.step, state.epoch))
         if resolved_config is not None:
             with atomic_open(os.path.join(out_dir, "config.resolved.ini"), "w",
                              encoding="utf-8") as fh:
@@ -539,11 +496,11 @@ def run_continual(cfg, samples, out_dir=None, test_samples=None,
 
     def save_latest(st):
         if out_dir is not None:
-            write_loss_log(log_path, log_rows)
+            write_loss_log(log_path, st.log)
             save_checkpoint(os.path.join(out_dir, "latest.ckpt"), st)
 
     def end_epoch(st, row):
-        log_rows.append(row)
+        st.log.append(row)
         save_latest(st)
 
     for t in range(state.step, n_steps + 1):
@@ -560,16 +517,16 @@ def run_continual(cfg, samples, out_dir=None, test_samples=None,
             save_checkpoint(os.path.join(out_dir, f"step{t}.ckpt"), state)
         if test_samples is not None:
             report, _ = evaluate_model(state.params, test_samples, split, t)
-            mious.append(report.miou_all)
+            state.mious.append(report.miou_all)
             if t == n_steps:
-                report.miou_avg = float(np.mean(mious))
+                report.miou_avg = float(np.mean(state.mious))
             reports.append(report)
             if out_dir is not None:
                 write_summary(
                     os.path.join(out_dir, f"summary_step{t}.txt"), report
                 )
     if out_dir is not None:
-        write_loss_log(log_path, log_rows)
+        write_loss_log(log_path, state.log)
         if reports:
             write_summary(os.path.join(out_dir, "summary.txt"), reports[-1])
     return RunResult(

@@ -482,6 +482,40 @@ class TestTrain:
         assert message in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
+    @pytest.mark.parametrize("case, message", [
+        ("log", ": checkpoint log is not a list of step, epoch, iteration"),
+        ("mious", ": checkpoint mious is not a list of at most 1 mIoU values"),
+        ("version_5", ": unsupported checkpoint version 5"),
+        ("no_test_set", ": a resume with a test set needs the mIoU(all) of steps 1-1"),
+    ], ids=["log", "mious", "version_5", "no_test_set"])
+    def test_resume_from_checkpoint_without_its_resume_point_exits_3(
+            self, workspace, tmp_path, capsys, case, message):
+        """The checkpoint is the whole resume point, so one whose loss log or
+        mIoUs are malformed or absent, or an older version without them, is
+        refused by the file's name and leaves the run directory as it was."""
+        train = ("train", "--config", str(workspace["ini"]),
+                 "--dataset", str(workspace["data"] / "train.bin"))
+        test = ("--test", str(workspace["data"] / "test.bin"))
+        run = tmp_path / "run"
+        if case == "no_test_set":
+            assert run_cli(*train, "--out", str(run))[0] == 0
+        else:
+            shutil.copytree(workspace["runs"]["full"][0], run)
+        path = run / "latest.ckpt"
+        if case == "version_5":
+            raw = bytearray(path.read_bytes())
+            raw[4:6] = (5).to_bytes(2, "little")
+            path.write_bytes(bytes(raw))
+        elif case in ("log", "mious"):
+            header, body = split_container(path)
+            header[case] = {"log": [{"step": 1}], "mious": [0.5, 0.5]}[case]
+            join_container(path, json.dumps(header).encode(), body)
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        code, _ = run_cli(*train, *test, "--out", str(run), "--resume")
+        assert code == 3
+        assert f"{path}{message}" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
     def test_steps_flag_overrides_split(self, workspace, tmp_path):
         code, text = run_cli(
             "train", "--config", str(workspace["ini"]),

@@ -1,6 +1,7 @@
 """Patch-MLP forward/backward, head growth, checkpoint persistence."""
 
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -487,7 +488,14 @@ def make_checkpoint(seed=51, with_distill=False):
         iteration=17,
         preset="cluster-class",
         distill_params=distill_params,
+        log=[dict(LOG_ROW, epoch=e, iteration=e + 1) for e in range(2)],
+        mious=[0.625],
     )
+
+
+# a loss-log row, as run_continual appends one per epoch
+LOG_ROW = {"step": 1, "epoch": 0, "iteration": 1, "lr": 0.05, "ce": 1.5,
+           "cluster": 0.25, "cons": 0.0, "distill": 0.0, "total": 1.5}
 
 
 class TestCheckpoint(ContainerRefusals):
@@ -540,6 +548,8 @@ class TestCheckpoint(ContainerRefusals):
             back.bank.mean(2), ckpt.bank.mean(2)
         )
         assert back.bank.capacity == 7
+        assert back.log == ckpt.log
+        assert back.mious == ckpt.mious
 
     def test_version_4_checkpoint_refused(self, tmp_path, monkeypatch):
         """A version-4 file, every array float64, is refused, not misread."""
@@ -555,6 +565,48 @@ class TestCheckpoint(ContainerRefusals):
                            match="unsupported checkpoint version 4") as info:
             load_checkpoint(path)
         assert info.value.offset == 4
+
+    def test_version_5_checkpoint_refused(self, tmp_path):
+        """A version-5 file has no loss log or mIoUs to resume from."""
+        path = tmp_path / "v5.ckpt"
+        save_checkpoint(path, make_checkpoint())
+        raw = bytearray(path.read_bytes())
+        raw[4:6] = (5).to_bytes(2, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=re.escape(
+                f"{path}: unsupported checkpoint version 5")) as info:
+            load_checkpoint(path)
+        assert info.value.offset == 4
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("log", None, r"KeyError\('log'\)"),
+        ("mious", None, r"KeyError\('mious'\)"),
+        ("log", {"0": LOG_ROW}, "log is not a list of step, epoch, iteration"),
+        ("log", [[1, 0, 1]], "log is not a list of step"),
+        ("log", [{k: v for k, v in LOG_ROW.items() if k != "total"}],
+         "log is not a list of step"),
+        ("log", [dict(LOG_ROW, seconds=0.5)], "log is not a list of step"),
+        ("log", [dict(LOG_ROW, epoch=0.0)], "log is not a list of step"),
+        ("log", [dict(LOG_ROW, ce="1.5")], "log is not a list of step"),
+        ("mious", 0.625, r"mious is not a list of at most 1 mIoU values"),
+        ("mious", ["0.625"], r"mious is not a list of at most 1 mIoU values"),
+        ("mious", [0.625, 0.5], r"mious is not a list of at most 1 mIoU values"),
+    ], ids=["log_missing", "mious_missing", "log_not_list", "row_not_dict",
+            "row_short", "row_extra", "row_int_as_float", "row_string",
+            "mious_not_list", "miou_string", "mious_too_long"])
+    def test_malformed_log_or_mious_rejected(self, tmp_path, key, value, message):
+        """The loss log is a list of rows of exactly the loss-log fields,
+        and mious at most one float per step before the checkpoint's."""
+        path = tmp_path / "log.ckpt"
+        save_checkpoint(path, make_checkpoint())
+        header, body = split_container(path)
+        if value is None:
+            del header[key]
+        else:
+            header[key] = value
+        join_container(path, json.dumps(header).encode(), body)
+        with pytest.raises(FormatError, match=f"{re.escape(str(path))}: .*{message}"):
+            load_checkpoint(path)
 
     def test_bank_queue_of_wrong_width_rejected(self, tmp_path):
         path = tmp_path / "bank.ckpt"
@@ -588,6 +640,7 @@ class TestCheckpoint(ContainerRefusals):
         assert header["protos"] == [[0, False, False], [1, True, True],
                                     [2, False, False]]
         assert header["bank_capacity"] == 7
+        assert header["log"] == ckpt.log and header["mious"] == [0.625]
         # model blocks are float32; prototypes and banks float64
         sizes = [(8 if name.startswith(("proto/", "bank/")) else 4)
                  * int(np.prod(shape)) for name, shape in header["arrays"]]

@@ -57,6 +57,31 @@ RUN_FILES = (
     "step1.ckpt", "step2.ckpt", "latest.ckpt", "losses.csv",
     "summary_step1.txt", "summary_step2.txt", "summary.txt",
 )
+# the files a resume from a mid-step-2 checkpoint writes
+STEP2_FILES = (
+    "step2.ckpt", "latest.ckpt", "losses.csv", "summary_step2.txt", "summary.txt",
+)
+
+
+def assert_same_files(out, straight, names):
+    """``out`` holds ``names``, each with the bytes of ``straight``'s file,
+    and every other file it holds has those bytes too."""
+    assert set(os.listdir(out)) >= set(names)
+    for name in os.listdir(out):
+        assert (out / name).read_bytes() == (straight / name).read_bytes(), name
+
+
+def keep_mid_step(tmp_path, real_save, at=(2, 1)):
+    """A save_checkpoint that also copies the latest.ckpt of (step, epoch)
+    ``at`` to ``tmp_path / "mid.ckpt"``."""
+
+    def save(path, state):
+        real_save(path, state)
+        if os.path.basename(path) == "latest.ckpt" and (
+                state.step, state.epoch) == at:
+            shutil.copy(path, tmp_path / "mid.ckpt")
+
+    return save
 
 
 def final_bytes(tmp_path, name, cfg, samples, **kwargs):
@@ -380,21 +405,16 @@ class TestRunContinual:
         train, _ = tiny_dataset
         cfg = tiny_config(preset="distill", epochs=3)
         step_images = len(select_step_indices(train, cfg.split, 2))
-        real_forward, real_save = trainer.forward_batch, trainer.save_checkpoint
+        real_forward = trainer.forward_batch
         calls = []  # (params, images) of every forward
 
         def counting_forward(params, images):
             calls.append((params, len(images)))
             return real_forward(params, images)
 
-        def save_and_keep_mid_step(path, state):
-            real_save(path, state)
-            if os.path.basename(path) == "latest.ckpt" and (
-                    state.step, state.epoch) == (2, 1):
-                shutil.copy(path, tmp_path / "mid.ckpt")
-
         monkeypatch.setattr(trainer, "forward_batch", counting_forward)
-        monkeypatch.setattr(trainer, "save_checkpoint", save_and_keep_mid_step)
+        monkeypatch.setattr(trainer, "save_checkpoint",
+                            keep_mid_step(tmp_path, trainer.save_checkpoint))
         out = tmp_path / "run"
         for resume_from in (None, tmp_path / "mid.ckpt"):
             calls.clear()
@@ -410,8 +430,6 @@ class TestRunContinual:
         straight = (out / "step2.ckpt").read_bytes()
 
         redo = tmp_path / "redo"
-        redo.mkdir()
-        shutil.copy(out / "losses.csv", redo / "losses.csv")
         run_continual(
             cfg, train, out_dir=redo, resume_from=out / "step1.ckpt"
         )
@@ -429,15 +447,8 @@ class TestRunContinual:
         train, test = tiny_dataset
         cfg = tiny_config(preset=preset)
         straight = tmp_path / "straight"
-        real_save = trainer.save_checkpoint
-
-        def save_and_keep_mid_step(path, state):
-            real_save(path, state)
-            if os.path.basename(path) == "latest.ckpt" and (
-                    state.step, state.epoch) == (2, 1):
-                shutil.copy(path, tmp_path / "mid.ckpt")
-
-        monkeypatch.setattr(trainer, "save_checkpoint", save_and_keep_mid_step)
+        monkeypatch.setattr(trainer, "save_checkpoint",
+                            keep_mid_step(tmp_path, trainer.save_checkpoint))
         state = run_continual(cfg, train, out_dir=straight,
                               test_samples=test).state
         monkeypatch.undo()
@@ -448,26 +459,53 @@ class TestRunContinual:
                    for blocks in models for arr in blocks.values())
         assert all(entry.vector.dtype == np.float64
                    for entry in state.protos.entries.values())
-        for resume_from in (straight / "step1.ckpt", tmp_path / "mid.ckpt"):
+        for resume_from, names in ((straight / "step1.ckpt", RUN_FILES),
+                                   (tmp_path / "mid.ckpt", STEP2_FILES)):
             out = tmp_path / f"from-{resume_from.stem}"
-            shutil.copytree(straight, out)
-            for name in ("step2.ckpt", "latest.ckpt", "summary_step2.txt",
-                         "summary.txt"):
-                (out / name).unlink()
+            out.mkdir()
+            shutil.copy(resume_from, out / "latest.ckpt")
             run_continual(cfg, train, out_dir=out, test_samples=test,
-                          resume_from=resume_from)
-            for name in RUN_FILES:
-                assert (out / name).read_bytes() == (straight / name).read_bytes()
+                          resume_from=out / "latest.ckpt")
+            assert_same_files(out, straight, names)
 
-    def test_resume_without_loss_log_rejected(self, tmp_path, tiny_dataset):
-        train, _ = tiny_dataset
+    def test_resume_into_empty_directory_matches_uninterrupted(
+            self, tmp_path, tiny_dataset, monkeypatch):
+        """The checkpoint alone is the resume point: from the middle of
+        step 1, the loss log's first rows come from it, not from the run
+        directory."""
+        train, test = tiny_dataset
         cfg = tiny_config()
-        run_continual(cfg, train, out_dir=tmp_path / "a")
-        with pytest.raises(FormatError, match="losses.csv"):
-            run_continual(
-                cfg, train, out_dir=tmp_path / "b",
-                resume_from=tmp_path / "a" / "step1.ckpt",
-            )
+        straight = tmp_path / "straight"
+        monkeypatch.setattr(trainer, "save_checkpoint",
+                            keep_mid_step(tmp_path, trainer.save_checkpoint, at=(1, 1)))
+        run_continual(cfg, train, out_dir=straight, test_samples=test)
+        monkeypatch.undo()
+        out = tmp_path / "empty"
+        run_continual(cfg, train, out_dir=out, test_samples=test,
+                      resume_from=tmp_path / "mid.ckpt")
+        assert_same_files(out, straight, RUN_FILES)
+
+    def test_resume_after_prototype_refresh_matches_uninterrupted(
+            self, tmp_path, tiny_dataset, monkeypatch):
+        """A mid-step-2 checkpoint taken after the step's first prototype
+        refresh resumes, from a directory that holds only it, to the
+        uninterrupted run's files."""
+        train, test = tiny_dataset
+        cfg = tiny_config(cluster=ClusterConfig(update_period=2))
+        straight = tmp_path / "straight"
+        monkeypatch.setattr(trainer, "save_checkpoint",
+                            keep_mid_step(tmp_path, trainer.save_checkpoint))
+        run_continual(cfg, train, out_dir=straight, test_samples=test)
+        monkeypatch.undo()
+        mid = load_checkpoint(tmp_path / "mid.ckpt")
+        assert mid.iteration >= cfg.cluster.update_period
+        assert all(mid.protos.is_initialized(c) for c in cfg.split.classes_at(2))
+        out = tmp_path / "resumed"
+        out.mkdir()
+        shutil.copy(tmp_path / "mid.ckpt", out / "latest.ckpt")
+        run_continual(cfg, train, out_dir=out, test_samples=test,
+                      resume_from=out / "latest.ckpt")
+        assert_same_files(out, straight, STEP2_FILES)
 
     def test_resume_with_other_model_rejected(self, tmp_path, tiny_dataset):
         train, _ = tiny_dataset
@@ -522,8 +560,6 @@ class TestRunContinual:
         out = tmp_path / "done"
         run_continual(cfg, train, out_dir=out)
         noop = tmp_path / "noop"
-        noop.mkdir()
-        shutil.copy(out / "losses.csv", noop / "losses.csv")
         again = run_continual(
             cfg, train, out_dir=noop, resume_from=out / "latest.ckpt",
         )
@@ -617,9 +653,6 @@ class TestRunContinual:
         assert result.reports[-1].miou_avg == float(np.mean(mious))
         for k in (1, 2, 3):
             redo = tmp_path / f"from-step{k}"
-            redo.mkdir()
-            for name in ["losses.csv"] + [f"summary_step{s}.txt" for s in range(1, k)]:
-                shutil.copy(out / name, redo / name)
             run_continual(cfg, train, out_dir=redo, test_samples=test,
                           resume_from=out / f"step{k}.ckpt")
             names = set(os.listdir(redo))
@@ -630,18 +663,28 @@ class TestRunContinual:
             for name in names:
                 assert (redo / name).read_bytes() == (out / name).read_bytes(), (k, name)
 
-    def test_resume_without_earlier_summary_rejected(self, tmp_path,
-                                                     tiny_dataset):
+    def test_resume_with_test_set_needs_earlier_mious(self, tmp_path,
+                                                      tiny_dataset):
+        """miou_avg takes each earlier step's mIoU(all) from the checkpoint,
+        so a run trained without a test set cannot resume with one; a run
+        trained with one resumes without a run directory."""
         train, test = tiny_dataset
         cfg = tiny_config()
         out = tmp_path / "run"
         run_continual(cfg, train, out_dir=out)
         latest = out / "latest.ckpt"
-        with pytest.raises(FormatError, match="summary_step1.txt"):
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        with pytest.raises(FormatError, match=re.escape(
+                f"{latest}: a resume with a test set needs the mIoU(all) of "
+                "steps 1-1, but the checkpoint holds 0")):
             run_continual(cfg, train, out_dir=out, test_samples=test,
                           resume_from=latest)
-        with pytest.raises(FormatError, match="no run directory"):
-            run_continual(cfg, train, test_samples=test, resume_from=latest)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        done = run_continual(cfg, train, out_dir=tmp_path / "tested",
+                             test_samples=test)
+        again = run_continual(cfg, train, test_samples=test,
+                              resume_from=tmp_path / "tested" / "latest.ckpt")
+        assert again.reports[-1].miou_avg == done.reports[-1].miou_avg
 
     def test_loss_log_schema(self, tmp_path, tiny_dataset):
         train, _ = tiny_dataset
