@@ -126,7 +126,7 @@ def cmd_train(args):
     for outcome in result.outcomes:
         last = outcome.loss_trace[-1] if outcome.loss_trace else {}
         print(
-            f"step {outcome.step}: head rows {outcome.params.num_rows}, "
+            f"step {outcome.step}: head rows {1 + len(tc.split.known_through(outcome.step))}, "
             f"{outcome.iterations} iterations, "
             f"final total loss {last.get('total', float('nan')):.6f}"
         )

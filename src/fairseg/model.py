@@ -22,7 +22,7 @@ from .prototypes import FeatureBank, PrototypeBank, ProtoEntry
 from .synthdata import TaskSplit
 
 CHECKPOINT_MAGIC = b"FCLK"
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 # the loss log's columns, one row per epoch: three ints, then floats
 LOG_FIELDS = ("step", "epoch", "iteration", "lr", "ce", "cluster", "cons", "distill",
@@ -257,7 +257,6 @@ class TrainState:
     preset: str  # the [train] preset, i.e. the loss set it trains
     step: int = 1
     epoch: int = 0  # completed epochs within the current step
-    iteration: int = 0  # step-local iteration counter (Algorithm-style)
     distill_params: Optional[ModelParams] = None  # frozen previous-step model
     log: list = field(default_factory=list)  # the loss-log rows so far
     mious: list = field(default_factory=list)  # mIoU(all) of each evaluated earlier step
@@ -293,7 +292,6 @@ def save_checkpoint(path, state):
         "preset": state.preset,
         "step": state.step,
         "epoch": state.epoch,
-        "iteration": state.iteration,
         "patch_size": p.patch_size,
         "feature_dim": p.feature_dim,
         "hidden": p.hidden,
@@ -380,7 +378,7 @@ def _state_of(header, arrays):
             raise FormatError(f"checkpoint array bank/{cid} is {queue.shape}, "
                               f"expected shape (n <= {capacity}, {feature_dim})")
         bank.deposit_many(int(cid), queue)
-    log, mious = _resume_point(header)
+    log, mious = _resume_point(header, len(class_steps))
     return TrainState(
         params=params,
         momentum=momentum,
@@ -389,17 +387,22 @@ def _state_of(header, arrays):
         preset=header["preset"],
         step=header["step"],
         epoch=header["epoch"],
-        iteration=header["iteration"],
         distill_params=model("distill/", class_steps[:-1]) if distill else None,
         log=log,
         mious=mious,
     )
 
 
-def _resume_point(header):
+def _resume_point(header, steps):
     """The header's loss log, a list of rows of exactly LOG_FIELDS, and its
-    mIoUs, a list of at most ``step - 1`` floats."""
-    log, mious, step = header["log"], header["mious"], header["step"]
+    mIoUs, a list of at most ``step - 1`` floats.  Its position must be one
+    a run can resume from: ``step`` is the int ``steps``, the model's step
+    count, and ``epoch`` an int >= 0."""
+    log, mious, step, epoch = (header[k] for k in ("log", "mious", "step", "epoch"))
+    if type(step) is not int or step != steps:
+        raise FormatError(f"checkpoint step {step!r} is not its model's {steps} steps")
+    if type(epoch) is not int or epoch < 0:
+        raise FormatError(f"checkpoint epoch {epoch!r} is not an int >= 0")
     kinds = {name: int if i < 3 else float for i, name in enumerate(LOG_FIELDS)}
     if type(log) is not list or not all(
             type(row) is dict and row.keys() == kinds.keys()

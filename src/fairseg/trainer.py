@@ -35,7 +35,6 @@ from .fileio import atomic_open
 from .metrics import evaluate_model, write_summary
 from .model import (
     LOG_FIELDS,
-    ModelParams,
     TrainState,
     backward_batch,
     forward_batch,
@@ -207,8 +206,7 @@ def sgd_update(params, momentum, grads, lr, mu, weight_decay):
 @dataclass
 class StepOutcome:
     step: int
-    params: ModelParams
-    loss_trace: List[dict]  # one loss-log row (LOG_FIELDS) per epoch
+    loss_trace: List[dict]  # the state.log rows this call trained, one per epoch
     iterations: int
     counters: dict
 
@@ -250,7 +248,6 @@ def enter_step(state, cfg):
     state.bank.reset()
     state.step = step
     state.epoch = 0
-    state.iteration = 0
     return state
 
 
@@ -289,9 +286,11 @@ def run_step(state, cfg, data, on_epoch_end=None):
     step's images once, ``batch_size`` at a time, and its features are the
     distillation targets of every epoch; a resumed step computes them
     again.  Each iteration stacks its batch and calls every loss once on
-    it.  Resumes from state.epoch when it is nonzero.  Each epoch makes one
-    loss-log row of per-epoch mean loss terms, passed to
-    ``on_epoch_end(state, row)``; the StepOutcome holds them in order.
+    it.  Resumes from state.epoch when it is nonzero.  Each epoch appends
+    one loss-log row of per-epoch mean loss terms to ``state.log``, then
+    calls ``on_epoch_end(state)``; the StepOutcome's trace is the rows this
+    call appended.  A row's iteration is the step-local count after its
+    epoch, the one the prototype refresh schedule counts.
     """
     step = state.step
     if not data:
@@ -304,8 +303,7 @@ def run_step(state, cfg, data, on_epoch_end=None):
     terms = ABLATIONS[cfg.preset]
     counters = {"cluster_skipped_pixels": 0}
     zero_feats = None  # backward's feature gradient when no feature loss is on
-    loss_trace = []
-    iterations_run = 0
+    first_row = len(state.log)
     row_weights = None
     if terms.class_weighting:
         # the step's classes, and background at step 1; other rows keep 1
@@ -373,8 +371,6 @@ def run_step(state, cfg, data, on_epoch_end=None):
                 params, state.momentum, grads, lr, cfg.sgd_momentum,
                 cfg.weight_decay,
             )
-            state.iteration += 1
-            iterations_run += 1
             if terms.cluster:
                 # The update schedule counts iterations within the current
                 # step (banks are reset at step entry), so a fresh step warms
@@ -383,7 +379,7 @@ def run_step(state, cfg, data, on_epoch_end=None):
                     state.protos, state.bank, cfg.cluster,
                     epoch * per_epoch + b + 1,
                 )
-        row = {"step": step, "epoch": epoch, "iteration": state.iteration,
+        row = {"step": step, "epoch": epoch, "iteration": (epoch + 1) * per_epoch,
                "lr": lr}
         row.update((k, v / per_epoch) for k, v in sums.items())
         row["total"] = (
@@ -397,15 +393,15 @@ def run_step(state, cfg, data, on_epoch_end=None):
                 raise ProtocolError(
                     f"non-finite {key} loss at step {step} epoch {epoch}"
                 )
-        loss_trace.append(row)
+        state.log.append(row)
         state.epoch = epoch + 1
         if on_epoch_end is not None:
-            on_epoch_end(state, row)
+            on_epoch_end(state)
+    loss_trace = state.log[first_row:]
     return StepOutcome(
         step=step,
-        params=state.params.copy(),
         loss_trace=loss_trace,
-        iterations=iterations_run,
+        iterations=len(loss_trace) * per_epoch,
         counters=counters,
     )
 
@@ -427,14 +423,14 @@ def write_loss_log(path, rows):
                              for k, v in row.items()})
 
 
-def run_continual(cfg, samples, out_dir=None, test_samples=None,
+def run_continual(cfg, samples, out_dir, test_samples=None,
                   resume_from=None, resolved_config=None):
     """Run every step of the split in sequence; the only writer of ``out_dir``.
 
-    When ``out_dir`` is given, writes the ``resolved_config`` text (if
-    any) to config.resolved.ini once every resume check has passed, then
-    per-step checkpoints (step<t>.ckpt), a rolling latest.ckpt after every
-    epoch, and a loss CSV.  When ``test_samples`` is given, evaluates
+    Writes the ``resolved_config`` text (if any) to ``out_dir``'s
+    config.resolved.ini once every resume check has passed, then per-step
+    checkpoints (step<t>.ckpt), a rolling latest.ckpt after every epoch,
+    and a loss CSV.  When ``test_samples`` is given, evaluates
     after each step and writes summary_step<t>.txt at once, then
     summary.txt after the last step.  ``resume_from`` restarts from a
     checkpoint at its recorded epoch boundary and continues
@@ -486,22 +482,16 @@ def run_continual(cfg, samples, out_dir=None, test_samples=None,
             )
     outcomes = []
     reports = []
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        log_path = os.path.join(out_dir, "losses.csv")
-        if resolved_config is not None:
-            with atomic_open(os.path.join(out_dir, "config.resolved.ini"), "w",
-                             encoding="utf-8") as fh:
-                fh.write(resolved_config)
+    os.makedirs(out_dir, exist_ok=True)
+    log_path = os.path.join(out_dir, "losses.csv")
+    if resolved_config is not None:
+        with atomic_open(os.path.join(out_dir, "config.resolved.ini"), "w",
+                         encoding="utf-8") as fh:
+            fh.write(resolved_config)
 
     def save_latest(st):
-        if out_dir is not None:
-            write_loss_log(log_path, st.log)
-            save_checkpoint(os.path.join(out_dir, "latest.ckpt"), st)
-
-    def end_epoch(st, row):
-        st.log.append(row)
-        save_latest(st)
+        write_loss_log(log_path, st.log)
+        save_checkpoint(os.path.join(out_dir, "latest.ckpt"), st)
 
     for t in range(state.step, n_steps + 1):
         if t > state.step:
@@ -510,25 +500,18 @@ def run_continual(cfg, samples, out_dir=None, test_samples=None,
         if state.epoch < cfg.epochs:
             tracker.begin_step(t, allowed[t])
             data = [collapse_labels(tracker.fetch(i), split, t) for i in allowed[t]]
-            outcomes.append(
-                run_step(state, cfg, data, on_epoch_end=end_epoch)
-            )
-        if out_dir is not None:
-            save_checkpoint(os.path.join(out_dir, f"step{t}.ckpt"), state)
+            outcomes.append(run_step(state, cfg, data, on_epoch_end=save_latest))
+        save_checkpoint(os.path.join(out_dir, f"step{t}.ckpt"), state)
         if test_samples is not None:
             report, _ = evaluate_model(state.params, test_samples, split, t)
             state.mious.append(report.miou_all)
             if t == n_steps:
                 report.miou_avg = float(np.mean(state.mious))
             reports.append(report)
-            if out_dir is not None:
-                write_summary(
-                    os.path.join(out_dir, f"summary_step{t}.txt"), report
-                )
-    if out_dir is not None:
-        write_loss_log(log_path, state.log)
-        if reports:
-            write_summary(os.path.join(out_dir, "summary.txt"), reports[-1])
+            write_summary(os.path.join(out_dir, f"summary_step{t}.txt"), report)
+    write_loss_log(log_path, state.log)
+    if reports:
+        write_summary(os.path.join(out_dir, "summary.txt"), reports[-1])
     return RunResult(
         outcomes=outcomes,
         state=state,

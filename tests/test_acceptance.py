@@ -201,12 +201,12 @@ def test_ablation_script_prints_the_claims(grid):
         assert cv.describe() in proc.stdout
 
 
-def test_criterion_8_rehearsal_free(grid):
+def test_criterion_8_rehearsal_free(grid, tmp_path):
     cfg = load_config(ACCEPTANCE_INI).train_config(num_classes=8)
     train, _ = read_dataset(str(grid["data"] / "train.bin"))
     # run_continual fetches each allowed image once per step, before its
     # first epoch, so one epoch leaves the same read log as the full run
-    result = run_continual(dataclasses.replace(cfg, epochs=1), train)
+    result = run_continual(dataclasses.replace(cfg, epochs=1), train, tmp_path)
     step1_only = set(select_step_indices(train, cfg.split, 1)) - set(
         select_step_indices(train, cfg.split, 2)
     )

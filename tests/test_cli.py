@@ -485,14 +485,18 @@ class TestTrain:
     @pytest.mark.parametrize("case, message", [
         ("log", ": checkpoint log is not a list of step, epoch, iteration"),
         ("mious", ": checkpoint mious is not a list of at most 1 mIoU values"),
-        ("version_5", ": unsupported checkpoint version 5"),
+        ("version_6", ": unsupported checkpoint version 6"),
         ("no_test_set", ": a resume with a test set needs the mIoU(all) of steps 1-1"),
-    ], ids=["log", "mious", "version_5", "no_test_set"])
+        ("epoch", ": checkpoint epoch -1 is not an int >= 0"),
+        ("step", ": checkpoint step 3 is not its model's 2 steps"),
+    ], ids=["log", "mious", "version_6", "no_test_set", "epoch", "step"])
     def test_resume_from_checkpoint_without_its_resume_point_exits_3(
             self, workspace, tmp_path, capsys, case, message):
         """The checkpoint is the whole resume point, so one whose loss log or
-        mIoUs are malformed or absent, or an older version without them, is
-        refused by the file's name and leaves the run directory as it was."""
+        mIoUs are malformed or absent, an older version, or one whose
+        position no run can resume from (a negative epoch, or a step past
+        its model's, which would train nothing), is refused by the file's
+        name and leaves the run directory as it was."""
         train = ("train", "--config", str(workspace["ini"]),
                  "--dataset", str(workspace["data"] / "train.bin"))
         test = ("--test", str(workspace["data"] / "test.bin"))
@@ -502,10 +506,17 @@ class TestTrain:
         else:
             shutil.copytree(workspace["runs"]["full"][0], run)
         path = run / "latest.ckpt"
-        if case == "version_5":
+        if case == "version_6":
             raw = bytearray(path.read_bytes())
-            raw[4:6] = (5).to_bytes(2, "little")
+            raw[4:6] = (6).to_bytes(2, "little")
             path.write_bytes(bytes(raw))
+        elif case in ("epoch", "step"):
+            state = load_checkpoint(run / "step2.ckpt")
+            if case == "epoch":
+                state.epoch = -1
+            else:
+                state.step = 3
+            save_checkpoint(path, state)
         elif case in ("log", "mious"):
             header, body = split_container(path)
             header[case] = {"log": [{"step": 1}], "mious": [0.5, 0.5]}[case]

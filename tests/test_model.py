@@ -460,12 +460,12 @@ class TestBackward:
 
 
 def make_checkpoint(seed=51, with_distill=False):
+    """A TrainState in the middle of step 2; ``with_distill`` keeps the
+    step-1 model as the distillation teacher."""
     rng = Rng(seed)
-    params = small_params(seed=seed, classes=(1, 2))
-    distill_params = None
-    if with_distill:
-        distill_params = params.copy()
-        params = grow_head(params, (3,), rng.split("grow"))
+    step1 = small_params(seed=seed, classes=(1, 2))
+    params = grow_head(step1, (3,), rng.split("grow"))
+    distill_params = step1 if with_distill else None
     # momentum in the parameters' dtype, as init_state makes it
     momentum = {k: (rng.normals(v.size).reshape(v.shape) * 0.01).astype(v.dtype)
                 for k, v in params.blocks.items()}
@@ -485,7 +485,6 @@ def make_checkpoint(seed=51, with_distill=False):
         bank=bank,
         step=2,
         epoch=3,
-        iteration=17,
         preset="cluster-class",
         distill_params=distill_params,
         log=[dict(LOG_ROW, epoch=e, iteration=e + 1) for e in range(2)],
@@ -526,7 +525,6 @@ class TestCheckpoint(ContainerRefusals):
         back = load_checkpoint(path)
         assert back.step == ckpt.step
         assert back.epoch == ckpt.epoch
-        assert back.iteration == ckpt.iteration
         assert back.preset == "cluster-class"
         assert back.params.class_steps == ckpt.params.class_steps
         assert back.params.hidden == ckpt.params.hidden
@@ -566,15 +564,16 @@ class TestCheckpoint(ContainerRefusals):
             load_checkpoint(path)
         assert info.value.offset == 4
 
-    def test_version_5_checkpoint_refused(self, tmp_path):
-        """A version-5 file has no loss log or mIoUs to resume from."""
-        path = tmp_path / "v5.ckpt"
+    def test_version_6_checkpoint_refused(self, tmp_path):
+        """A version-6 file keeps a header iteration count that this
+        version derives from the epoch."""
+        path = tmp_path / "v6.ckpt"
         save_checkpoint(path, make_checkpoint())
         raw = bytearray(path.read_bytes())
-        raw[4:6] = (5).to_bytes(2, "little")
+        raw[4:6] = (6).to_bytes(2, "little")
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match=re.escape(
-                f"{path}: unsupported checkpoint version 5")) as info:
+                f"{path}: unsupported checkpoint version 6")) as info:
             load_checkpoint(path)
         assert info.value.offset == 4
 
@@ -591,12 +590,19 @@ class TestCheckpoint(ContainerRefusals):
         ("mious", 0.625, r"mious is not a list of at most 1 mIoU values"),
         ("mious", ["0.625"], r"mious is not a list of at most 1 mIoU values"),
         ("mious", [0.625, 0.5], r"mious is not a list of at most 1 mIoU values"),
+        ("epoch", -1, "checkpoint epoch -1 is not an int >= 0"),
+        ("epoch", 1.0, "checkpoint epoch 1.0 is not an int >= 0"),
+        ("step", 3, "checkpoint step 3 is not its model's 2 steps"),
+        ("step", 2.0, "checkpoint step 2.0 is not its model's 2 steps"),
     ], ids=["log_missing", "mious_missing", "log_not_list", "row_not_dict",
             "row_short", "row_extra", "row_int_as_float", "row_string",
-            "mious_not_list", "miou_string", "mious_too_long"])
+            "mious_not_list", "miou_string", "mious_too_long", "epoch_negative",
+            "epoch_float", "step_past_model", "step_float"])
     def test_malformed_log_or_mious_rejected(self, tmp_path, key, value, message):
         """The loss log is a list of rows of exactly the loss-log fields,
-        and mious at most one float per step before the checkpoint's."""
+        and mious at most one float per step before the checkpoint's.  The
+        position is a resume point: the step is the model's step count and
+        the epoch an int >= 0."""
         path = tmp_path / "log.ckpt"
         save_checkpoint(path, make_checkpoint())
         header, body = split_container(path)
@@ -641,6 +647,8 @@ class TestCheckpoint(ContainerRefusals):
                                     [2, False, False]]
         assert header["bank_capacity"] == 7
         assert header["log"] == ckpt.log and header["mious"] == [0.625]
+        assert (header["step"], header["epoch"]) == (2, 3)
+        assert "iteration" not in header  # the log's rows carry the count
         # model blocks are float32; prototypes and banks float64
         sizes = [(8 if name.startswith(("proto/", "bank/")) else 4)
                  * int(np.prod(shape)) for name, shape in header["arrays"]]

@@ -248,18 +248,22 @@ class TestRunStep:
         data = [collapse_labels(train[i], tiny_split, 1) for i in idx]
         state = init_state(cfg)
         outcome = run_step(state, cfg, data)
-        expect = 3 * ((len(data) + 4) // 5)
-        assert outcome.iterations == expect
-        assert state.iteration == expect
+        per_epoch = (len(data) + 4) // 5
+        assert outcome.iterations == 3 * per_epoch
+        # each row counts the step's iterations through its epoch
+        assert [row["iteration"] for row in state.log] == [
+            per_epoch, 2 * per_epoch, 3 * per_epoch]
+        assert outcome.loss_trace == state.log
 
     def test_same_seed_same_outcome(self, tiny_dataset):
         cfg = tiny_config()
         train, _ = tiny_dataset
         data = [collapse_labels(s, cfg.split, 1) for s in train[:10]]
-        out_a = run_step(init_state(cfg), cfg, data)
-        out_b = run_step(init_state(cfg), cfg, data)
-        for name, arr in out_a.params.blocks.items():
-            np.testing.assert_array_equal(arr, out_b.params.blocks[name])
+        state_a, state_b = init_state(cfg), init_state(cfg)
+        out_a = run_step(state_a, cfg, data)
+        out_b = run_step(state_b, cfg, data)
+        for name, arr in state_a.params.blocks.items():
+            np.testing.assert_array_equal(arr, state_b.params.blocks[name])
         assert out_a.loss_trace == out_b.loss_trace
 
     def test_uncollapsed_labels_rejected(self, tiny_dataset):
@@ -283,7 +287,7 @@ class TestRunStep:
         state = init_state(cfg)
         with pytest.raises(DimensionError):
             run_step(state, cfg, samples)
-        assert state.iteration == 0
+        assert state.epoch == 0 and state.log == []
 
     def test_mid_step_resume_matches_uninterrupted(self, tmp_path,
                                                    tiny_dataset):
@@ -324,10 +328,10 @@ class TestRunContinual:
         b = final_bytes(tmp_path, "s2", tiny_config(seed=2), train)
         assert a != b
 
-    def test_rehearsal_free_no_old_reads(self, tiny_dataset, tiny_split):
+    def test_rehearsal_free_no_old_reads(self, tmp_path, tiny_dataset, tiny_split):
         train, _ = tiny_dataset
         cfg = tiny_config()
-        result = run_continual(cfg, train)
+        result = run_continual(cfg, train, tmp_path)
         step1_only = set(select_step_indices(train, tiny_split, 1)) - set(
             select_step_indices(train, tiny_split, 2)
         )
@@ -335,8 +339,8 @@ class TestRunContinual:
         assert not [i for s, i in reads if s == 2 and i in step1_only]
         assert [i for s, i in reads if s == 1 and i in step1_only]
 
-    def test_class_weights_fill_the_step_rows(self, tiny_dataset, tiny_split,
-                                              monkeypatch):
+    def test_class_weights_fill_the_step_rows(self, tmp_path, tiny_dataset,
+                                              tiny_split, monkeypatch):
         train, _ = tiny_dataset
         seen = []  # the row weights of every CE call, in order
 
@@ -346,7 +350,7 @@ class TestRunContinual:
 
         monkeypatch.setattr(trainer, "weighted_ce", recording_ce)
         cfg = tiny_config(preset="cluster-class", epochs=1)
-        result = run_continual(cfg, train)
+        result = run_continual(cfg, train, tmp_path / "weighted")
 
         def weights_of(step, ids):
             labels = [collapse_labels(train[i], tiny_split, step).labels
@@ -366,7 +370,7 @@ class TestRunContinual:
         assert all(same_bytes(w, step2) for w in seen[n1:])
 
         seen.clear()
-        run_continual(cfg.ablation("fine-tune"), train)
+        run_continual(cfg.ablation("fine-tune"), train, tmp_path / "unweighted")
         assert seen and all(w is None for w in seen)
 
     def test_frozen_prototypes_constant_through_step_two(self, tmp_path,
@@ -387,11 +391,11 @@ class TestRunContinual:
                     after_step1.entries[cid].vector, after_step2.entries[cid].vector
                 )
 
-    def test_distill_keeps_frozen_previous_params(self, tiny_dataset):
+    def test_distill_keeps_frozen_previous_params(self, tmp_path, tiny_dataset):
         train, _ = tiny_dataset
         cfg = tiny_config(preset="distill")
-        result = run_continual(cfg, train)
-        step1_params = result.outcomes[0].params
+        result = run_continual(cfg, train, tmp_path)
+        step1_params = load_checkpoint(tmp_path / "step1.ckpt").params
         frozen = result.state.distill_params
         assert frozen is not None
         assert frozen.class_steps == step1_params.class_steps
@@ -492,13 +496,17 @@ class TestRunContinual:
         uninterrupted run's files."""
         train, test = tiny_dataset
         cfg = tiny_config(cluster=ClusterConfig(update_period=2))
+        per_epoch = -(-len(select_step_indices(train, cfg.split, 2)) // cfg.batch_size)
+        # the first epoch boundary of step 2 after its first refresh
+        epoch = -(-cfg.cluster.update_period // per_epoch)
+        assert epoch < cfg.epochs
         straight = tmp_path / "straight"
         monkeypatch.setattr(trainer, "save_checkpoint",
-                            keep_mid_step(tmp_path, trainer.save_checkpoint))
+                            keep_mid_step(tmp_path, trainer.save_checkpoint, at=(2, epoch)))
         run_continual(cfg, train, out_dir=straight, test_samples=test)
         monkeypatch.undo()
         mid = load_checkpoint(tmp_path / "mid.ckpt")
-        assert mid.iteration >= cfg.cluster.update_period
+        assert mid.log[-1]["iteration"] >= cfg.cluster.update_period
         assert all(mid.protos.is_initialized(c) for c in cfg.split.classes_at(2))
         out = tmp_path / "resumed"
         out.mkdir()
@@ -639,11 +647,10 @@ class TestRunContinual:
         )
         out = tmp_path / "straight"
         result = run_continual(cfg, train, out_dir=out, test_samples=test)
-        assert [o.params.num_rows for o in result.outcomes] == [3, 4, 5]
+        ends = [load_checkpoint(out / f"step{t}.ckpt") for t in (1, 2, 3)]
+        assert [end.params.num_rows for end in ends] == [3, 4, 5]
         # class 3 arrives at step 2 and is frozen, unchanged, at step 3
-        after_step2, after_step3 = (
-            load_checkpoint(out / f"step{t}.ckpt").protos for t in (2, 3)
-        )
+        after_step2, after_step3 = (end.protos for end in ends[1:])
         assert after_step2.is_initialized(3)
         assert not after_step2.entries[3].frozen
         assert after_step3.entries[3].frozen
@@ -667,7 +674,7 @@ class TestRunContinual:
                                                       tiny_dataset):
         """miou_avg takes each earlier step's mIoU(all) from the checkpoint,
         so a run trained without a test set cannot resume with one; a run
-        trained with one resumes without a run directory."""
+        trained with one resumes into an empty run directory."""
         train, test = tiny_dataset
         cfg = tiny_config()
         out = tmp_path / "run"
@@ -682,7 +689,7 @@ class TestRunContinual:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         done = run_continual(cfg, train, out_dir=tmp_path / "tested",
                              test_samples=test)
-        again = run_continual(cfg, train, test_samples=test,
+        again = run_continual(cfg, train, tmp_path / "again", test_samples=test,
                               resume_from=tmp_path / "tested" / "latest.ckpt")
         assert again.reports[-1].miou_avg == done.reports[-1].miou_avg
 
@@ -695,19 +702,18 @@ class TestRunContinual:
         assert lines[0] == ",".join(LOG_FIELDS)
         assert len(lines) == 1 + cfg.epochs * 2
 
-    def test_evaluation_reports_and_avg(self, tiny_dataset):
+    def test_evaluation_reports_and_avg(self, tmp_path, tiny_dataset):
         train, test = tiny_dataset
         cfg = tiny_config()
-        result = run_continual(cfg, train, test_samples=test)
+        result = run_continual(cfg, train, tmp_path, test_samples=test)
         assert len(result.reports) == 2
         expect_avg = float(
             np.mean([r.miou_all for r in result.reports])
         )
         assert result.reports[-1].miou_avg == pytest.approx(expect_avg)
 
-    def test_head_grows_with_steps(self, tiny_dataset):
+    def test_head_grows_with_steps(self, tmp_path, tiny_dataset):
         train, _ = tiny_dataset
-        cfg = tiny_config()
-        result = run_continual(cfg, train)
-        assert result.outcomes[0].params.num_rows == 3
-        assert result.outcomes[1].params.num_rows == 5
+        run_continual(tiny_config(), train, tmp_path)
+        assert load_checkpoint(tmp_path / "step1.ckpt").params.num_rows == 3
+        assert load_checkpoint(tmp_path / "step2.ckpt").params.num_rows == 5
