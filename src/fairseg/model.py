@@ -22,7 +22,7 @@ from .prototypes import FeatureBank, PrototypeBank, ProtoEntry
 from .synthdata import TaskSplit
 
 CHECKPOINT_MAGIC = b"FCLK"
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
 
 # the loss log's columns, one row per epoch: three ints, then floats
 LOG_FIELDS = ("step", "epoch", "iteration", "lr", "ce", "cluster", "cons", "distill",
@@ -206,22 +206,23 @@ def _column_sums(x):
 def backward_batch(params, cache, dfeats, dlogits):
     """Exact parameter gradients from stacked upstream feature/logit grads,
     which are cast to the parameters' dtype first (the losses give it for
-    the model's outputs, so the cast copies nothing)."""
+    the model's outputs, so the cast copies nothing); ``dfeats`` is None
+    when no loss acts on the features."""
     if dlogits.shape != cache.logits.shape:
         raise DimensionError(
             f"upstream logits grad shape {dlogits.shape} != {cache.logits.shape}"
         )
-    if dfeats.shape != cache.feats.shape:
+    if dfeats is not None and dfeats.shape != cache.feats.shape:
         raise DimensionError(
             f"upstream features grad shape {dfeats.shape} != {cache.feats.shape}"
         )
-    dfeats = np.asarray(dfeats, dtype=params.dtype)
     dlogits = np.asarray(dlogits, dtype=params.dtype)
     grads = {}
     grads["head.W"] = dlogits.T @ cache.feats
     grads["head.b"] = _column_sums(dlogits)
     df = dlogits @ params.blocks["head.W"]
-    df += dfeats
+    if dfeats is not None:
+        df += np.asarray(dfeats, dtype=params.dtype)
     last_act = cache.act[-1] if cache.act else cache.x
     grads["feat.W"] = df.T @ last_act
     grads["feat.b"] = _column_sums(df)
@@ -247,7 +248,7 @@ class TrainState:
 
     It is also the checkpoint and the one resume point: ``save_checkpoint``
     writes it whole, the run's loss log and earlier mIoUs included, and
-    ``load_checkpoint`` returns it.
+    ``load_checkpoint`` returns it.  Its step and epoch are derived.
     """
 
     params: ModelParams
@@ -255,11 +256,17 @@ class TrainState:
     protos: PrototypeBank
     bank: FeatureBank
     preset: str  # the [train] preset, i.e. the loss set it trains
-    step: int = 1
-    epoch: int = 0  # completed epochs within the current step
     distill_params: Optional[ModelParams] = None  # frozen previous-step model
     log: list = field(default_factory=list)  # the loss-log rows so far
     mious: list = field(default_factory=list)  # mIoU(all) of each evaluated earlier step
+
+    @property
+    def step(self):  # one per class_steps entry; each step entry grows the head
+        return len(self.params.class_steps)
+
+    @property
+    def epoch(self):  # the completed epochs of the step: its loss-log rows
+        return sum(row["step"] == self.step for row in self.log)
 
 
 def _arrays_of(state):
@@ -274,12 +281,12 @@ def _arrays_of(state):
 
 def save_checkpoint(path, state):
     """Serialize a TrainState as a ``write_arrays`` container: a JSON header
-    of the run's position, model shape, prototype flags, loss log and
-    earlier steps' mIoU(all), then every
-    array little-endian: the model, momentum and distill blocks as float32,
-    the prototypes and banks as float64, so bytes are stable.  An array of
-    another dtype raises StateError before the file is opened, so it is
-    never rounded into the file and the previous file stays."""
+    of the model shape, prototype flags, loss log and earlier steps'
+    mIoU(all), then every array little-endian: the model, momentum and
+    distill blocks as float32, the prototypes and banks as float64, so
+    bytes are stable.  An array of another dtype raises StateError before
+    the file is opened, so it is never rounded into the file and the
+    previous file stays."""
     arrays = _arrays_of(state)
     for name, arr in arrays:
         if not np.can_cast(arr.dtype, _dtype_of(name), casting="equiv"):
@@ -290,8 +297,6 @@ def save_checkpoint(path, state):
     header = {
         "rng": RNG_ALGORITHM_ID,
         "preset": state.preset,
-        "step": state.step,
-        "epoch": state.epoch,
         "patch_size": p.patch_size,
         "feature_dim": p.feature_dim,
         "hidden": p.hidden,
@@ -327,6 +332,12 @@ def _state_of(header, arrays):
         return {name[len(prefix):]: arr for name, arr in arrays.items()
                 if name.startswith(prefix)}
 
+    # a size no model or bank can have is the file's fault, not the config's
+    sizes = [(key, header[key]) for key in ("patch_size", "feature_dim", "bank_capacity")]
+    for key, value in sizes + [("hidden width", width) for width in header["hidden"]]:
+        odd = key == "patch_size"
+        if type(value) is not int or value < 1 or odd and value % 2 == 0:
+            raise FormatError(f"checkpoint {key} {value!r} is not an {'odd ' * odd}int >= 1")
     feature_dim = header["feature_dim"]
     hidden = tuple(header["hidden"])
     class_steps = tuple(tuple(ids) for ids in header["class_steps"])
@@ -385,8 +396,6 @@ def _state_of(header, arrays):
         protos=protos,
         bank=bank,
         preset=header["preset"],
-        step=header["step"],
-        epoch=header["epoch"],
         distill_params=model("distill/", class_steps[:-1]) if distill else None,
         log=log,
         mious=mious,
@@ -394,21 +403,22 @@ def _state_of(header, arrays):
 
 
 def _resume_point(header, steps):
-    """The header's loss log, a list of rows of exactly LOG_FIELDS, and its
-    mIoUs, a list of at most ``step - 1`` floats.  Its position must be one
-    a run can resume from: ``step`` is the int ``steps``, the model's step
-    count, and ``epoch`` an int >= 0."""
-    log, mious, step, epoch = (header[k] for k in ("log", "mious", "step", "epoch"))
-    if type(step) is not int or step != steps:
-        raise FormatError(f"checkpoint step {step!r} is not its model's {steps} steps")
-    if type(epoch) is not int or epoch < 0:
-        raise FormatError(f"checkpoint epoch {epoch!r} is not an int >= 0")
+    """The header's loss log and mIoUs.  The log is where training resumes:
+    rows of exactly LOG_FIELDS whose (step, epoch) pairs run, in order,
+    through epochs 0, 1, ... of the model's ``steps`` steps, only the last
+    of which may have no rows.  The mIoUs are at most ``steps - 1`` floats."""
+    log, mious = header["log"], header["mious"]
     kinds = {name: int if i < 3 else float for i, name in enumerate(LOG_FIELDS)}
     if type(log) is not list or not all(
             type(row) is dict and row.keys() == kinds.keys()
             and all(type(row[k]) is kind for k, kind in kinds.items()) for row in log):
         raise FormatError(f"checkpoint log is not a list of {', '.join(LOG_FIELDS)} rows")
-    if type(mious) is not list or len(mious) >= step or not all(
+    rows = [sum(row["step"] == s for row in log) for s in range(1, steps + 1)]
+    if [(row["step"], row["epoch"]) for row in log] != [
+            (s, e) for s, n in enumerate(rows, 1) for e in range(n)] or 0 in rows[:-1]:
+        raise FormatError(f"checkpoint log does not run through epochs 0, 1, ... "
+                          f"of steps 1 to {steps} in order")
+    if type(mious) is not list or len(mious) >= steps or not all(
             type(m) is float for m in mious):
-        raise FormatError(f"checkpoint mious is not a list of at most {step - 1} mIoU values")
+        raise FormatError(f"checkpoint mious is not a list of at most {steps - 1} mIoU values")
     return log, mious

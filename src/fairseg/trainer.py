@@ -246,9 +246,6 @@ def enter_step(state, cfg):
     freeze_previous(state.protos, freezable)
     state.protos.register(new_classes)
     state.bank.reset()
-    state.step = step
-    state.epoch = 0
-    return state
 
 
 def _deposit(bank, features, eff, current, cap):
@@ -286,11 +283,11 @@ def run_step(state, cfg, data, on_epoch_end=None):
     step's images once, ``batch_size`` at a time, and its features are the
     distillation targets of every epoch; a resumed step computes them
     again.  Each iteration stacks its batch and calls every loss once on
-    it.  Resumes from state.epoch when it is nonzero.  Each epoch appends
-    one loss-log row of per-epoch mean loss terms to ``state.log``, then
-    calls ``on_epoch_end(state)``; the StepOutcome's trace is the rows this
-    call appended.  A row's iteration is the step-local count after its
-    epoch, the one the prototype refresh schedule counts.
+    it.  It starts at state.epoch, the step's rows in ``state.log``: each
+    epoch appends one row of per-epoch mean loss terms there, then calls
+    ``on_epoch_end(state)``; the StepOutcome's trace is the rows this call
+    appended.  A row's iteration is the step-local count after its epoch,
+    the one the prototype refresh schedule counts.
     """
     step = state.step
     if not data:
@@ -302,7 +299,6 @@ def run_step(state, cfg, data, on_epoch_end=None):
     per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
     terms = ABLATIONS[cfg.preset]
     counters = {"cluster_skipped_pixels": 0}
-    zero_feats = None  # backward's feature gradient when no feature loss is on
     first_row = len(state.log)
     row_weights = None
     if terms.class_weighting:
@@ -356,14 +352,7 @@ def run_step(state, cfg, data, on_epoch_end=None):
                 di = distill_loss(feats, teacher[picked])
                 sums["distill"] += di.value / bsz
                 g = _scaled(di, "features", cfg.weights.lambda_distill, bsz)
-                if dfeats is None:
-                    dfeats = g
-                else:
-                    dfeats += g
-            if dfeats is None:
-                if zero_feats is None:  # the step's first batch is its largest
-                    zero_feats = np.zeros_like(cache.feats)
-                dfeats = zero_feats[: len(cache.feats)]
+                dfeats = g if dfeats is None else dfeats + g
             if terms.cluster:
                 _deposit(state.bank, feats, eff, current, cfg.cluster.deposit_per_class)
             grads = backward_batch(params, cache, dfeats, dlogits)
@@ -394,7 +383,6 @@ def run_step(state, cfg, data, on_epoch_end=None):
                     f"non-finite {key} loss at step {step} epoch {epoch}"
                 )
         state.log.append(row)
-        state.epoch = epoch + 1
         if on_epoch_end is not None:
             on_epoch_end(state)
     loss_trace = state.log[first_row:]
@@ -433,15 +421,15 @@ def run_continual(cfg, samples, out_dir, test_samples=None,
     and a loss CSV.  When ``test_samples`` is given, evaluates
     after each step and writes summary_step<t>.txt at once, then
     summary.txt after the last step.  ``resume_from`` restarts from a
-    checkpoint at its recorded epoch boundary and continues
-    bit-identically: each step from the checkpoint's on trains the epochs
-    it has left, then takes the same step end as a fresh run.  The
-    checkpoint is the whole resume point: it holds the loss-log rows and
-    the earlier steps' mIoU(all), and no file of ``out_dir`` is read.  A
-    checkpoint whose [model] keys, split steps through its step, bank
-    capacity or preset differ from ``cfg`` raises ConfigError, and one
-    that lacks an earlier step's mIoU(all) when ``test_samples`` is given
-    FormatError.
+    checkpoint at its epoch boundary (its model's step, after that step's
+    loss-log rows) and continues bit-identically: each step from the
+    checkpoint's on trains the epochs it has left, then takes the same
+    step end as a fresh run.  The checkpoint is the whole resume point: it
+    holds the loss-log rows and the earlier steps' mIoU(all), and no file
+    of ``out_dir`` is read.  A checkpoint whose [model] keys, split steps
+    through its step, bank capacity or preset differ from ``cfg`` raises
+    ConfigError, and one that lacks an earlier step's mIoU(all) when
+    ``test_samples`` is given FormatError.
     The CSV is rewritten before each latest.ckpt, so the two always agree.
     """
     cfg.validate()

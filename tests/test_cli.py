@@ -487,16 +487,16 @@ class TestTrain:
         ("mious", ": checkpoint mious is not a list of at most 1 mIoU values"),
         ("version_6", ": unsupported checkpoint version 6"),
         ("no_test_set", ": a resume with a test set needs the mIoU(all) of steps 1-1"),
-        ("epoch", ": checkpoint epoch -1 is not an int >= 0"),
-        ("step", ": checkpoint step 3 is not its model's 2 steps"),
+        ("epoch", ": checkpoint log does not run through epochs 0, 1, ... of steps 1 to 2"),
+        ("step", ": checkpoint log does not run through epochs 0, 1, ... of steps 1 to 2"),
     ], ids=["log", "mious", "version_6", "no_test_set", "epoch", "step"])
     def test_resume_from_checkpoint_without_its_resume_point_exits_3(
             self, workspace, tmp_path, capsys, case, message):
         """The checkpoint is the whole resume point, so one whose loss log or
-        mIoUs are malformed or absent, an older version, or one whose
-        position no run can resume from (a negative epoch, or a step past
-        its model's, which would train nothing), is refused by the file's
-        name and leaves the run directory as it was."""
+        mIoUs are malformed or absent, an older version, or one whose log
+        is no position a run can resume from (a skipped epoch, or a row of
+        a step past its model's), is refused by the file's name and leaves
+        the run directory as it was."""
         train = ("train", "--config", str(workspace["ini"]),
                  "--dataset", str(workspace["data"] / "train.bin"))
         test = ("--test", str(workspace["data"] / "test.bin"))
@@ -513,9 +513,9 @@ class TestTrain:
         elif case in ("epoch", "step"):
             state = load_checkpoint(run / "step2.ckpt")
             if case == "epoch":
-                state.epoch = -1
+                state.log[-1]["epoch"] += 1
             else:
-                state.step = 3
+                state.log.append(dict(state.log[-1], step=3, epoch=0))
             save_checkpoint(path, state)
         elif case in ("log", "mious"):
             header, body = split_container(path)
@@ -580,6 +580,27 @@ class TestEval:
             "--dataset", str(small / "test.bin"),
         )
         assert code == 3
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("bank_capacity", 0, "bank_capacity 0 is not an int >= 1"),
+        ("patch_size", 3.0, "patch_size 3.0 is not an odd int >= 1"),
+    ], ids=["bank_capacity_zero", "patch_float"])
+    def test_malformed_model_size_exits_3(self, workspace, tmp_path, capsys, key,
+                                          value, message):
+        """A size no model or bank can have is a format error naming the
+        checkpoint, not a config error or a TypeError."""
+        out, _ = workspace["runs"]["full"]
+        path = tmp_path / "bad.ckpt"
+        shutil.copy(out / "step2.ckpt", path)
+        header, body = split_container(path)
+        header[key] = value
+        join_container(path, json.dumps(header).encode(), body)
+        code, _ = run_cli(
+            "eval", "--checkpoint", str(path),
+            "--dataset", str(workspace["data"] / "test.bin"),
+        )
+        assert code == 3
+        assert f"{path}: checkpoint {message}" in capsys.readouterr().err
 
     def test_version_3_checkpoint_exits_3(self, workspace, tmp_path, capsys):
         out, _ = workspace["runs"]["full"]

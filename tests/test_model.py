@@ -380,6 +380,21 @@ class TestBackward:
                 two[name], 2.0 * one[name], atol=1e-12
             )
 
+    def test_no_feature_grad_equals_zero_feature_grad(self):
+        """``dfeats=None`` (no feature loss on) gives the gradient bytes of
+        a zero feature gradient, also for pixels no loss supervises."""
+        params = small_params()
+        rng = Rng(14)
+        _, cache = forward_batch(params, [random_image(rng, 6, 6)] * 2)
+        dl = rng.normals(cache.logits.size).reshape(cache.logits.shape)
+        dl[::3] = 0.0  # unsupervised pixels
+        dl = dl.astype(np.float32)
+        none = backward_batch(params, cache, None, dl)
+        zero = backward_batch(params, cache, np.zeros_like(cache.feats), dl)
+        assert none.keys() == zero.keys()
+        for name, g in zero.items():
+            assert same_bytes(none[name], g), name
+
     def test_shape_mismatch_rejected(self):
         params = small_params()
         _, cache = forward_batch(params, [random_image(Rng(13), 5, 5)])
@@ -460,8 +475,9 @@ class TestBackward:
 
 
 def make_checkpoint(seed=51, with_distill=False):
-    """A TrainState in the middle of step 2; ``with_distill`` keeps the
-    step-1 model as the distillation teacher."""
+    """A TrainState in the middle of step 2, after two epochs of step 1 and
+    three of step 2; ``with_distill`` keeps the step-1 model as the
+    distillation teacher."""
     rng = Rng(seed)
     step1 = small_params(seed=seed, classes=(1, 2))
     params = grow_head(step1, (3,), rng.split("grow"))
@@ -483,11 +499,9 @@ def make_checkpoint(seed=51, with_distill=False):
         momentum=momentum,
         protos=protos,
         bank=bank,
-        step=2,
-        epoch=3,
         preset="cluster-class",
         distill_params=distill_params,
-        log=[dict(LOG_ROW, epoch=e, iteration=e + 1) for e in range(2)],
+        log=[dict(row) for row in MID_STEP_2_LOG],
         mious=[0.625],
     )
 
@@ -495,6 +509,10 @@ def make_checkpoint(seed=51, with_distill=False):
 # a loss-log row, as run_continual appends one per epoch
 LOG_ROW = {"step": 1, "epoch": 0, "iteration": 1, "lr": 0.05, "ce": 1.5,
            "cluster": 0.25, "cons": 0.0, "distill": 0.0, "total": 1.5}
+# make_checkpoint's log: epochs 0-1 of step 1, then epochs 0-2 of step 2
+MID_STEP_2_LOG = [dict(LOG_ROW, step=s, epoch=e, iteration=e + 1)
+                  for s, epochs in ((1, 2), (2, 3)) for e in range(epochs)]
+LOG_ORDER = re.escape("log does not run through epochs 0, 1, ... of steps 1 to 2 in order")
 
 
 class TestCheckpoint(ContainerRefusals):
@@ -523,8 +541,7 @@ class TestCheckpoint(ContainerRefusals):
         ckpt = make_checkpoint(with_distill=True)
         save_checkpoint(path, ckpt)
         back = load_checkpoint(path)
-        assert back.step == ckpt.step
-        assert back.epoch == ckpt.epoch
+        assert (back.step, back.epoch) == (ckpt.step, ckpt.epoch) == (2, 3)
         assert back.preset == "cluster-class"
         assert back.params.class_steps == ckpt.params.class_steps
         assert back.params.hidden == ckpt.params.hidden
@@ -590,20 +607,46 @@ class TestCheckpoint(ContainerRefusals):
         ("mious", 0.625, r"mious is not a list of at most 1 mIoU values"),
         ("mious", ["0.625"], r"mious is not a list of at most 1 mIoU values"),
         ("mious", [0.625, 0.5], r"mious is not a list of at most 1 mIoU values"),
-        ("epoch", -1, "checkpoint epoch -1 is not an int >= 0"),
-        ("epoch", 1.0, "checkpoint epoch 1.0 is not an int >= 0"),
-        ("step", 3, "checkpoint step 3 is not its model's 2 steps"),
-        ("step", 2.0, "checkpoint step 2.0 is not its model's 2 steps"),
+        ("log", MID_STEP_2_LOG[:2] + [dict(LOG_ROW, step=2, epoch=-1)], LOG_ORDER),
+        ("log", MID_STEP_2_LOG + [dict(LOG_ROW, step=3)], LOG_ORDER),
+        ("log", MID_STEP_2_LOG[:2] + [dict(LOG_ROW, step=2, epoch=e) for e in (0, 2)],
+         LOG_ORDER),
+        ("log", MID_STEP_2_LOG[2:] + MID_STEP_2_LOG[:2], LOG_ORDER),
+        ("log", MID_STEP_2_LOG[2:], LOG_ORDER),
     ], ids=["log_missing", "mious_missing", "log_not_list", "row_not_dict",
             "row_short", "row_extra", "row_int_as_float", "row_string",
             "mious_not_list", "miou_string", "mious_too_long", "epoch_negative",
-            "epoch_float", "step_past_model", "step_float"])
+            "step_past_model", "epoch_skipped", "steps_out_of_order",
+            "step_without_rows"])
     def test_malformed_log_or_mious_rejected(self, tmp_path, key, value, message):
         """The loss log is a list of rows of exactly the loss-log fields,
         and mious at most one float per step before the checkpoint's.  The
-        position is a resume point: the step is the model's step count and
-        the epoch an int >= 0."""
-        path = tmp_path / "log.ckpt"
+        log is the resume point: its rows run through epochs 0, 1, ... of
+        each of the model's steps in order, every step but the last with at
+        least one."""
+        self.assert_header_refused(tmp_path, key, value, message)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("patch_size", 3.0, "patch_size 3.0 is not an odd int >= 1"),
+        ("patch_size", 4, "patch_size 4 is not an odd int >= 1"),
+        ("feature_dim", 0, "feature_dim 0 is not an int >= 1"),
+        ("feature_dim", True, "feature_dim True is not an int >= 1"),
+        ("hidden", [0], "hidden width 0 is not an int >= 1"),
+        ("hidden", [6.0], "hidden width 6.0 is not an int >= 1"),
+        ("bank_capacity", 0, "bank_capacity 0 is not an int >= 1"),
+        ("bank_capacity", "7", "bank_capacity '7' is not an int >= 1"),
+    ], ids=["patch_float", "patch_even", "feature_dim_zero", "feature_dim_bool",
+            "hidden_zero", "hidden_float", "bank_capacity_zero", "bank_capacity_string"])
+    def test_malformed_model_size_rejected(self, tmp_path, key, value, message):
+        """Each size is an int >= 1 and the patch odd, so that a bad header
+        stops as a format error naming the file, not as a config error or
+        a TypeError when the model is built or used."""
+        self.assert_header_refused(tmp_path, key, value, message)
+
+    def assert_header_refused(self, tmp_path, key, value, message):
+        """A checkpoint whose header entry ``key`` is ``value``, or missing
+        when that is None, is refused by name with ``message``."""
+        path = tmp_path / "header.ckpt"
         save_checkpoint(path, make_checkpoint())
         header, body = split_container(path)
         if value is None:
@@ -613,6 +656,19 @@ class TestCheckpoint(ContainerRefusals):
         join_container(path, json.dumps(header).encode(), body)
         with pytest.raises(FormatError, match=f"{re.escape(str(path))}: .*{message}"):
             load_checkpoint(path)
+
+    def test_version_7_checkpoint_refused(self, tmp_path):
+        """A version-7 file stores the step and epoch in its header, which
+        this version derives from the model and the loss log."""
+        path = tmp_path / "v7.ckpt"
+        save_checkpoint(path, make_checkpoint())
+        raw = bytearray(path.read_bytes())
+        raw[4:6] = (7).to_bytes(2, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=re.escape(
+                f"{path}: unsupported checkpoint version 7")) as info:
+            load_checkpoint(path)
+        assert info.value.offset == 4
 
     def test_bank_queue_of_wrong_width_rejected(self, tmp_path):
         path = tmp_path / "bank.ckpt"
@@ -647,8 +703,8 @@ class TestCheckpoint(ContainerRefusals):
                                     [2, False, False]]
         assert header["bank_capacity"] == 7
         assert header["log"] == ckpt.log and header["mious"] == [0.625]
-        assert (header["step"], header["epoch"]) == (2, 3)
-        assert "iteration" not in header  # the log's rows carry the count
+        # the model and the log's rows carry the position and the count
+        assert not {"step", "epoch", "iteration"} & header.keys()
         # model blocks are float32; prototypes and banks float64
         sizes = [(8 if name.startswith(("proto/", "bank/")) else 4)
                  * int(np.prod(shape)) for name, shape in header["arrays"]]
