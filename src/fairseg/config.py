@@ -158,7 +158,9 @@ def load_config(path=None, overrides=None):
     """
     cfg = default_config()
     if path is not None:
-        parser = configparser.ConfigParser(interpolation=None)
+        # no file can name a section "\n", so a [DEFAULT] section is parsed
+        # as an ordinary one and refused below, not merged into the others
+        parser = configparser.ConfigParser(interpolation=None, default_section="\n")
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 parser.read_file(fh)

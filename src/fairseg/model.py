@@ -152,7 +152,7 @@ def patch_matrix(images, patch_size):
 
 @dataclass
 class BatchCache:
-    """Stacked forward outputs, one row per pixel of the batch."""
+    """Stacked forward outputs, one row per patch-matrix row forwarded."""
 
     x: np.ndarray
     act: list  # ReLU output per hidden layer; its > 0 mask is the derivative
@@ -170,17 +170,27 @@ def stack_images(images):
 
 
 def forward_batch(params, images):
-    """Forward equal-size images through one stacked set of matmuls.
+    """Forward equal-size images: ``forward_patches`` on their whole patch
+    matrix.
 
     ``images`` is a list of images or their ``stack_images`` array.  The
     patch matrix, activations, features and logits take the parameters'
-    dtype.  Each bias and ReLU is applied in place on its matmul output.
-    The cache rows are the images' pixels in order, row-major per image.
+    dtype.  The cache rows are the images' pixels in order, row-major per
+    image.
     Returns the (B, H, W, K) logits grid, a view of the cache's logits, and
     the BatchCache.  Mixed sizes raise DimensionError.
     """
     batch = stack_images(images)
     x = patch_matrix(batch.astype(params.dtype, copy=False), params.patch_size)
+    cache = forward_patches(params, x)
+    return cache.logits.reshape(*batch.shape[:3], -1), cache
+
+
+def forward_patches(params, x):
+    """The BatchCache of any rows ``x`` of a ``patch_matrix`` in the
+    parameters' dtype: one stacked set of matmuls, each bias and ReLU
+    applied in place on its matmul output.  A row's outputs depend on that
+    row alone, up to the rounding of the matmuls' blocking."""
     a = x
     act = []
     for i in range(len(params.hidden)):
@@ -192,8 +202,7 @@ def forward_batch(params, images):
     feats += params.blocks["feat.b"]
     logits = feats @ params.blocks["head.W"].T
     logits += params.blocks["head.b"]
-    cache = BatchCache(x=x, act=act, feats=feats, logits=logits)
-    return logits.reshape(*batch.shape[:3], -1), cache
+    return BatchCache(x=x, act=act, feats=feats, logits=logits)
 
 
 def _column_sums(x):

@@ -38,9 +38,11 @@ from .model import (
     TrainState,
     backward_batch,
     forward_batch,
+    forward_patches,
     grow_head,
     init_params,
     load_checkpoint,
+    patch_matrix,
     save_checkpoint,
     stack_images,
 )
@@ -283,11 +285,15 @@ def run_step(state, cfg, data, on_epoch_end=None):
     step's images once, ``batch_size`` at a time, and its features are the
     distillation targets of every epoch; a resumed step computes them
     again.  Each iteration stacks its batch and calls every loss once on
-    it.  It starts at state.epoch, the step's rows in ``state.log``: each
-    epoch appends one row of per-epoch mean loss terms there, then calls
-    ``on_epoch_end(state)``; the StepOutcome's trace is the rows this call
-    appended.  A row's iteration is the step-local count after its epoch,
-    the one the prototype refresh schedule counts.
+    it.  When no cluster, consistency or distillation term is on, only CE
+    reads the batch, and an iteration with unsupervised pixels forwards and
+    backpropagates only the supervised ones: the rest have weight 0, so the
+    loss and gradient are the same.  It starts at state.epoch, the step's
+    rows in ``state.log``: each epoch appends one row of per-epoch mean
+    loss terms there, then calls ``on_epoch_end(state)``; the StepOutcome's
+    trace is the rows this call appended.  A row's iteration is the
+    step-local count after its epoch, the one the prototype refresh
+    schedule counts.
     """
     step = state.step
     if not data:
@@ -298,6 +304,8 @@ def run_step(state, cfg, data, on_epoch_end=None):
     n = len(data)
     per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
     terms = ABLATIONS[cfg.preset]
+    # these terms read every pixel; CE alone reads only the supervised ones
+    every_pixel = terms.cluster or terms.cons or terms.distill
     counters = {"cluster_skipped_pixels": 0}
     first_row = len(state.log)
     row_weights = None
@@ -325,17 +333,34 @@ def run_step(state, cfg, data, on_epoch_end=None):
         for b in range(per_epoch):
             picked = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
             images = stack_images([data[i].image for i in picked])
-            _, cache = forward_batch(params, images)
             labels = np.stack([data[i].labels for i in picked])
             grid = labels.shape  # (B, H, W)
             bsz = grid[0]
-            feats = cache.feats.reshape(*grid, -1)
-            eff = build_effective_labels(labels, feats, state.protos, step)
+            eff = read = None  # read: the pixel rows forwarded, if not all
+            if not every_pixel:  # no prototype is initialized: no features needed
+                eff = build_effective_labels(labels, None, state.protos, step)
+                supervised = eff.reshape(-1) != IGNORE_ID
+                if not supervised.all():
+                    read = np.flatnonzero(supervised)
+            if read is None:
+                _, cache = forward_batch(params, images)
+                logits = cache.logits
+            else:  # an unread row's logits are 0, and CE weighs it 0
+                x = patch_matrix(images.astype(params.dtype, copy=False),
+                                 params.patch_size)
+                cache = forward_patches(params, x[read])
+                logits = np.zeros((eff.size, cache.logits.shape[1]), params.dtype)
+                logits[read] = cache.logits
+            feats = cache.feats.reshape(*grid, -1) if read is None else None
+            if eff is None:
+                eff = build_effective_labels(labels, feats, state.protos, step)
             # CE's gradient array is dlogits; each other term's gradient is
             # scaled in place (x lambda, then / batch) and added
-            ce = weighted_ce(cache.logits.reshape(*grid, -1), eff, row_weights)
+            ce = weighted_ce(logits.reshape(*grid, -1), eff, row_weights)
             sums["ce"] += ce.value / bsz
-            dlogits = ce.grads["logits"].reshape(cache.logits.shape)
+            dlogits = ce.grads["logits"].reshape(logits.shape)
+            if read is not None:
+                dlogits = dlogits[read]
             dlogits /= bsz
             dfeats = None
             if terms.cluster:

@@ -118,6 +118,22 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(str(path))
 
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nseed = 9\n",  # alone: configparser would ignore it
+        "[DEFAULT]\nseed = 9\n[train]\nepochs = 2\n",  # merged into [train]
+        "[DEFAULT]\nseed = 9\n[split]\nsteps = 5-3\n",  # "[split] seed"
+    ], ids=["alone", "beside-train", "beside-split"])
+    def test_default_section_refused(self, tmp_path, text):
+        """configparser's [DEFAULT] is an unknown section like any other:
+        it is neither dropped nor merged into the sections beside it."""
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=r"^unknown config section \[DEFAULT\]$"):
+            load_config(str(path))
+        code, _ = run_cli("gen", "--config", str(path), "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert not (tmp_path / "x").exists()
+
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("epochs = 3\n")  # key before any section header

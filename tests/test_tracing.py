@@ -75,24 +75,45 @@ def test_every_target_is_a_callable_of_fairseg():
         assert callable(owner), f"{mod_name}.{attr}"
 
 
-def test_traced_run_records_the_trainer_calls_and_restores_bindings(tmp_path,
-                                                                    tiny_dataset):
-    train, _ = tiny_dataset
+def traced_run(tmp_path, train, preset):
+    """The tracer of one traced run of ``preset``, after asserting that the
+    run left every fairseg binding as it found it."""
     # a refresh every 2 iterations, so step 2 pseudo-labels
     cfg = trainer.TrainConfig(
         split=TaskSplit.from_sizes("2-2", 4), epochs=2, batch_size=4, patch_size=3,
-        feature_dim=4, hidden=(8,), preset="full", cluster=ClusterConfig(update_period=2),
+        feature_dim=4, hidden=(8,), preset=preset, cluster=ClusterConfig(update_period=2),
     ).validate()
     before = bindings()
     tracer = load_perfbench("tracing").Tracer()
     with tracer.installed(fairseg):
         trainer.run_continual(cfg, train, tmp_path)
-    names = {name for name, *_ in tracer.spans}
-    assert {"model.forward_batch", "trainer.build_effective_labels",
-            "prototypes.pseudo_label_map"} <= names
     after = bindings()
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
+    return tracer
+
+
+def test_traced_run_records_the_trainer_calls_and_restores_bindings(tmp_path,
+                                                                    tiny_dataset):
+    train, _ = tiny_dataset
+    tracer = traced_run(tmp_path, train, "full")
+    names = {name for name, *_ in tracer.spans}
+    assert {"model.forward_batch", "trainer.build_effective_labels",
+            "prototypes.pseudo_label_map"} <= names
+
+
+def test_traced_fine_tune_run_records_its_patch_matrices(tmp_path, tiny_dataset):
+    """fine-tune's step 2 forwards its supervised rows without
+    ``forward_batch``; the tracer still sees each iteration's patch matrix
+    and backward pass."""
+    train, _ = tiny_dataset
+    tracer = traced_run(tmp_path, train, "fine-tune")
+    calls = {}
+    for name, *_ in tracer.spans:
+        calls[name] = calls.get(name, 0) + 1
+    iterations = calls["trainer.sgd_update"]
+    assert calls["model.patch_matrix"] == calls["model.backward_batch"] == iterations
+    assert calls["model.forward_batch"] < iterations
 
 
 @pytest.mark.parametrize("workload", ["train-full", "train-finetune"])

@@ -3,6 +3,7 @@
 import os
 import re
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from fairseg.errors import (
     ProtocolError,
 )
 from fairseg.losses import class_weights, weighted_ce
-from fairseg.model import load_checkpoint, save_checkpoint
+from fairseg.model import backward_batch, forward_batch, load_checkpoint, save_checkpoint
 from fairseg.numerics import Rng
 from fairseg.prototypes import ClusterConfig, PrototypeBank
 from fairseg.synthdata import (
@@ -314,6 +315,109 @@ class TestRunStep:
             np.testing.assert_array_equal(arr, resumed.momentum[name])
 
 
+class TestSupervisedRows:
+    """Where CE is the only term, ``run_step`` forwards and backpropagates
+    only the supervised pixels; every other preset trains on every pixel."""
+
+    def one_iteration(self, state, cfg, data, monkeypatch):
+        """One ``run_step`` iteration over all of ``data``: its stacked
+        images, CE labels and value, the rows it backpropagated and their
+        gradients."""
+        seen = {}
+        real_stack, real_ce = trainer.stack_images, trainer.weighted_ce
+        real_backward = trainer.backward_batch
+
+        def stack(images):
+            seen["images"] = real_stack(images)
+            return seen["images"]
+
+        def ce(logits, labels, row_weights=None):
+            out = real_ce(logits, labels, row_weights)
+            seen["labels"], seen["value"] = labels, out.value
+            return out
+
+        def backward(params, cache, dfeats, dlogits):
+            seen["rows"] = cache.x.shape[0]
+            seen["grads"] = real_backward(params, cache, dfeats, dlogits)
+            return seen["grads"]
+
+        monkeypatch.setattr(trainer, "stack_images", stack)
+        monkeypatch.setattr(trainer, "weighted_ce", ce)
+        monkeypatch.setattr(trainer, "backward_batch", backward)
+        run_step(state, replace(cfg, epochs=1, batch_size=len(data)), data)
+        monkeypatch.undo()
+        return seen
+
+    @pytest.mark.parametrize("dtype, bound", [
+        (np.float64, 1e-12),
+        # the float32 bound of test_losses.py::TestFloat32Accuracy
+        (np.float32, 16 * float(np.finfo(np.float32).eps)),
+    ], ids=["float64", "float32"])
+    def test_read_rows_give_the_whole_batch_gradient(self, tiny_dataset, monkeypatch,
+                                                     dtype, bound):
+        """A fine-tune step-2 batch: the CE value and every gradient from its
+        supervised rows equal those of a forward and backward over every
+        pixel."""
+        train, _ = tiny_dataset
+        cfg = tiny_config(preset="fine-tune")
+        state = init_state(cfg)
+        trainer.enter_step(state, cfg)
+        for blocks in (state.params.blocks, state.momentum):
+            blocks.update((k, a.astype(dtype)) for k, a in blocks.items())
+        data = [collapse_labels(train[i], cfg.split, 2)
+                for i in select_step_indices(train, cfg.split, 2)[:cfg.batch_size]]
+        params = state.params.copy()
+        seen = self.one_iteration(state, cfg, data, monkeypatch)
+
+        labels = seen["labels"]
+        supervised = np.count_nonzero(labels != IGNORE_ID)
+        assert 0 < seen["rows"] == supervised < labels.size
+        logits, cache = forward_batch(params, seen["images"])
+        assert cache.logits.dtype == dtype
+        want = weighted_ce(logits, labels)
+        dlogits = want.grads["logits"].reshape(cache.logits.shape) / len(data)
+        grads = backward_batch(params, cache, None, dlogits)
+        assert abs(seen["value"] - want.value) <= bound * abs(want.value)
+        assert seen["grads"].keys() == grads.keys()
+        for name, g in grads.items():
+            got = seen["grads"][name]
+            assert got.dtype == dtype
+            assert np.max(np.abs(got - g)) <= bound * np.max(np.abs(g)), name
+
+    @pytest.mark.parametrize("preset", list(trainer.ABLATIONS))
+    def test_rows_each_preset_trains_on(self, tmp_path, tiny_dataset, monkeypatch,
+                                        preset):
+        """fine-tune backpropagates a step-2 batch's supervised pixels; step 1
+        and every step of a preset with a term that reads every pixel
+        backpropagate all B*H*W."""
+        train, _ = tiny_dataset
+        batches = []  # (pixels, supervised pixels) of every CE call
+        rows = []  # rows of every backward_batch call
+        real_ce, real_backward = trainer.weighted_ce, trainer.backward_batch
+
+        def ce(logits, labels, row_weights=None):
+            batches.append((labels.size, np.count_nonzero(labels != IGNORE_ID)))
+            return real_ce(logits, labels, row_weights)
+
+        def backward(params, cache, dfeats, dlogits):
+            rows.append(cache.x.shape[0])
+            return real_backward(params, cache, dfeats, dlogits)
+
+        monkeypatch.setattr(trainer, "weighted_ce", ce)
+        monkeypatch.setattr(trainer, "backward_batch", backward)
+        result = run_continual(tiny_config(preset=preset), train, tmp_path)
+        n1, n2 = (outcome.iterations for outcome in result.outcomes)
+        assert len(batches) == len(rows) == n1 + n2
+        # step 2 leaves background unsupervised (no prototype initializes
+        # at the default update period), so every preset could skip rows
+        assert all(sup == px for px, sup in batches[:n1])
+        assert all(sup < px for px, sup in batches[n1:])
+        sparse = preset == "fine-tune"
+        want = [px for px, _ in batches[:n1]] + [
+            sup if sparse else px for px, sup in batches[n1:]]
+        assert rows == want
+
+
 class TestRunContinual:
     def test_two_runs_bit_identical(self, tmp_path, tiny_dataset):
         train, _ = tiny_dataset
@@ -442,7 +546,7 @@ class TestRunContinual:
             out / "losses.csv"
         ).read_bytes()
 
-    @pytest.mark.parametrize("preset", ["distill", "full"])
+    @pytest.mark.parametrize("preset", ["fine-tune", "distill", "full"])
     def test_model_stays_float32_and_resumes_byte_identically(
             self, tmp_path, tiny_dataset, monkeypatch, preset):
         """Head growth keeps every model array float32, so the float32
