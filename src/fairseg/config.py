@@ -162,7 +162,7 @@ def load_config(path=None, overrides=None):
         # as an ordinary one and refused below, not merged into the others
         parser = configparser.ConfigParser(interpolation=None, default_section="\n")
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8-sig") as fh:  # skips a byte-order mark
                 parser.read_file(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}")

@@ -33,7 +33,8 @@ are per image, not per batch: BLAS rounds a row block of one (B*n, D)
 product differently from an (n, D) product in some shapes (one pixel per
 image, one prototype), and an image's gradient must not depend on the
 batch it is in (``TestBatchContract``).  The consistency term visits each
-unordered neighbour offset once and counts both of its ordered pairs.
+unordered neighbour offset of ``numerics.neighbor_pairs`` once and counts
+both of its ordered pairs.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, LabelError
-from .numerics import GradSlot, channel_sum, float_dtype, log_softmax
+from .numerics import GradSlot, channel_sum, float_dtype, log_softmax, neighbor_pairs
 from .synthdata import IGNORE_ID
 
 # A feature/prototype pair whose expanded squared distance is at most this
@@ -174,15 +175,15 @@ def class_weights(counts, smoothing, clamp_min, clamp_max):
         return np.clip((1.0 / counts.size) / p, clamp_min, clamp_max)
 
 
-def cluster_loss(features, labels, protos, cfg, counters=None):
+def cluster_loss(features, labels, protos, cfg):
     """Prototype attraction/repulsion over labeled pixels.
 
     Per pixel, the term for the labeled class is its distance to that
     prototype; every other initialized prototype contributes a hinge
     max(0, margin - distance).  Pixels labeled with the ignore sentinel are
     excluded; a pixel whose labeled class has no initialized prototype
-    loses only its attraction term (counted in ``counters``).  Gradients
-    flow to the features; prototypes stay constant.
+    loses only its attraction term.  Gradients flow to the features;
+    prototypes stay constant.
     """
     shape = np.asarray(features).shape
     fb = _flatten_pixels(features, "features", channels=protos.feature_dim)
@@ -193,12 +194,8 @@ def cluster_loss(features, labels, protos, cfg, counters=None):
         raise DimensionError("labels size does not match features")
     live = y != IGNORE_ID
     n_live = np.count_nonzero(live.reshape(b, n), axis=1)
-    if counters is not None:
-        counters.setdefault("cluster_skipped_pixels", 0)
     init_ids = protos.initialized_ids()
     if not live.any() or not init_ids:
-        if counters is not None:
-            counters["cluster_skipped_pixels"] += int(n_live.sum())
         return GradSlot(value=0.0, grads={"features": np.zeros(shape, dtype)})
     _, pm = protos.initialized_matrix()
     pm = pm.astype(dtype, copy=False)  # float64 storage, the features' arithmetic
@@ -224,10 +221,6 @@ def cluster_loss(features, labels, protos, cfg, counters=None):
     dist = np.sqrt(d2, out=d2)
     delta = cfg.margin
     match = (y[:, None] == np.asarray(init_ids)) & live[:, None]
-    if counters is not None:  # live pixels whose class has no prototype yet
-        counters["cluster_skipped_pixels"] += int(
-            np.count_nonzero(live & ~match.any(axis=1))
-        )
     active = (dist < delta) & ~match & live[:, None]
     terms = np.where(active, delta - dist, 0.0)
     np.copyto(terms, dist, where=match)
@@ -257,16 +250,6 @@ def cluster_loss(features, labels, protos, cfg, counters=None):
     return GradSlot(value=value, grads={"features": grad.reshape(shape)})
 
 
-def _window_offsets(window):
-    r = window // 2
-    return [
-        (dr, dc)
-        for dr in range(-r, r + 1)
-        for dc in range(-r, r + 1)
-        if (dr, dc) != (0, 0)
-    ]
-
-
 def _probs_to_logits_grad(probs, dprobs):
     inner = channel_sum(dprobs * probs)[..., None]
     return probs * (dprobs - inner)
@@ -286,38 +269,26 @@ def cons_loss(image, probs, cfg):
         raise DimensionError(
             "image and probs must be (B, H, W, C) or (H, W, C) with equal B, H, W"
         )
-    shape = pr.shape
-    if img.ndim == 3:
-        img, pr = img[None], pr[None]
-    h, w = pr.shape[1:3]
     dprobs = np.zeros_like(pr)
-    values = np.zeros(pr.shape[0], dtype)
+    values = np.zeros(pr.shape[:-3], dtype)  # per image
     n_pairs = 0  # per image
     two_s1 = 2.0 * cfg.sigma_color**2
-    for dr, dc in _window_offsets(cfg.window):
-        if (dr, dc) < (0, 0):
-            continue  # its mirror (-dr, -dc) holds the same pairs, swapped
-        r0, r1 = max(0, -dr), min(h, h - dr)
-        c0, c1 = max(0, -dc), min(w, w - dc)
-        if r0 >= r1 or c0 >= c1:
-            continue
-        a = (slice(None), slice(r0, r1), slice(c0, c1))
-        b = (slice(None), slice(r0 + dr, r1 + dr), slice(c0 + dc, c1 + dc))
+    for ra, ca, rb, cb in neighbor_pairs(*pr.shape[-3:-1], cfg.window):
+        a, b = (..., ra, ca, slice(None)), (..., rb, cb, slice(None))
         color2 = channel_sum((img[a] - img[b]) ** 2)
         affinity = np.exp(-color2 / two_s1)
         pdiff = pr[a] - pr[b]
         # both ordered pairs: the mirrored one has the same affinity and
         # squared difference, and adds the same gradient at a and at b
-        n_pairs += 2 * affinity[0].size
-        values += 2.0 * np.sum(affinity * channel_sum(pdiff**2), axis=(1, 2))
+        n_pairs += 2 * affinity.shape[-2] * affinity.shape[-1]
+        values += 2.0 * np.sum(affinity * channel_sum(pdiff**2), axis=(-2, -1))
         contrib = 4.0 * affinity[..., None] * pdiff
         dprobs[a] += contrib
         dprobs[b] -= contrib
-    dprobs = dprobs.reshape(shape)
     if n_pairs == 0:
         return GradSlot(value=0.0, grads={"probs": dprobs, "logits": dprobs.copy()})
     dprobs /= n_pairs
-    dlogits = _probs_to_logits_grad(pr.reshape(shape), dprobs)
+    dlogits = _probs_to_logits_grad(pr, dprobs)
     value = float(np.sum(values / n_pairs))
     return GradSlot(value=value, grads={"probs": dprobs, "logits": dlogits})
 

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DimensionError, FormatError, LabelError, UnavailableError
 from .fileio import atomic_open
 from .model import forward_batch
+from .numerics import neighbor_pairs
 from .synthdata import IGNORE_ID, evaluation_labels
 
 EVAL_BATCH = 8  # test images per forward
@@ -110,22 +111,16 @@ def normalized_entropy(counts):
 
 
 def single_pixel_islands(labels):
-    """Count pixels whose label matches none of their 8 in-bounds neighbors."""
+    """Count pixels whose label matches none of their 8 in-bounds neighbors,
+    summed over the (H, W) maps of a (..., H, W) array."""
     y = np.asarray(labels)
-    if y.ndim != 2:
-        raise DimensionError("labels must be (H, W)")
-    h, w = y.shape
-    matches = np.zeros((h, w), dtype=bool)
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            if (dr, dc) == (0, 0):
-                continue
-            r0, r1 = max(0, -dr), min(h, h - dr)
-            c0, c1 = max(0, -dc), min(w, w - dc)
-            if r0 >= r1 or c0 >= c1:
-                continue
-            eq = y[r0:r1, c0:c1] == y[r0 + dr : r1 + dr, c0 + dc : c1 + dc]
-            matches[r0:r1, c0:c1] |= eq
+    if y.ndim < 2:
+        raise DimensionError("labels must be (..., H, W)")
+    matches = np.zeros(y.shape, dtype=bool)
+    for ra, ca, rb, cb in neighbor_pairs(*y.shape[-2:], 3):
+        eq = y[..., ra, ca] == y[..., rb, cb]
+        matches[..., ra, ca] |= eq
+        matches[..., rb, cb] |= eq
     return int(np.count_nonzero(~matches))
 
 
@@ -200,9 +195,11 @@ def evaluate_model(params, samples, split, step):
     """Run the model over a labeled test set and compute the full report.
 
     Images are forwarded ``EVAL_BATCH`` at a time, so a batch of mixed
-    sizes raises DimensionError.  Labels are collapsed to the classes known
-    through ``step``; later classes count as background, matching what the
-    model could have seen.  Returns (MetricsReport, ConfusionMatrix).
+    sizes raises DimensionError, and each batch's predicted ids enter the
+    confusion matrix and the island count at once.  Labels are collapsed to
+    the classes known through ``step``; later classes count as background,
+    matching what the model could have seen.  Returns (MetricsReport,
+    ConfusionMatrix).
     """
     num_labels = max(params.num_rows, max(split.known_through(step)) + 1)
     cm = ConfusionMatrix(num_labels)
@@ -210,10 +207,9 @@ def evaluate_model(params, samples, split, step):
     for start in range(0, len(samples), EVAL_BATCH):
         chunk = samples[start : start + EVAL_BATCH]
         # only the ids outlive the forward, so one batch cache is live at a time
-        batch_ids = np.argmax(forward_batch(params, [s.image for s in chunk])[0], axis=3)
-        for sample, ids in zip(chunk, batch_ids):
-            cm.accumulate(evaluation_labels(sample, split, step).labels, ids)
-            islands_total += single_pixel_islands(ids)
+        ids = np.argmax(forward_batch(params, [s.image for s in chunk])[0], axis=3)
+        cm.accumulate([evaluation_labels(s, split, step).labels for s in chunk], ids)
+        islands_total += single_pixel_islands(ids)
     report = grouped_report(cm, split, step, num_images=len(samples))
     report.islands_per_image = islands_total / max(1, len(samples))
     return report, cm

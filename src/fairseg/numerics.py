@@ -236,6 +236,26 @@ def channel_max(a):
     return top
 
 
+def neighbor_pairs(h, w, window):
+    """Every unordered pair of pixels of an H x W grid within an odd window:
+    the one neighbor walk, read by the consistency loss and the island count.
+
+    Yields ``(rows_a, cols_a, rows_b, cols_b)`` slices, one tuple per offset
+    (dr, dc) that leaves a pair inside the grid: pixel (i, j) of the ``a``
+    block and pixel (i, j) of the ``b`` block are (dr, dc) apart.  Each
+    unordered offset comes once (its mirror holds the same pairs, swapped),
+    in the order (0, 1) ... (0, r), then dr = 1 ... r with dc = -r ... r,
+    where r = window // 2.
+    """
+    r = window // 2
+    for dr in range(r + 1):
+        for dc in range(-r if dr else 1, r + 1):
+            c0, c1 = max(0, -dc), min(w, w - dc)
+            if dr < h and c0 < c1:
+                yield (slice(0, h - dr), slice(c0, c1),
+                       slice(dr, h), slice(c0 + dc, c1 + dc))
+
+
 def softmax(logits):
     """Numerically stable softmax (max-subtracted) along the last axis, in
     the logits' ``float_dtype``."""

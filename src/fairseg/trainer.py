@@ -364,9 +364,11 @@ def run_step(state, cfg, data, on_epoch_end=None):
             dlogits /= bsz
             dfeats = None
             if terms.cluster:
-                cl = cluster_loss(
-                    feats, eff, state.protos, cfg.cluster, counters=counters
-                )
+                # live pixels whose class has no prototype yet: no attraction
+                counters["cluster_skipped_pixels"] += int(np.count_nonzero(
+                    (eff != IGNORE_ID) & ~np.isin(eff, state.protos.initialized_ids())
+                ))
+                cl = cluster_loss(feats, eff, state.protos, cfg.cluster)
                 sums["cluster"] += cl.value / bsz
                 dfeats = _scaled(cl, "features", cfg.weights.lambda_cluster, bsz)
             if terms.cons:  # on the probabilities CE computed

@@ -134,6 +134,19 @@ class TestConfig:
         assert code == 2
         assert not (tmp_path / "x").exists()
 
+    def test_utf8_byte_order_mark_accepted(self, workspace, tmp_path):
+        """A file saved with a UTF-8 byte-order mark reads like one without."""
+        path = tmp_path / "bom.ini"
+        path.write_bytes(b"\xef\xbb\xbf" + (SMALL_INI + "seed = 3\n").encode())
+        assert load_config(str(path)).get_int("train", "seed") == 3
+        code, out = run_cli(
+            "train", "--config", str(path), "--print-config",
+            "--dataset", str(workspace["data"] / "train.bin"),
+            "--out", str(tmp_path / "run"),
+        )
+        assert code == 0
+        assert "\nseed = 3\n" in out.split("[train]\n")[1].split("\n[")[0]
+
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("epochs = 3\n")  # key before any section header
@@ -215,6 +228,21 @@ class TestConfig:
         assert load_config(None).train_config(num_classes=8) == TrainConfig(
             split=TaskSplit.from_sizes("5-3", 8)
         )
+
+    @pytest.mark.parametrize("name, section, key, value", [
+        ("heldout", "benchmark", "seed", "8"),
+        ("reversed", "benchmark", "zipf_exponent", "-1.5"),
+    ])
+    def test_benchmark_configs_differ_from_acceptance_in_one_key(
+            self, name, section, key, value):
+        """The held-out and reversed configs are acceptance.ini with one
+        [benchmark] key changed and their own output directory."""
+        configs = os.path.join(REPO, "configs")
+        cfg = load_config(os.path.join(configs, f"{name}.ini")).values
+        want = load_config(os.path.join(configs, "acceptance.ini")).values
+        assert (cfg[section][key], cfg["output"]["dir"]) == (value, f"runs/{name}")
+        want[section][key], want["output"]["dir"] = value, f"runs/{name}"
+        assert cfg == want
 
     @pytest.mark.parametrize("losses", [
         "clamp_min = 5\nclamp_max = 1\n",

@@ -289,23 +289,21 @@ class TestClusterLoss:
         assert not out.grads["features"][0, 1].any()
 
     def test_uninitialized_prototype_counted_and_skipped(self):
+        """The pixel loses its attraction term; ``run_step`` counts it
+        (``test_trainer.py::test_cluster_skipped_pixels_counted_per_step``)."""
         protos = make_protos({1: [0.0, 0.0]}, uninitialized=[7])
         features = np.array([[[100.0, 0.0]]])
         labels = np.array([[7]])
-        counters = {}
-        out = cluster_loss(features, labels, protos, self.cfg(), counters)
-        assert counters["cluster_skipped_pixels"] == 1
+        out = cluster_loss(features, labels, protos, self.cfg())
         assert out.value == 0.0
+        assert not out.grads["features"].any()
 
     def test_no_initialized_prototypes_is_warmup_noop(self):
         protos = PrototypeBank(2)
         protos.register([0, 1])
-        counters = {}
-        out = cluster_loss(
-            np.zeros((1, 3, 2)), np.zeros((1, 3)), protos, self.cfg(), counters
-        )
+        out = cluster_loss(np.zeros((1, 3, 2)), np.zeros((1, 3)), protos, self.cfg())
         assert out.value == 0.0
-        assert counters["cluster_skipped_pixels"] == 3
+        assert not out.grads["features"].any()
 
     def test_pixel_permutation_invariance(self):
         rng = Rng(110)
@@ -623,11 +621,6 @@ class TestBatchContract:
         self.assert_batch_is_sum(
             lambda f, y: cluster_loss(f, y, protos, cfg), feats, labels
         )
-        whole, parts = {}, {}
-        cluster_loss(feats, labels, protos, cfg, whole)
-        for i in range(self.B):
-            cluster_loss(feats[i], labels[i], protos, cfg, parts)
-        assert whole == parts
 
     @pytest.mark.parametrize(
         "b, h, w, d, k", [(4, 1, 1, 5, 4), (3, 1, 1, 16, 8), (6, 15, 15, 9, 1), (3, 3, 1, 16, 1)]
@@ -657,6 +650,12 @@ class TestBatchContract:
         probs = softmax(self.normals(rng, self.B, self.H, self.W, 4))
         probs[1] = probs[1, 0, 0]
         self.assert_batch_is_sum(lambda x, p: cons_loss(x, p, cfg), image, probs)
+        # an (H, W, C) image takes the batch path: the bytes of a batch of one
+        alone, one = cons_loss(image[0], probs[0], cfg), cons_loss(image[:1], probs[:1], cfg)
+        assert alone.value == one.value
+        for name, grad in alone.grads.items():
+            assert grad.shape == probs.shape[1:]
+            assert grad.tobytes() == one.grads[name].tobytes()
 
     def test_distill_loss(self):
         rng = Rng(143)

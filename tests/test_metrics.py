@@ -20,6 +20,7 @@ from fairseg.metrics import (
     single_pixel_islands,
 )
 from fairseg.model import forward_batch, init_params
+from fairseg.numerics import Rng
 from fairseg.synthdata import IGNORE_ID, TaskSplit
 
 
@@ -163,6 +164,14 @@ class TestSinglePixelIslands:
         y[1, 5] = 3
         assert single_pixel_islands(y) == 3
 
+    def test_stack_counts_the_sum_over_its_maps(self):
+        maps = np.array([[rng.randint(3) for _ in range(30)]
+                         for rng in (Rng(s) for s in range(6))]).reshape(2, 3, 5, 6)
+        per_map = [single_pixel_islands(y) for y in maps.reshape(6, 5, 6)]
+        assert sum(per_map) > 0
+        assert single_pixel_islands(maps) == sum(per_map)
+        assert single_pixel_islands(maps[0]) == sum(per_map[:3])
+
     def test_requires_2d(self):
         with pytest.raises(DimensionError):
             single_pixel_islands(np.zeros(9, dtype=int))
@@ -241,7 +250,6 @@ def oracle_params():
         0, (1,), patch_size=3, feature_dim=2, hidden=(4,)
     )
     from fairseg.model import grow_head
-    from fairseg.numerics import Rng
 
     params = grow_head(params, (2,), Rng(0))
     for name in params.blocks:
@@ -334,6 +342,18 @@ class TestEvaluateModel:
             cm.matrix -= alone.matrix
         assert not cm.matrix.any()
         assert report.num_images == 12 and report.miou_all == 1.0
+
+    def test_batch_island_count_is_the_per_image_sum(self):
+        rng = Rng(5)
+        params = init_params(3, (1, 2), patch_size=3, feature_dim=4, hidden=(8,))
+        samples = [constant_sample(8, 8, (0.5, 0.5, 0.5), i % 3) for i in range(10)]
+        for s in samples:
+            s.image[:] = rng.uniforms(s.image.size).reshape(s.image.shape)
+        report, _ = evaluate_model(params, samples, self.split(), step=2)
+        alone = [evaluate_model(params, [s], self.split(), step=2)[0].islands_per_image
+                 for s in samples]
+        assert sum(alone) > 0
+        assert round(report.islands_per_image * len(samples)) == sum(alone)
 
 
 def test_report_default_nans():

@@ -1,4 +1,5 @@
-"""Numeric substrate: PRNG, channel reductions, softmax, the gradient checker."""
+"""Numeric substrate: PRNG, channel reductions, neighbor pairs, softmax, the
+gradient checker."""
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from fairseg.numerics import (
     channel_sum,
     finite_diff_check,
     log_softmax,
+    neighbor_pairs,
     relative_error,
     softmax,
 )
@@ -248,6 +250,32 @@ class TestChannelReductions:
         v = scattered(5, (3, 20))[2]
         assert same_bytes(channel_sum(v), np.sum(v))
         assert same_bytes(channel_max(v), np.max(v))
+
+
+class TestNeighborPairs:
+    @pytest.mark.parametrize("window", [3, 5, 7])
+    @pytest.mark.parametrize("h, w", [(1, 1), (1, 5), (5, 1), (2, 2), (3, 8)])
+    def test_each_unordered_pair_once_in_offset_order(self, window, h, w):
+        r = window // 2
+        pixels = [(i, j) for i in range(h) for j in range(w)]
+        want = {
+            frozenset((p, q)) for p in pixels for q in pixels
+            if p != q and abs(p[0] - q[0]) <= r and abs(p[1] - q[1]) <= r
+        }
+        got, offsets = [], []
+        for ra, ca, rb, cb in neighbor_pairs(h, w, window):
+            rows_a, cols_a = range(h)[ra], range(w)[ca]
+            rows_b, cols_b = range(h)[rb], range(w)[cb]
+            assert (len(rows_a), len(cols_a)) == (len(rows_b), len(cols_b))
+            assert min(len(rows_a), len(cols_a)) > 0
+            dr, dc = rows_b[0] - rows_a[0], cols_b[0] - cols_a[0]
+            offsets.append((dr, dc))
+            got += [frozenset(((i, j), (i + dr, j + dc))) for i in rows_a for j in cols_a]
+        assert len(got) == len(set(got)) and set(got) == want
+        order = [(0, dc) for dc in range(1, r + 1)] + [
+            (dr, dc) for dr in range(1, r + 1) for dc in range(-r, r + 1)
+        ]
+        assert offsets == [o for o in order if o in offsets]
 
 
 class TestSoftmax:

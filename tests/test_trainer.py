@@ -477,6 +477,35 @@ class TestRunContinual:
         run_continual(cfg.ablation("fine-tune"), train, tmp_path / "unweighted")
         assert seen and all(w is None for w in seen)
 
+    def test_cluster_skipped_pixels_counted_per_step(self, tmp_path, tiny_dataset,
+                                                     monkeypatch):
+        """A step's count is its live pixels whose class had no initialized
+        prototype when the cluster term read them: every live pixel of the
+        step-1 warm-up, and step 2's new classes until they initialize."""
+        train, _ = tiny_dataset
+        calls = []  # (labels, initialized ids) of every cluster_loss call
+        real_cluster = trainer.cluster_loss
+
+        def recording_cluster(features, labels, protos, cfg):
+            calls.append((labels.copy(), set(protos.initialized_ids())))
+            return real_cluster(features, labels, protos, cfg)
+
+        monkeypatch.setattr(trainer, "cluster_loss", recording_cluster)
+        cfg = tiny_config(preset="cluster",
+                          cluster=ClusterConfig(update_period=2, bank_capacity=64))
+        result = run_continual(cfg, train, tmp_path)
+        n1, n2 = (outcome.iterations for outcome in result.outcomes)
+        assert len(calls) == n1 + n2
+        for outcome, step_calls in zip(result.outcomes, (calls[:n1], calls[n1:])):
+            want = sum(1 for labels, ids in step_calls for y in labels.ravel().tolist()
+                       if y != IGNORE_ID and y not in ids)
+            assert outcome.counters["cluster_skipped_pixels"] == want
+        assert not calls[0][1]  # step-1 warm-up: every live pixel counts
+        assert calls[n1 - 1][1] >= {1, 2}
+        # step 2 starts with its new classes live and without prototypes
+        assert not calls[n1][1] & {3, 4}
+        assert np.isin(calls[n1][0], [3, 4]).any()
+
     def test_frozen_prototypes_constant_through_step_two(self, tmp_path,
                                                           tiny_dataset):
         train, _ = tiny_dataset
