@@ -6,7 +6,10 @@ summary yet (every run with ``--fresh``) as one-BLAS-thread processes
 side by side (see ``fairseg.grid``), then prints ``fairseg report`` over
 the runs: each preset's final-step metrics as the seed mean with its
 per-seed min and max, so that one collapsed seed shows, and the claims of
-acceptance criteria 5-7 on the seed means and on each seed.
+acceptance criteria 5-7 on the seed means and on each seed.  The runs
+go under the config's ``[output] dir`` and the dataset under its ``data``
+subdirectory unless ``--out`` and ``--data`` say otherwise, so each
+config keeps its own grid.
 """
 
 import argparse
@@ -16,6 +19,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from fairseg import cli
+from fairseg.config import load_config
 from fairseg.grid import run_grid
 from fairseg.trainer import ABLATIONS
 
@@ -27,8 +31,8 @@ def main():
         "--config",
         default=os.path.join(here, "..", "configs", "acceptance.ini"),
     )
-    ap.add_argument("--data", default="runs/shapes8-data")
-    ap.add_argument("--out", default="runs/ablations")
+    ap.add_argument("--data", help="dataset directory (default <out>/data)")
+    ap.add_argument("--out", help="run root (default the config's [output] dir)")
     ap.add_argument("--seeds", default="1,2,3")
     ap.add_argument("--presets", default=",".join(ABLATIONS))
     ap.add_argument("--fresh", action="store_true",
@@ -36,15 +40,17 @@ def main():
     args = ap.parse_args()
     seeds = [int(s) for s in args.seeds.split(",")]
     presets = args.presets.split(",")
-    if not os.path.exists(os.path.join(args.data, "train.bin")):
-        run_grid([["gen", "--config", args.config, "--out", args.data]])
-    rundir = {(p, s): os.path.join(args.out, f"{p}-s{s}")
+    out = args.out or load_config(args.config).get("output", "dir")
+    data = args.data or os.path.join(out, "data")
+    if not os.path.exists(os.path.join(data, "train.bin")):
+        run_grid([["gen", "--config", args.config, "--out", data]])
+    rundir = {(p, s): os.path.join(out, f"{p}-s{s}")
               for p in presets for s in seeds}
     run_grid(
         [
             "train", "--config", args.config,
-            "--dataset", os.path.join(args.data, "train.bin"),
-            "--test", os.path.join(args.data, "test.bin"),
+            "--dataset", os.path.join(data, "train.bin"),
+            "--test", os.path.join(data, "test.bin"),
             "--ablation", preset, "--seed", str(seed), "--out", rd,
         ]
         for (preset, seed), rd in rundir.items()

@@ -216,16 +216,14 @@ def run_gradcheck(trials, seed):
         # Three initialized prototypes: pixels labeled 0 cluster near p0
         # (pure attraction; every other prototype saturated), pixels
         # labeled 3 reference an uninitialized prototype and sit within
-        # the margin of p1 (pure active hinge + skip counter), and p2 is
-        # far away so it exercises the saturated branch everywhere.
-        protos = PrototypeBank(dim)
-        protos.register([0, 1, 2, 3])
+        # the margin of p1 (pure active hinge, no attraction term), and p2
+        # is far away so it exercises the saturated branch everywhere.
+        protos = PrototypeBank(dim, 4)
         base = rng.normals(dim)
         direction = _bounded_offsets(rng, 1, dim, 0.3, 0.6)[0]
         p1 = base + 3.0 * direction / np.sqrt(np.sum(direction**2))
-        for cid, vec in ((0, base), (1, p1), (2, base + 50.0)):
-            protos.entries[cid].vector = vec.astype(np.float64)
-            protos.entries[cid].initialized = True
+        protos.vectors[:3] = base, p1, base + 50.0
+        protos.initialized[:3] = True
         labels = np.empty(n, dtype=np.int64)
         f0 = np.empty((n, dim))
         for i in range(n):

@@ -195,10 +195,9 @@ def cluster_loss(features, labels, protos, cfg):
     live = y != IGNORE_ID
     n_live = np.count_nonzero(live.reshape(b, n), axis=1)
     init_ids = protos.initialized_ids()
-    if not live.any() or not init_ids:
+    if not live.any() or not init_ids.size:
         return GradSlot(value=0.0, grads={"features": np.zeros(shape, dtype)})
-    _, pm = protos.initialized_matrix()
-    pm = pm.astype(dtype, copy=False)  # float64 storage, the features' arithmetic
+    pm = protos.vectors[init_ids].astype(dtype, copy=False)  # the features' dtype
     k = pm.shape[0]
     f = fb.reshape(b * n, d)
     # d2 = ||f||^2 - 2 f.p + ||p||^2: one (n, k) product per image, so an
@@ -220,7 +219,7 @@ def cluster_loss(features, labels, protos, cfg):
     d2[rows, cols] = channel_sum(diff * diff)
     dist = np.sqrt(d2, out=d2)
     delta = cfg.margin
-    match = (y[:, None] == np.asarray(init_ids)) & live[:, None]
+    match = (y[:, None] == init_ids) & live[:, None]
     active = (dist < delta) & ~match & live[:, None]
     terms = np.where(active, delta - dist, 0.0)
     np.copyto(terms, dist, where=match)

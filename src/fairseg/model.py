@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError, FormatError, StateError
 from .fileio import read_arrays, write_arrays
 from .numerics import RNG_ALGORITHM_ID, Rng
-from .prototypes import FeatureBank, PrototypeBank, ProtoEntry
+from .prototypes import FeatureBank, PrototypeBank
 from .synthdata import TaskSplit
 
 CHECKPOINT_MAGIC = b"FCLK"
@@ -281,9 +281,9 @@ class TrainState:
 def _arrays_of(state):
     """The checkpoint's (name, array) pairs in file order."""
     distill = state.distill_params.blocks if state.distill_params else {}
-    vectors = {cid: e.vector for cid, e in state.protos.entries.items()}
     groups = (("params", state.params.blocks), ("momentum", state.momentum),
-              ("distill", distill), ("proto", vectors), ("bank", state.bank.queues))
+              ("distill", distill), ("proto", dict(enumerate(state.protos.vectors))),
+              ("bank", state.bank.queues))
     return [(f"{prefix}/{key}", arrays[key])
             for prefix, arrays in groups for key in sorted(arrays)]
 
@@ -311,8 +311,8 @@ def save_checkpoint(path, state):
         "hidden": p.hidden,
         "class_steps": p.class_steps,
         "bank_capacity": state.bank.capacity,
-        "protos": [[cid, e.frozen, e.initialized]
-                   for cid, e in sorted(state.protos.entries.items())],
+        "protos": [[row, *flags] for row, flags in enumerate(zip(
+            state.protos.frozen.tolist(), state.protos.initialized.tolist()))],
         "log": state.log,
         "mious": state.mious,
     }
@@ -379,21 +379,24 @@ def _state_of(header, arrays):
             raise FormatError(f"parameter block {name} has non-finite values")
     momentum = blocks_of("momentum/", {k: a.shape for k, a in params.blocks.items()})
     distill = any(name.startswith("distill/") for name in arrays)
-    vectors = group("proto/")
-    unlisted = vectors.keys() - {str(cid) for cid, _, _ in header["protos"]}
-    if unlisted:
-        raise FormatError(f"checkpoint array proto/{min(unlisted)} has no header entry")
-    protos = PrototypeBank(feature_dim)
-    for cid, frozen, initialized in header["protos"]:
-        vector = arrays[f"proto/{cid}"]
-        if vector.shape != (feature_dim,):
-            raise FormatError(f"checkpoint array proto/{cid} is {vector.shape}, "
-                              f"expected shape ({feature_dim},)")
-        protos.entries[cid] = ProtoEntry(vector=vector, frozen=frozen,
-                                         initialized=initialized)
+    rows = params.num_rows
+    registry = header["protos"]  # [row, frozen, initialized] per head row
+    if ([[type(x) for x in entry] for entry in registry] != [[int, bool, bool]] * rows
+            or [entry[0] for entry in registry] != list(range(rows))):
+        raise FormatError(f"checkpoint protos is not a [row, frozen, initialized] "
+                          f"entry for each head row 0 to {rows - 1} in order")
+    protos = PrototypeBank(feature_dim, rows)
+    _, protos.frozen[:], protos.initialized[:] = zip(*registry)
+    if protos.frozen[0] or not protos.initialized[protos.frozen].all():
+        raise FormatError("checkpoint protos freeze row 0, the unknown cluster, "
+                          "or a row that is not initialized")
+    vectors = blocks_of("proto/", {str(c): (feature_dim,) for c in range(rows)})
+    protos.vectors[:] = [vectors[str(c)] for c in range(rows)]
     capacity = header["bank_capacity"]
     bank = FeatureBank(feature_dim, capacity)
     for cid, queue in group("bank/").items():
+        if cid not in vectors:
+            raise FormatError(f"checkpoint array bank/{cid} is not a head row's queue")
         if queue.ndim != 2 or queue.shape[1] != feature_dim or len(queue) > capacity:
             raise FormatError(f"checkpoint array bank/{cid} is {queue.shape}, "
                               f"expected shape (n <= {capacity}, {feature_dim})")

@@ -1,9 +1,10 @@
 """Per-class prototype vectors and bounded feature banks.
 
-Class id 0 is the unknown/background cluster; it stays active across steps
-while prototypes of classes learned in earlier steps are frozen.  Prototypes
-are never touched by gradients: they follow the periodic momentum-average
-schedule driven by the per-class FIFO feature banks.
+Prototype row c belongs to class c, as head row c does; row 0 is the
+unknown/background cluster.  Row 0 stays active across steps while the
+initialized rows of classes learned in earlier steps are frozen.
+Prototypes are never touched by gradients: they follow the periodic
+momentum-average schedule driven by the per-class FIFO feature banks.
 """
 
 from __future__ import annotations
@@ -12,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, StateError, UnavailableError
+from .errors import ConfigError, DimensionError, UnavailableError
 
-UNKNOWN_ID = 0
 LABEL_CHUNK = 2048  # pixels per pseudo-labelling pass: bounds its difference array
 
 
@@ -40,40 +40,32 @@ class ClusterConfig:
         return self
 
 
-@dataclass
-class ProtoEntry:
-    vector: np.ndarray
-    frozen: bool = False
-    initialized: bool = False
-
-
 class PrototypeBank:
-    """One vector per known class plus the unknown cluster."""
+    """One prototype per head row: row c is class c's, row 0 the unknown
+    cluster's.
 
-    def __init__(self, feature_dim):
-        self.feature_dim = int(feature_dim)
-        self.entries = {}
+    ``vectors`` is (rows, D) float64; ``frozen`` and ``initialized`` are
+    (rows,) bool masks.
+    """
 
-    def register(self, class_ids):
-        """Create uninitialized entries for new classes (id 0 included)."""
-        for cid in class_ids:
-            if cid not in self.entries:
-                self.entries[int(cid)] = ProtoEntry(
-                    vector=np.zeros(self.feature_dim, dtype=np.float64)
-                )
+    def __init__(self, feature_dim, rows):
+        self.vectors = np.zeros((rows, feature_dim))
+        self.frozen = np.zeros(rows, dtype=bool)
+        self.initialized = np.zeros(rows, dtype=bool)
 
-    def is_initialized(self, cid):
-        return cid in self.entries and self.entries[cid].initialized
+    @property
+    def feature_dim(self):
+        return self.vectors.shape[1]
 
     def initialized_ids(self):
-        return sorted(c for c, e in self.entries.items() if e.initialized)
+        return np.flatnonzero(self.initialized)
 
-    def initialized_matrix(self):
-        """(ids, stacked vectors) for all initialized prototypes, id-ascending."""
-        ids = self.initialized_ids()
-        if not ids:
-            raise UnavailableError("no initialized prototypes")
-        return ids, np.stack([self.entries[c].vector for c in ids])
+    def grow(self, rows):
+        """Append unfrozen, uninitialized zero rows up to ``rows``."""
+        extra = rows - len(self.vectors)
+        self.vectors = np.pad(self.vectors, ((0, extra), (0, 0)))
+        self.frozen = np.pad(self.frozen, (0, extra))
+        self.initialized = np.pad(self.initialized, (0, extra))
 
 
 class FeatureBank:
@@ -123,23 +115,22 @@ def update_prototypes(protos, bank, cfg, iteration):
     m = cfg.update_period
     if i < m or i % m != 0:
         return
-    for cid in sorted(protos.entries):
-        entry = protos.entries[cid]
-        if entry.frozen:
-            continue
+    for cid in np.flatnonzero(~protos.frozen):
         mean = bank.mean(cid)
         if mean is None:
             continue
-        if not entry.initialized:
-            entry.vector = mean
-            entry.initialized = True
-        else:
-            entry.vector = cfg.momentum * entry.vector + (1.0 - cfg.momentum) * mean
+        if protos.initialized[cid]:
+            mean = cfg.momentum * protos.vectors[cid] + (1.0 - cfg.momentum) * mean
+        protos.vectors[cid] = mean
+        protos.initialized[cid] = True
 
 
 def pseudo_label_map(protos, features):
     """Nearest-prototype ids for an (N, D) feature array, LABEL_CHUNK rows at a time."""
-    ids, matrix = protos.initialized_matrix()
+    ids = protos.initialized_ids()
+    if not ids.size:
+        raise UnavailableError("no initialized prototypes")
+    matrix = protos.vectors[ids]
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != protos.feature_dim:
         raise DimensionError(f"features must be (N, {protos.feature_dim})")
@@ -150,15 +141,4 @@ def pseudo_label_map(protos, features):
         # ids ascending, so argmin's first-hit rule is the smallest-id tie break
         d2 = np.sum((part[:, None, :] - matrix[None, :, :]) ** 2, axis=2)
         nearest[lo : lo + LABEL_CHUNK] = np.argmin(d2, axis=1)
-    return np.array(ids, dtype=np.int64)[nearest]
-
-
-def freeze_previous(protos, old_classes):
-    """Freeze prototypes of classes learned in earlier steps (idempotent)."""
-    for cid in sorted(old_classes):
-        if cid == UNKNOWN_ID:
-            raise StateError("the unknown cluster is re-learned each step; cannot freeze id 0")
-        entry = protos.entries.get(cid)
-        if entry is None or not entry.initialized:
-            raise StateError(f"cannot freeze uninitialized prototype {cid}")
-        entry.frozen = True
+    return ids[nearest]

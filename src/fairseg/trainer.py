@@ -51,7 +51,6 @@ from .prototypes import (
     ClusterConfig,
     FeatureBank,
     PrototypeBank,
-    freeze_previous,
     pseudo_label_map,
     update_prototypes,
 )
@@ -184,7 +183,7 @@ def build_effective_labels(labels, features, protos, step):
     eff = y.astype(np.int64)
     bg = y == 0
     if step > 1 and bg.any():
-        if protos.initialized_ids():
+        if protos.initialized.any():
             eff[bg] = pseudo_label_map(protos, np.asarray(features)[bg])
         else:
             eff[bg] = IGNORE_ID
@@ -223,8 +222,7 @@ def init_state(cfg):
         hidden=cfg.hidden,
     )
     momentum = {n: np.zeros_like(a) for n, a in params.blocks.items()}
-    protos = PrototypeBank(cfg.feature_dim)
-    protos.register([0] + initial)
+    protos = PrototypeBank(cfg.feature_dim, params.num_rows)
     bank = FeatureBank(cfg.feature_dim, cfg.cluster.bank_capacity)
     return TrainState(params=params, momentum=momentum, protos=protos, bank=bank,
                       preset=cfg.preset)
@@ -243,10 +241,9 @@ def enter_step(state, cfg):
         if old.shape != arr.shape:  # the head's new rows start at rest
             state.momentum[name] = np.zeros_like(arr)
             state.momentum[name][: len(old)] = old
-    known = sorted(cfg.split.known_through(step - 1))
-    freezable = [c for c in known if state.protos.is_initialized(c)]
-    freeze_previous(state.protos, freezable)
-    state.protos.register(new_classes)
+    # rows 1.. are the classes known through the last step; row 0 stays live
+    state.protos.frozen[1:] = state.protos.initialized[1:]
+    state.protos.grow(state.params.num_rows)
     state.bank.reset()
 
 

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from fairseg import model
 from fairseg.config import default_config
 from fairseg.errors import FormatError
 from fairseg.synthdata import BenchmarkSpec, SegSample, TaskSplit, generate
@@ -98,6 +99,21 @@ def join_container(path, header, body):
     magic_and_version = path.read_bytes()[:6]
     path.write_bytes(magic_and_version + len(header).to_bytes(4, "little")
                      + header + body)
+
+
+def save_edited_checkpoint(path, state, monkeypatch, protos=None, add=(), drop=()):
+    """Save ``state`` at ``path`` with the ``(name, array)`` pairs ``add``
+    appended, the arrays named in ``drop`` left out, and the header's
+    prototype registry replaced by ``protos(registry)`` when given."""
+    arrays_of = model._arrays_of
+    with monkeypatch.context() as patched:
+        patched.setattr(model, "_arrays_of", lambda s: [
+            (name, arr) for name, arr in arrays_of(s) if name not in drop] + list(add))
+        model.save_checkpoint(path, state)
+    if protos is not None:
+        header, body = split_container(path)
+        header["protos"] = protos(header["protos"])
+        join_container(path, json.dumps(header).encode(), body)
 
 
 class ContainerRefusals:

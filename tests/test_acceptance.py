@@ -91,16 +91,14 @@ def test_criterion_3_update_schedule_oracle():
     rng = Rng(33)
     dim, period = 3, 4
     cfg = ClusterConfig(update_period=period, bank_capacity=6)
-    protos = PrototypeBank(dim)
-    protos.register([0, 1, 2])
+    protos = PrototypeBank(dim, 3)
     bank = FeatureBank(dim, cfg.bank_capacity)
     # independent replay state: plain queues and vectors
     queues = {0: [], 1: [], 2: []}
     mirror = {}
     frozen = {2}
-    protos.entries[2].vector = np.ones(dim)
-    protos.entries[2].initialized = True
-    protos.entries[2].frozen = True
+    protos.vectors[2] = np.ones(dim)
+    protos.initialized[2] = protos.frozen[2] = True
     mirror[2] = np.ones(dim)
     worst = 0.0
     for i in range(1, 81):
@@ -122,7 +120,7 @@ def test_criterion_3_update_schedule_oracle():
                         1.0 - cfg.momentum
                     ) * mean
         for c, ref in mirror.items():
-            got = protos.entries[c].vector
+            got = protos.vectors[c]
             worst = max(worst, float(np.abs(got - ref).max()))
     ok = worst <= 1e-12
     report(
@@ -137,22 +135,21 @@ def test_criterion_3_update_schedule_oracle():
 def test_criterion_4_pseudo_label_oracle():
     rng = Rng(44)
     dim = 5
-    protos = PrototypeBank(dim)
-    protos.register(range(7))
+    protos = PrototypeBank(dim, 7)
     for cid in range(7):
-        protos.entries[cid].vector = np.asarray(rng.normals(dim))
-        protos.entries[cid].initialized = cid != 3  # one uninitialized
+        protos.vectors[cid] = rng.normals(dim)
+        protos.initialized[cid] = cid != 3  # one uninitialized
     ids = [c for c in range(7) if c != 3]
     agree = 0
     trials = 10_000
     for t in range(trials):
         if t % 10 == 0:  # exact-tie cases: feature equals some prototype
             pick = ids[int(rng.randint(len(ids)))]
-            f = protos.entries[pick].vector.copy()
+            f = protos.vectors[pick].copy()
         else:
             f = np.asarray(rng.normals(dim))
         got = pseudo_label_map(protos, f[None])[0]
-        dists = [float(np.linalg.norm(f - protos.entries[c].vector)) for c in ids]
+        dists = [float(np.linalg.norm(f - protos.vectors[c])) for c in ids]
         best = min(dists)
         brute = min(c for c, d in zip(ids, dists) if d == best)
         agree += int(got == brute)

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import join_container, split_container
+from conftest import join_container, save_edited_checkpoint, split_container
 from fairseg import cli, trainer
 from fairseg.config import DEFAULTS, default_config, load_config
 from fairseg.errors import ConfigError
@@ -490,10 +490,11 @@ class TestTrain:
         assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
     @pytest.mark.parametrize("case, message", [
-        ("proto_width", "proto/1 is (7,), expected shape (4,)"),
+        ("proto_width", "proto/0 is (7,), expected shape (4,)"),
         ("bank_width", "bank/0 is (3, 5), expected shape (n <= 500, 4)"),
         ("bank_length", "bank/0 is (501, 4), expected shape (n <= 500, 4)"),
-        ("proto_unlisted", "proto/2 has no header entry"),
+        ("proto_unlisted", "protos is not a [row, frozen, initialized] entry for each "
+                           "head row 0 to 2 in order"),
     ], ids=["proto_width", "bank_width", "bank_length", "proto_unlisted"])
     def test_resume_from_checkpoint_with_bad_prototype_or_bank_exits_3(
             self, workspace, tmp_path, capsys, case, message):
@@ -504,7 +505,7 @@ class TestTrain:
         shutil.copytree(workspace["runs"]["full"][0], run)
         state = load_checkpoint(run / "step1.ckpt")
         if case == "proto_width":
-            state.protos.entries[1].vector = np.zeros(7)
+            state.protos.vectors = np.zeros((len(state.protos.vectors), 7))
         elif case == "bank_width":
             state.bank.queues[0] = np.zeros((3, 5))
         elif case == "bank_length":
@@ -570,6 +571,35 @@ class TestTrain:
         assert code == 3
         assert f"{path}{message}" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+    @pytest.mark.parametrize("protos, add, drop, message", [
+        (lambda r: r + [[99, False, True]], [("proto/99", np.ones(4))], (), "entry for each"),
+        (lambda r: r[:2], (), {"proto/2"}, "entry for each"),
+        (lambda r: r[:2] + [[2, "no", False]], (), (), "entry for each"),
+        (lambda r: [[0, True, True]] + r[1:], (), (), "freeze row 0"),
+    ], ids=["extra_row", "row_removed", "flag_string", "row_0_frozen"])
+    def test_resume_from_checkpoint_whose_prototypes_are_not_the_head_rows_exits_3(
+            self, workspace, tmp_path, capsys, monkeypatch, protos, add, drop, message):
+        """A step-1 checkpoint whose prototype registry is not its head's
+        rows 0 to 2 with bool flags and row 0 live, resumed from an
+        otherwise empty run directory, is refused by the file's name and
+        leaves the directory as it was."""
+        run = tmp_path / "run"
+        run.mkdir()
+        path = run / "latest.ckpt"
+        state = load_checkpoint(workspace["runs"]["full"][0] / "step1.ckpt")
+        save_edited_checkpoint(path, state, monkeypatch, protos, add, drop)
+        before = path.read_bytes()
+        code, _ = run_cli(
+            "train", "--config", str(workspace["ini"]),
+            "--dataset", str(workspace["data"] / "train.bin"),
+            "--out", str(run), "--resume",
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"{path}: checkpoint protos" in err and message in err
+        assert [p.name for p in run.iterdir()] == ["latest.ckpt"]
+        assert path.read_bytes() == before
 
     def test_steps_flag_overrides_split(self, workspace, tmp_path):
         code, text = run_cli(

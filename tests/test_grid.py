@@ -57,3 +57,23 @@ def test_failed_run_named_and_no_worker_left(root):
         run_grid([bad, train_argv(root, root / "good")])
     with pytest.raises(ChildProcessError):  # no child left, running or unreaped
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_ablation_script_defaults_follow_the_config(tmp_path):
+    """Without --data and --out the ablation script generates and trains
+    under the config's [output] dir, so another config's grid is never
+    reused."""
+    (tmp_path / "tiny.ini").write_text(TINY_INI + "[output]\ndir = tiny-grid\n")
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "run_ablations.py")
+    proc = subprocess.run(
+        [sys.executable, script, "--config", "tiny.ini",
+         "--presets", "fine-tune", "--seeds", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(os.listdir(tmp_path)) == ["tiny-grid", "tiny.ini"]
+    grid = tmp_path / "tiny-grid"
+    assert sorted(os.listdir(grid)) == ["data", "fine-tune-s1"]
+    assert (grid / "data" / "train.bin").exists()
+    assert (grid / "fine-tune-s1" / "summary.txt").exists()
+    assert "fine-tune" in proc.stdout

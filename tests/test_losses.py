@@ -28,15 +28,12 @@ from fairseg.numerics import GradSlot, Rng, finite_diff_check, log_softmax, soft
 from fairseg.prototypes import ClusterConfig, PrototypeBank
 
 
-def make_protos(vectors, frozen=(), uninitialized=()):
+def make_protos(vectors, uninitialized=()):
     dim = len(next(iter(vectors.values())))
-    protos = PrototypeBank(dim)
-    protos.register(list(vectors) + list(uninitialized))
+    protos = PrototypeBank(dim, max([*vectors, *uninitialized]) + 1)
     for cid, vec in vectors.items():
-        entry = protos.entries[cid]
-        entry.vector = np.asarray(vec, dtype=np.float64)
-        entry.initialized = True
-        entry.frozen = cid in frozen
+        protos.vectors[cid] = vec
+        protos.initialized[cid] = True
     return protos
 
 
@@ -299,8 +296,7 @@ class TestClusterLoss:
         assert not out.grads["features"].any()
 
     def test_no_initialized_prototypes_is_warmup_noop(self):
-        protos = PrototypeBank(2)
-        protos.register([0, 1])
+        protos = PrototypeBank(2, 2)
         out = cluster_loss(np.zeros((1, 3, 2)), np.zeros((1, 3)), protos, self.cfg())
         assert out.value == 0.0
         assert not out.grads["features"].any()
@@ -677,7 +673,7 @@ def loop_cluster_loss(features, labels, protos, cfg):
     loss = np.zeros(b * n)
     delta = cfg.margin
     for cid in protos.initialized_ids():
-        p = protos.entries[cid].vector
+        p = protos.vectors[cid]
         diff = f - p[None, :]
         dist = np.sqrt(np.sum(diff**2, axis=1))
         match = live & (y == cid)
@@ -764,16 +760,16 @@ class TestBitIdentity:
         labels[1] = IGNORE_ID  # an image with no live pixels
         # pixels exactly on a prototype: their own (attraction at distance
         # 0) and another class's (repulsion at distance 0)
-        feats[0, 1, 0] = protos.entries[2].vector
+        feats[0, 1, 0] = protos.vectors[2]
         labels[0, 1, 0] = 2
-        feats[2, 3, 4] = protos.entries[1].vector
+        feats[2, 3, 4] = protos.vectors[1]
         labels[2, 3, 4] = 3
-        feats[2, 0, 0] = protos.entries[0].vector
+        feats[2, 0, 0] = protos.vectors[0]
         labels[2, 0, 0] = 4  # uninitialized class, repulsion only
         # a pixel that differs from its prototype, at a distance that
         # underflows to 0: it gets no gradient
-        protos.entries[3].vector[0] = 0.0
-        feats[0, 2, 0] = protos.entries[3].vector
+        protos.vectors[3, 0] = 0.0
+        feats[0, 2, 0] = protos.vectors[3]
         feats[0, 2, 0, 0] = 1e-170
         labels[0, 2, 0] = 3
         return feats, labels, protos
@@ -815,8 +811,7 @@ class TestBitIdentity:
 
     def test_cluster_loss_with_uninitialized_prototypes_equals_loop(self):
         feats, labels, protos = self.cluster_case(153)
-        protos.entries[1].initialized = False
-        protos.entries[3].initialized = False
+        protos.initialized[[1, 3]] = False
         cfg = ClusterConfig(margin=3.0).validate()
         self.assert_cluster_near_loop(feats, labels, protos, cfg)
 
@@ -832,7 +827,7 @@ class TestBitIdentity:
         protos = make_protos({c: rng.normals(d) * 1.5 for c in range(3)})
         feats = np.empty((2, 1, 1, d))
         for i, cid in enumerate((1, 2)):
-            p = protos.entries[cid].vector
+            p = protos.vectors[cid]
             u = rng.normals(d)
             u /= np.sqrt(np.sum(u * u))
             ratio = side if i == 0 else 0.99
@@ -842,7 +837,7 @@ class TestBitIdentity:
                 t = math.sqrt(ratio * NEAR * (f @ f + p @ p))
             feats[i, 0, 0] = p + t * u
         labels = np.array([1, 0]).reshape(2, 1, 1)
-        f, p = feats[0, 0, 0], protos.entries[1].vector
+        f, p = feats[0, 0, 0], protos.vectors[1]
         expanded = f @ f - 2.0 * (f @ p) + p @ p
         assert (expanded > NEAR * (f @ f + p @ p)) == (side > 1)
         self.assert_cluster_near_loop(
@@ -976,7 +971,7 @@ class TestFloat32Accuracy:
         labels[labels == 8] = IGNORE_ID
         for j, ratio in enumerate([0.0, 0.5, 0.99, 1.01, 1.5, 2.0, 4.0, 10.0, 100.0] * 6):
             cid = j % k
-            p = protos.entries[cid].vector
+            p = protos.vectors[cid]
             u = rng.normals(16)
             u /= np.sqrt(u @ u)
             t = 0.0
@@ -1044,12 +1039,11 @@ params = init_params(3, (1, 2, 3, 4, 5), 5, 16, (64, 32))
 images = rng.uniforms(6 * 32 * 32 * 3).reshape(6, 32, 32, 3).astype(np.float32)
 _, cache = forward_batch(params, images)
 feats = cache.feats.reshape(6, 32, 32, 16)
-protos = PrototypeBank(16)
-protos.register(range(6))
-for cid, entry in protos.entries.items():
-    entry.vector = feats[cid, cid, cid] + 0.1 * rng.normals(16)
-    entry.initialized = True
-feats[0, 3, 3] = protos.entries[2].vector
+protos = PrototypeBank(16, 6)
+for cid in range(6):
+    protos.vectors[cid] = feats[cid, cid, cid] + 0.1 * rng.normals(16)
+protos.initialized[:] = True
+feats[0, 3, 3] = protos.vectors[2]
 labels = np.array([rng.randint(7) for _ in range(6 * 32 * 32)]).reshape(6, 32, 32)
 labels[labels == 6] = IGNORE_ID
 labels[4] = IGNORE_ID

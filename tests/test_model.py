@@ -7,7 +7,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import ContainerRefusals, join_container, same_bytes, split_container
+from conftest import (
+    ContainerRefusals,
+    join_container,
+    same_bytes,
+    save_edited_checkpoint,
+    split_container,
+)
 from fairseg import model
 from fairseg.errors import ConfigError, DimensionError, FormatError, StateError
 from fairseg.losses import (
@@ -437,12 +443,10 @@ class TestBackward:
         labels = np.array(
             [rng.randint(5) for _ in range(h * w)], dtype=np.int64
         ).reshape(h, w)
-        protos = PrototypeBank(5)
-        protos.register([0, 1, 2, 3, 4])
+        protos = PrototypeBank(5, 5)
         for cid in range(5):
-            entry = protos.entries[cid]
-            entry.vector = rng.normals(5) * 2.0
-            entry.initialized = True
+            protos.vectors[cid] = rng.normals(5) * 2.0
+        protos.initialized[:] = True
         ccfg = ClusterConfig(margin=1.0).validate()
         ncfg = ConsConfig().validate()
         feats_prev = rng.normals(h * w * 5).reshape(h, w, 5)
@@ -485,11 +489,9 @@ def make_checkpoint(seed=51, with_distill=False):
     # momentum in the parameters' dtype, as init_state makes it
     momentum = {k: (rng.normals(v.size).reshape(v.shape) * 0.01).astype(v.dtype)
                 for k, v in params.blocks.items()}
-    protos = PrototypeBank(params.feature_dim)
-    protos.register([0, 1, 2])
-    protos.entries[1].vector = rng.normals(params.feature_dim)
-    protos.entries[1].initialized = True
-    protos.entries[1].frozen = True
+    protos = PrototypeBank(params.feature_dim, params.num_rows)
+    protos.vectors[1] = rng.normals(params.feature_dim)
+    protos.initialized[1] = protos.frozen[1] = True
     bank = FeatureBank(params.feature_dim, 7)
     bank.deposit_many(0, [rng.normals(params.feature_dim)])
     bank.deposit_many(2, [rng.normals(params.feature_dim)])
@@ -513,6 +515,9 @@ LOG_ROW = {"step": 1, "epoch": 0, "iteration": 1, "lr": 0.05, "ce": 1.5,
 MID_STEP_2_LOG = [dict(LOG_ROW, step=s, epoch=e, iteration=e + 1)
                   for s, epochs in ((1, 2), (2, 3)) for e in range(epochs)]
 LOG_ORDER = re.escape("log does not run through epochs 0, 1, ... of steps 1 to 2 in order")
+REGISTRY = re.escape("protos is not a [row, frozen, initialized] entry for each head "
+                     "row 0 to 3 in order")
+FREEZE = "protos freeze row 0, the unknown cluster, or a row that is not initialized"
 
 
 class TestCheckpoint(ContainerRefusals):
@@ -553,11 +558,9 @@ class TestCheckpoint(ContainerRefusals):
         assert back.distill_params.hidden == ckpt.params.hidden
         for name, arr in ckpt.distill_params.blocks.items():
             np.testing.assert_array_equal(back.distill_params.blocks[name], arr)
-        assert sorted(back.protos.entries) == [0, 1, 2]
-        assert back.protos.entries[1].frozen and back.protos.is_initialized(1)
-        np.testing.assert_array_equal(
-            back.protos.entries[1].vector, ckpt.protos.entries[1].vector
-        )
+        for name in ("vectors", "frozen", "initialized"):
+            assert same_bytes(getattr(back.protos, name), getattr(ckpt.protos, name))
+        assert back.protos.frozen.tolist() == [False, True, False, False]
         assert len(back.bank.queues[2]) == 2
         np.testing.assert_array_equal(
             back.bank.mean(2), ckpt.bank.mean(2)
@@ -694,13 +697,13 @@ class TestCheckpoint(ContainerRefusals):
         header, body = split_container(path)
         names = [name for name, _ in header["arrays"]]
         assert names[0].startswith("params/")
-        assert names[-3:] == ["proto/2", "bank/0", "bank/2"]
+        assert names[-6:] == ["proto/0", "proto/1", "proto/2", "proto/3", "bank/0", "bank/2"]
         assert [n.split("/")[0] for n in names] == sorted(
             (n.split("/")[0] for n in names),
             key=["params", "momentum", "distill", "proto", "bank"].index,
         )
         assert header["protos"] == [[0, False, False], [1, True, True],
-                                    [2, False, False]]
+                                    [2, False, False], [3, False, False]]
         assert header["bank_capacity"] == 7
         assert header["log"] == ckpt.log and header["mious"] == [0.625]
         # the model and the log's rows carry the position and the count
@@ -732,13 +735,38 @@ class TestCheckpoint(ContainerRefusals):
         with pytest.raises(FormatError, match="class registry"):
             load_checkpoint(path)
 
-    def test_missing_prototype_array_rejected(self, tmp_path):
+    def test_missing_prototype_array_rejected(self, tmp_path, monkeypatch):
         path = tmp_path / "proto.ckpt"
-        save_checkpoint(path, make_checkpoint())
-        header, body = split_container(path)
-        header["protos"].append([7, False, False])
-        join_container(path, json.dumps(header).encode(), body)
-        with pytest.raises(FormatError, match="proto/7"):
+        save_edited_checkpoint(path, make_checkpoint(), monkeypatch, drop={"proto/3"})
+        with pytest.raises(FormatError, match="proto/3 is missing"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("protos, add, drop, message", [
+        (lambda r: r + [[99, False, True]], [("proto/99", np.ones(4))], (), REGISTRY),
+        (lambda r: r[:2] + r[3:], (), {"proto/2"}, REGISTRY),
+        (lambda r: r[:2] + [[2, "no", False]] + r[3:], (), (), REGISTRY),
+        (lambda r: [r[0], r[2], r[1], r[3]], (), (), REGISTRY),
+        (lambda r: [[False, False, False]] + r[1:], (), (), REGISTRY),
+        (lambda r: [[0, 0, 0]] + r[1:], (), (), REGISTRY),
+        (lambda r: [r[0] + [True]] + r[1:], (), (), REGISTRY),
+        (lambda r: [[0, True, True]] + r[1:], (), (), FREEZE),
+        (lambda r: r[:2] + [[2, True, False]] + r[3:], (), (), FREEZE),
+        (None, [("bank/9", np.ones((1, 4)))], (), "bank/9 is not a head row's queue"),
+        (None, [("bank/01", np.ones((1, 4)))], (), "bank/01 is not a head row's queue"),
+        (None, [("proto/4", np.ones(4))], (), "proto/4 is not a model block"),
+    ], ids=["extra_row", "row_removed", "flag_string", "rows_out_of_order",
+            "row_id_bool", "flags_int", "entry_too_long", "row_0_frozen",
+            "frozen_uninitialized", "bank_not_a_row", "bank_id_not_canonical",
+            "proto_not_a_row"])
+    def test_prototype_registry_not_the_head_rows_rejected(
+            self, tmp_path, monkeypatch, protos, add, drop, message):
+        """The header's prototype registry is one [row, frozen, initialized]
+        entry per head row, 0 to R-1 in order, with bool flags; row 0, the
+        unknown cluster, and an uninitialized row are never frozen; every
+        prototype array and bank queue is a head row's."""
+        path = tmp_path / "registry.ckpt"
+        save_edited_checkpoint(path, make_checkpoint(), monkeypatch, protos, add, drop)
+        with pytest.raises(FormatError, match=f"{re.escape(str(path))}: .*{message}"):
             load_checkpoint(path)
 
     def test_float64_model_block_refused_and_previous_file_kept(self, tmp_path):

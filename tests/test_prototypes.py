@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import same_bytes
 from fairseg.errors import (
     ConfigError,
     DimensionError,
-    StateError,
     UnavailableError,
 )
 from fairseg import prototypes
@@ -17,23 +17,15 @@ from fairseg.prototypes import (
     ClusterConfig,
     FeatureBank,
     PrototypeBank,
-    freeze_previous,
     pseudo_label_map,
     update_prototypes,
 )
 
 
-def make_protos(dim, ids):
-    protos = PrototypeBank(dim)
-    protos.register(ids)
-    return protos
-
-
 def set_proto(protos, cid, vector, frozen=False):
-    entry = protos.entries[cid]
-    entry.vector = np.asarray(vector, dtype=np.float64)
-    entry.initialized = True
-    entry.frozen = frozen
+    protos.vectors[cid] = vector
+    protos.initialized[cid] = True
+    protos.frozen[cid] = frozen
 
 
 class TestFeatureBank:
@@ -105,58 +97,58 @@ class TestUpdateSchedule:
         return ClusterConfig(update_period=period, momentum=momentum).validate()
 
     def test_first_update_sets_mean(self):
-        protos = make_protos(2, [0, 1])
+        protos = PrototypeBank(2, 2)
         bank = FeatureBank(2, 10)
         bank.deposit_many(1, [[1.0, 1.0]])
         bank.deposit_many(1, [[3.0, 3.0]])
         update_prototypes(protos, bank, self.cfg(period=4), iteration=4)
-        assert protos.is_initialized(1)
-        np.testing.assert_allclose(protos.entries[1].vector, [2.0, 2.0], atol=1e-15)
+        assert protos.initialized[1]
+        np.testing.assert_allclose(protos.vectors[1], [2.0, 2.0], atol=1e-15)
 
     def test_momentum_step(self):
-        protos = make_protos(2, [1])
+        protos = PrototypeBank(2, 2)
         set_proto(protos, 1, [2.0, 2.0])
         bank = FeatureBank(2, 10)
         bank.deposit_many(1, [[4.0, 4.0]])
         update_prototypes(protos, bank, self.cfg(period=4), iteration=8)
-        np.testing.assert_allclose(protos.entries[1].vector, [2.02, 2.02], atol=1e-12)
+        np.testing.assert_allclose(protos.vectors[1], [2.02, 2.02], atol=1e-12)
 
     def test_off_schedule_iterations_are_noops(self):
-        protos = make_protos(1, [1])
+        protos = PrototypeBank(1, 2)
         bank = FeatureBank(1, 4)
         bank.deposit_many(1, [[5.0]])
         for i in (1, 2, 3, 5, 6, 7, 9):
             update_prototypes(protos, bank, self.cfg(period=4), iteration=i)
-        assert not protos.is_initialized(1)
+        assert not protos.initialized[1]
 
     def test_frozen_prototype_untouched(self):
-        protos = make_protos(1, [1])
+        protos = PrototypeBank(1, 2)
         set_proto(protos, 1, [7.0], frozen=True)
         bank = FeatureBank(1, 4)
         bank.deposit_many(1, [[0.0]])
         update_prototypes(protos, bank, self.cfg(period=2), iteration=2)
-        assert protos.entries[1].vector[0] == 7.0
+        assert protos.vectors[1][0] == 7.0
 
     def test_empty_queue_skipped(self):
-        protos = make_protos(1, [1, 2])
+        protos = PrototypeBank(1, 3)
         bank = FeatureBank(1, 4)
         bank.deposit_many(1, [[1.0]])
         update_prototypes(protos, bank, self.cfg(period=2), iteration=2)
-        assert protos.is_initialized(1)
-        assert not protos.is_initialized(2)
+        assert protos.initialized[1]
+        assert not protos.initialized[2]
 
     def test_late_arrival_initializes_at_next_update(self):
-        protos = make_protos(1, [2])
+        protos = PrototypeBank(1, 3)
         bank = FeatureBank(1, 4)
         update_prototypes(protos, bank, self.cfg(period=2), iteration=2)
         bank.deposit_many(2, [[3.0]])
         update_prototypes(protos, bank, self.cfg(period=2), iteration=4)
-        assert protos.is_initialized(2)
-        assert protos.entries[2].vector[0] == 3.0
+        assert protos.initialized[2]
+        assert protos.vectors[2][0] == 3.0
 
     def test_geometric_contraction_to_stationary_mean(self):
         cfg = self.cfg(period=1, momentum=0.9)
-        protos = make_protos(2, [1])
+        protos = PrototypeBank(2, 2)
         p0 = np.array([10.0, -4.0])
         set_proto(protos, 1, p0)
         m = np.array([1.0, 1.0])
@@ -165,7 +157,7 @@ class TestUpdateSchedule:
         gap0 = np.linalg.norm(p0 - m)
         for n in range(1, 30):
             update_prototypes(protos, bank, cfg, iteration=n)
-            gap = np.linalg.norm(protos.entries[1].vector - m)
+            gap = np.linalg.norm(protos.vectors[1] - m)
             assert gap <= (0.9**n) * gap0 + 1e-12
 
 
@@ -221,7 +213,7 @@ class TestAlgorithmOracle:
             deposit_per_class=8,
         ).validate()
         rng = Rng(20240807)
-        protos = make_protos(dim, [0, 1, 2, 3])
+        protos = PrototypeBank(dim, 4)
         set_proto(protos, 3, rng.normals(dim), frozen=True)
         bank = FeatureBank(dim, cfg.bank_capacity)
         events = [("freeze", 3)]
@@ -235,45 +227,45 @@ class TestAlgorithmOracle:
             events.append(("update", i))
             expect_vecs, expect_init = oracle_schedule(dim, cfg, events)
             for cid in (0, 1, 2):
-                assert protos.is_initialized(cid) == (cid in expect_init)
+                assert protos.initialized[cid] == (cid in expect_init)
                 if cid in expect_init:
                     np.testing.assert_allclose(
-                        protos.entries[cid].vector,
+                        protos.vectors[cid],
                         expect_vecs[cid],
                         atol=1e-12,
                         rtol=0,
                     )
             # frozen class 3 never moves no matter the schedule
-            assert protos.entries[3].frozen
+            assert protos.frozen[3]
 
 
 class TestPseudoLabel:
     def test_exact_match(self):
-        protos = make_protos(2, [0, 3])
+        protos = PrototypeBank(2, 4)
         set_proto(protos, 0, [5.0, 5.0])
         set_proto(protos, 3, [1.0, -1.0])
         assert pseudo_label_map(protos, np.array([[1.0, -1.0]]))[0] == 3
 
     def test_tie_prefers_smallest_id(self):
-        protos = make_protos(1, [0, 2])
+        protos = PrototypeBank(1, 3)
         set_proto(protos, 0, [1.0])
         set_proto(protos, 2, [3.0])
         assert pseudo_label_map(protos, np.array([[2.0]]))[0] == 0
 
     def test_unavailable_without_initialized(self):
-        protos = make_protos(2, [0, 1])
+        protos = PrototypeBank(2, 2)
         with pytest.raises(UnavailableError):
             pseudo_label_map(protos, np.zeros((1, 2)))
 
     def test_uninitialized_entries_excluded(self):
-        protos = make_protos(1, [0, 1, 2])
+        protos = PrototypeBank(1, 3)
         set_proto(protos, 2, [0.0])
         assert pseudo_label_map(protos, np.array([[100.0]]))[0] == 2
 
     def test_matches_brute_force_scan(self):
         rng = Rng(606)
         dim = 5
-        protos = make_protos(dim, range(6))
+        protos = PrototypeBank(dim, 6)
         centers = {cid: rng.normals(dim) for cid in range(6)}
         for cid, vec in centers.items():
             set_proto(protos, cid, vec)
@@ -289,15 +281,15 @@ class TestPseudoLabel:
     def test_map_agrees_with_pairwise_scan(self):
         rng = Rng(607)
         dim = 4
-        protos = make_protos(dim, [0, 2, 5])
+        protos = PrototypeBank(dim, 6)
         for cid in (0, 2, 5):
             set_proto(protos, cid, rng.normals(dim))
         feats = rng.normals(50 * dim).reshape(50, dim)
         # engineered exact ties: feature equidistant between ids 0 and 5
-        feats[7] = 0.5 * (protos.entries[0].vector + protos.entries[5].vector)
+        feats[7] = 0.5 * (protos.vectors[0] + protos.vectors[5])
         out = pseudo_label_map(protos, feats)
         for i in range(50):
-            d2 = {c: float(np.sum((feats[i] - protos.entries[c].vector) ** 2))
+            d2 = {c: float(np.sum((feats[i] - protos.vectors[c]) ** 2))
                   for c in (0, 2, 5)}
             best = min(d2.values())
             assert out[i] == min(c for c, d in d2.items() if d == best)
@@ -307,45 +299,48 @@ class TestPseudoLabel:
         monkeypatch.setattr(prototypes, "LABEL_CHUNK", chunk)
         rng = Rng(608)
         dim = 4
-        protos = make_protos(dim, [0, 2, 5])
+        protos = PrototypeBank(dim, 6)
         set_proto(protos, 0, [1.0, 0.0, 0.0, 0.0])
         set_proto(protos, 2, rng.normals(dim))
         set_proto(protos, 5, [-1.0, 0.0, 0.0, 0.0])
         feats = rng.normals(101 * dim).reshape(101, dim)
         feats[::10, 0] = 0.0  # exact ties between ids 0 and 5
-        d2 = np.stack([np.sum((feats - protos.entries[c].vector) ** 2, axis=1)
+        d2 = np.stack([np.sum((feats - protos.vectors[c]) ** 2, axis=1)
                        for c in (0, 2, 5)], axis=1)
         want = np.array([0, 2, 5])[np.argmin(d2, axis=1)]
         assert np.array_equal(pseudo_label_map(protos, feats), want)
         assert set(want[::10]) <= {0, 2} and 0 in want[::10]
 
     def test_dimension_mismatch(self):
-        protos = make_protos(3, [0])
+        protos = PrototypeBank(3, 1)
         set_proto(protos, 0, [0.0, 0.0, 0.0])
         with pytest.raises(DimensionError):
             pseudo_label_map(protos, np.zeros((4, 2)))
 
 
-class TestFreeze:
-    def test_freeze_marks_and_is_idempotent(self):
-        protos = make_protos(1, [0, 1, 2])
-        set_proto(protos, 1, [1.0])
-        set_proto(protos, 2, [2.0])
-        freeze_previous(protos, {1, 2})
-        freeze_previous(protos, {1, 2})
-        assert protos.entries[1].frozen and protos.entries[2].frozen
-        assert not protos.entries[0].frozen
+class TestPrototypeBank:
+    def test_rows_start_zero_unfrozen_uninitialized(self):
+        protos = PrototypeBank(3, 4)
+        assert protos.feature_dim == 3
+        assert same_bytes(protos.vectors, np.zeros((4, 3)))
+        assert not protos.frozen.any() and not protos.initialized.any()
+        assert protos.initialized_ids().tolist() == []
 
-    def test_freeze_uninitialized_rejected(self):
-        protos = make_protos(1, [0, 1])
-        with pytest.raises(StateError):
-            freeze_previous(protos, {1})
+    def test_initialized_ids_ascending(self):
+        protos = PrototypeBank(1, 6)
+        for cid in (4, 0, 2):
+            set_proto(protos, cid, [float(cid)])
+        assert protos.initialized_ids().tolist() == [0, 2, 4]
 
-    def test_freeze_unknown_cluster_rejected(self):
-        protos = make_protos(1, [0])
-        set_proto(protos, 0, [0.0])
-        with pytest.raises(StateError):
-            freeze_previous(protos, {0})
+    def test_grow_keeps_rows_and_appends_blank_ones(self):
+        protos = PrototypeBank(2, 3)
+        set_proto(protos, 0, [1.0, 2.0])
+        set_proto(protos, 2, [3.0, 4.0], frozen=True)
+        protos.grow(5)
+        assert same_bytes(protos.vectors, np.array(
+            [[1.0, 2.0], [0.0, 0.0], [3.0, 4.0], [0.0, 0.0], [0.0, 0.0]]))
+        assert protos.frozen.tolist() == [False, False, True, False, False]
+        assert protos.initialized.tolist() == [True, False, True, False, False]
 
 
 class TestClusterConfig:

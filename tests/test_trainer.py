@@ -1,5 +1,6 @@
 """Continual training loop: determinism, resume, protocol enforcement."""
 
+import copy
 import os
 import re
 import shutil
@@ -32,6 +33,7 @@ from fairseg.trainer import (
     TrackedDataset,
     TrainConfig,
     build_effective_labels,
+    enter_step,
     init_state,
     run_continual,
     run_step,
@@ -145,19 +147,17 @@ class TestTrackedDataset:
 
 class TestEffectiveLabels:
     def protos_with(self, vectors):
-        protos = PrototypeBank(2)
-        protos.register([0] + sorted(vectors))
+        protos = PrototypeBank(2, max(vectors) + 1)
         for cid, vec in vectors.items():
-            entry = protos.entries[cid]
-            entry.vector = np.asarray(vec, dtype=np.float64)
-            entry.initialized = True
-            entry.frozen = cid != 0
+            protos.vectors[cid] = vec
+            protos.initialized[cid] = True
+            protos.frozen[cid] = cid != 0
         return protos
 
     def test_step_one_passthrough(self):
         labels = np.array([[0, 1], [2, IGNORE_ID]], dtype=np.uint16)
         eff = build_effective_labels(
-            labels, np.zeros((2, 2, 2)), PrototypeBank(2), step=1
+            labels, np.zeros((2, 2, 2)), PrototypeBank(2, 3), step=1
         )
         assert eff.tolist() == [[0, 1], [2, IGNORE_ID]]
         assert (eff != IGNORE_ID).tolist() == [[True, True], [True, False]]
@@ -181,7 +181,7 @@ class TestEffectiveLabels:
     def test_no_initialized_prototypes_marks_ignore(self):
         labels = np.array([[0, 3]], dtype=np.uint16)
         eff = build_effective_labels(
-            labels, np.zeros((1, 2, 2)), PrototypeBank(2), step=2
+            labels, np.zeros((1, 2, 2)), PrototypeBank(2, 4), step=2
         )
         assert eff[0, 0] == IGNORE_ID
         assert eff[0, 1] == 3
@@ -418,6 +418,44 @@ class TestSupervisedRows:
         assert rows == want
 
 
+def assert_old_rows_frozen(old, new):
+    """``new`` is ``old`` one step later: row 0, the unknown cluster, is
+    not frozen; every other old row is frozen, with its vector unchanged,
+    exactly when it was initialized, and an uninitialized one stays so."""
+    rows = len(old.vectors)
+    assert not new.frozen[0]
+    assert new.frozen[1:rows].tolist() == old.initialized[1:rows].tolist()
+    assert new.initialized[1:rows].tolist() == old.initialized[1:rows].tolist()
+    for c in np.flatnonzero(new.frozen):
+        assert same_bytes(new.vectors[c], old.vectors[c])
+
+
+class TestEnterStep:
+    def test_freezes_the_initialized_old_rows(self):
+        """Three steps of 2-1-1: row 0 stays live, an initialized old row
+        freezes (again at the next step), an uninitialized one stays open."""
+        cfg = tiny_config(split=TaskSplit.from_sizes("2-1-1", 4))
+        state = init_state(cfg)
+        protos = state.protos
+        assert len(protos.vectors) == state.params.num_rows == 3
+        protos.vectors[:] = [[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0], [0.0] * 4]
+        protos.initialized[:] = True, True, False
+        ends = [copy.deepcopy(protos)]
+        for step in (2, 3):
+            enter_step(state, cfg)
+            protos = state.protos
+            assert len(protos.vectors) == state.params.num_rows == step + 2
+            assert not protos.frozen[-1] and not protos.initialized[-1]
+            assert not protos.vectors[-1].any()
+            protos.vectors[-1] = step  # the step's new class initializes
+            protos.initialized[-1] = True
+            ends.append(copy.deepcopy(protos))
+        assert ends[1].frozen.tolist() == [False, True, False, False]
+        assert ends[2].frozen.tolist() == [False, True, False, True, False]
+        for old, new in zip(ends, ends[1:]):
+            assert_old_rows_frozen(old, new)
+
+
 class TestRunContinual:
     def test_two_runs_bit_identical(self, tmp_path, tiny_dataset):
         train, _ = tiny_dataset
@@ -518,10 +556,10 @@ class TestRunContinual:
         after_step1 = load_checkpoint(tmp_path / "step1.ckpt").protos
         after_step2 = load_checkpoint(tmp_path / "step2.ckpt").protos
         for cid in (1, 2):
-            if after_step1.is_initialized(cid):
-                assert after_step2.entries[cid].frozen
+            if after_step1.initialized[cid]:
+                assert after_step2.frozen[cid]
                 np.testing.assert_array_equal(
-                    after_step1.entries[cid].vector, after_step2.entries[cid].vector
+                    after_step1.vectors[cid], after_step2.vectors[cid]
                 )
 
     def test_distill_keeps_frozen_previous_params(self, tmp_path, tiny_dataset):
@@ -594,8 +632,7 @@ class TestRunContinual:
             models.append(state.distill_params.blocks)
         assert all(arr.dtype == np.float32
                    for blocks in models for arr in blocks.values())
-        assert all(entry.vector.dtype == np.float64
-                   for entry in state.protos.entries.values())
+        assert state.protos.vectors.dtype == np.float64
         for resume_from, names in ((straight / "step1.ckpt", RUN_FILES),
                                    (tmp_path / "mid.ckpt", STEP2_FILES)):
             out = tmp_path / f"from-{resume_from.stem}"
@@ -640,7 +677,7 @@ class TestRunContinual:
         monkeypatch.undo()
         mid = load_checkpoint(tmp_path / "mid.ckpt")
         assert mid.log[-1]["iteration"] >= cfg.cluster.update_period
-        assert all(mid.protos.is_initialized(c) for c in cfg.split.classes_at(2))
+        assert all(mid.protos.initialized[c] for c in cfg.split.classes_at(2))
         out = tmp_path / "resumed"
         out.mkdir()
         shutil.copy(tmp_path / "mid.ckpt", out / "latest.ckpt")
@@ -784,10 +821,12 @@ class TestRunContinual:
         assert [end.params.num_rows for end in ends] == [3, 4, 5]
         # class 3 arrives at step 2 and is frozen, unchanged, at step 3
         after_step2, after_step3 = (end.protos for end in ends[1:])
-        assert after_step2.is_initialized(3)
-        assert not after_step2.entries[3].frozen
-        assert after_step3.entries[3].frozen
-        assert same_bytes(after_step3.entries[3].vector, after_step2.entries[3].vector)
+        assert after_step2.initialized[3]
+        assert not after_step2.frozen[3]
+        assert after_step3.frozen[3]
+        assert same_bytes(after_step3.vectors[3], after_step2.vectors[3])
+        for old, new in zip(ends, ends[1:]):
+            assert_old_rows_frozen(old.protos, new.protos)
         mious = [r.miou_all for r in result.reports]
         assert len(mious) == 3
         assert result.reports[-1].miou_avg == float(np.mean(mious))
