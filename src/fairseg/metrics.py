@@ -45,7 +45,8 @@ class ConfusionMatrix:
             raise LabelError("reference label outside matrix range")
         if pred.min() < 0 or pred.max() >= self.num_labels:
             raise LabelError("prediction label outside matrix range")
-        np.add.at(self.matrix, (ref, pred), 1)
+        L = self.num_labels
+        self.matrix += np.bincount(ref * L + pred, minlength=L * L).reshape(L, L)
         return self
 
     def total(self):
@@ -55,28 +56,12 @@ class ConfusionMatrix:
         """Number of reference pixels of the class."""
         return int(self.matrix[class_id].sum())
 
-    def present_ids(self):
-        """Ids that occur in the reference or the prediction."""
-        occupied = (self.matrix.sum(axis=1) + self.matrix.sum(axis=0)) > 0
-        return [int(i) for i in np.flatnonzero(occupied)]
-
-    def iou(self, class_id):
-        """tp/(tp+fp+fn); None when the class is absent on both sides."""
-        tp = self.matrix[class_id, class_id]
-        denom = (
-            self.matrix[class_id].sum() + self.matrix[:, class_id].sum() - tp
-        )
-        if denom == 0:
-            return None
-        return float(tp / denom)
-
     def per_class_iou(self):
-        out = {}
-        for c in self.present_ids():
-            v = self.iou(c)
-            if v is not None:
-                out[c] = v
-        return out
+        """tp/(tp+fp+fn) per id that occurs in the reference or the
+        prediction, in ascending id order."""
+        tp = np.diag(self.matrix)
+        union = self.matrix.sum(axis=0) + self.matrix.sum(axis=1) - tp
+        return {int(c): float(tp[c] / union[c]) for c in np.flatnonzero(union)}
 
 
 def mean_iou(per_class, ids):

@@ -47,19 +47,13 @@ _MASK64 = (1 << 64) - 1
 BLOCK = 4096
 
 
-def _jump_tables(n):
-    """M^i and sum_{j<i} M^j mod 2^64 for i = 0..n, as uint64 arrays.
-
-    i LCG steps take state s to ``mul[i] * s + add[i] * inc`` (mod 2^64).
-    """
-    mul, add = [1], [0]
-    for _ in range(n):
-        mul.append(mul[-1] * _PCG_MULT & _MASK64)
-        add.append((add[-1] * _PCG_MULT + 1) & _MASK64)
-    return np.array(mul, dtype=np.uint64), np.array(add, dtype=np.uint64)
-
-
-_JUMP_MUL, _JUMP_ADD = _jump_tables(BLOCK)
+# M^i and sum_{j<i} M^j mod 2^64 for i = 0..BLOCK: i LCG steps take state s
+# to ``_JUMP_MUL[i] * s + _JUMP_ADD[i] * inc``; uint64 products and sums wrap
+# mod 2^64 as the LCG does.
+_JUMP_MUL = np.concatenate(
+    [np.ones(1, np.uint64), np.cumprod(np.full(BLOCK, _PCG_MULT, np.uint64))]
+)
+_JUMP_ADD = np.concatenate([np.zeros(1, np.uint64), np.cumsum(_JUMP_MUL[:-1])])
 
 
 class Rng:

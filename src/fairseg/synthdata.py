@@ -285,13 +285,9 @@ def select_step_indices(samples, split, step):
 
 def class_pixel_counts(samples, num_classes):
     """Pixel counts indexed 0..num_classes (0 = background); ignores excluded."""
-    counts = np.zeros(num_classes + 1, dtype=np.int64)
-    for sample in samples:
-        labels = sample.labels[sample.labels != IGNORE_ID]
-        counts += np.bincount(labels.astype(np.int64), minlength=num_classes + 1)[
-            : num_classes + 1
-        ]
-    return counts
+    labels = np.concatenate([s.labels.ravel() for s in samples])
+    labels = labels[labels != IGNORE_ID]
+    return np.bincount(labels, minlength=num_classes + 1)[: num_classes + 1]
 
 
 def write_dataset(samples, path, num_classes):

@@ -363,7 +363,7 @@ def run_step(state, cfg, data, on_epoch_end=None):
             if terms.cluster:
                 # live pixels whose class has no prototype yet: no attraction
                 counters["cluster_skipped_pixels"] += int(np.count_nonzero(
-                    (eff != IGNORE_ID) & ~np.isin(eff, state.protos.initialized_ids())
+                    ~state.protos.initialized[eff[eff != IGNORE_ID]]
                 ))
                 cl = cluster_loss(feats, eff, state.protos, cfg.cluster)
                 sums["cluster"] += cl.value / bsz

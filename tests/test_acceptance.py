@@ -258,7 +258,7 @@ def test_criterion_10_metric_examples():
     cm.matrix[1, 1] = 6
     cm.matrix[1, 0] = 3
     cm.matrix[0, 1] = 3
-    iou_ok = cm.iou(1) == 0.5
+    iou_ok = cm.per_class_iou()[1] == 0.5
 
     entropy_ok = normalized_entropy([0.5, 0.5, 0.0, 0.0]) == 0.5
 

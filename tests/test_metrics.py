@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import constant_sample
+from conftest import constant_sample, same_bytes
 from fairseg.errors import DimensionError, LabelError, UnavailableError
 from fairseg.metrics import (
     EVAL_BATCH,
@@ -36,21 +36,19 @@ class TestConfusionMatrix:
     def test_perfect_prediction_is_diagonal(self):
         cm = fill_cm([(0, 0, 10), (1, 1, 5), (2, 2, 3)])
         assert np.trace(cm.matrix) == cm.total() == 18
-        assert cm.iou(1) == 1.0
+        assert cm.per_class_iou()[1] == 1.0
 
     def test_disjoint_prediction_zero_iou(self):
         cm = fill_cm([(1, 2, 8)])
-        assert cm.iou(1) == 0.0
-        assert cm.iou(2) == 0.0
+        assert cm.per_class_iou() == {1: 0.0, 2: 0.0}
 
     def test_hand_arithmetic_point_five(self):
         cm = fill_cm([(1, 1, 50), (1, 2, 25), (2, 1, 25)])
-        assert cm.iou(1) == 0.5
+        assert cm.per_class_iou()[1] == 0.5
 
     def test_absent_class_is_none_not_zero(self):
         cm = fill_cm([(1, 1, 10)])
-        assert cm.iou(3) is None
-        assert 3 not in cm.per_class_iou()
+        assert cm.per_class_iou() == {1: 1.0}
 
     def test_additivity_over_images(self):
         rng = np.random.default_rng(0)
@@ -81,13 +79,50 @@ class TestConfusionMatrix:
         # swapping two class ids permutes the per-class IoUs accordingly
         cm = fill_cm([(1, 1, 40), (1, 2, 10), (2, 2, 20), (2, 1, 5)])
         swapped = fill_cm([(2, 2, 40), (2, 1, 10), (1, 1, 20), (1, 2, 5)])
-        assert cm.iou(1) == swapped.iou(2)
-        assert cm.iou(2) == swapped.iou(1)
+        ious, swapped_ious = cm.per_class_iou(), swapped.per_class_iou()
+        assert ious[1] == swapped_ious[2]
+        assert ious[2] == swapped_ious[1]
 
     def test_support(self):
         cm = fill_cm([(1, 1, 7), (1, 0, 3), (0, 1, 2)])
         assert cm.support(1) == 10
         assert cm.support(0) == 2
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_accumulate_equals_scatter_add(self, seed):
+        # one bincount per batch counts what a per-pixel scatter-add counts
+        rng = np.random.default_rng(seed)
+        ref = rng.integers(0, 5, (3, 9, 11))
+        pred = rng.integers(0, 5, (3, 9, 11))
+        ref[rng.random(ref.shape) < 0.2] = IGNORE_ID
+        cm = ConfusionMatrix(5).accumulate(ref, pred)
+        cm.accumulate(ref[1:], pred[1:])
+        want = np.zeros((5, 5), dtype=np.int64)
+        for r, p in ((ref, pred), (ref[1:], pred[1:])):
+            keep = r != IGNORE_ID
+            np.add.at(want, (r[keep], p[keep]), 1)
+        assert cm.matrix.dtype == want.dtype
+        assert np.array_equal(cm.matrix, want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_per_class_iou_equals_per_class_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        cm = ConfusionMatrix(6)
+        cm.matrix[:] = rng.integers(0, 50, (6, 6))
+        cm.matrix[2, :] = cm.matrix[:, 2] = 0  # absent on both sides
+        cm.matrix[4, :] = 0  # occurs only as a prediction
+        cm.matrix[1, 4] = 7
+        want = {}
+        for c in range(6):
+            tp = cm.matrix[c, c]
+            union = cm.matrix[c].sum() + cm.matrix[:, c].sum() - tp
+            if union:
+                want[c] = float(tp / union)
+        got = cm.per_class_iou()
+        assert list(got) == list(want) == [0, 1, 3, 4, 5]
+        assert got[4] == 0.0
+        assert all(type(k) is int and type(v) is float for k, v in got.items())
+        assert same_bytes(list(got.values()), list(want.values()))
 
 
 class TestMeanAndStd:

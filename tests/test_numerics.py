@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 from conftest import same_bytes
 from fairseg.errors import DeterminismError, DimensionError
 from fairseg.numerics import (
+    _JUMP_ADD,
+    _JUMP_MUL,
+    _PCG_MULT,
     BLOCK,
     GradSlot,
     Rng,
@@ -169,6 +172,18 @@ class TestBlockDraws:
         block, scalar = Rng(3), Rng(3)
         got = np.concatenate([block.u32s(5), block.u32s(BLOCK), block.u32s(2)])
         assert same_bytes(got, scalar_u32s(scalar, BLOCK + 7))
+
+
+@pytest.mark.parametrize("i", [0, 1, 2, BLOCK - 1, BLOCK])
+def test_jump_tables_follow_the_lcg_recurrence(i):
+    # i LCG steps take state s to mul*s + add*inc (mod 2^64)
+    mul, add = 1, 0
+    for _ in range(i):
+        mul = mul * _PCG_MULT % 2**64
+        add = (add * _PCG_MULT + 1) % 2**64
+    assert _JUMP_MUL.dtype == _JUMP_ADD.dtype == np.uint64
+    assert _JUMP_MUL.shape == _JUMP_ADD.shape == (BLOCK + 1,)
+    assert (int(_JUMP_MUL[i]), int(_JUMP_ADD[i])) == (mul, add)
 
 
 def scattered(seed, shape, specials=()):

@@ -128,6 +128,23 @@ class TestGeneration:
         counts = class_pixel_counts(train, spec.num_classes)[1:]
         assert normalized_entropy(counts) >= 0.95
 
+    def test_class_pixel_counts_equal_per_sample_sum(self):
+        # one bincount over every sample counts what per-sample counts sum to;
+        # the ignore sentinel is dropped and labels above num_classes are cut
+        rng = np.random.default_rng(3)
+        samples = []
+        for shape in [(5, 7), (4, 4), (6, 3)]:
+            labels = rng.integers(0, 5, shape).astype(np.uint16)
+            labels[rng.random(shape) < 0.2] = IGNORE_ID
+            samples.append(SimpleNamespace(labels=labels))
+        samples[1].labels[0, :] = 4
+        want = np.zeros(5, dtype=np.int64)
+        for s in samples:
+            kept = s.labels[s.labels != IGNORE_ID].astype(np.int64)
+            want += np.bincount(kept, minlength=5)[:5]
+        assert same_bytes(class_pixel_counts(samples, 4), want)
+        assert same_bytes(class_pixel_counts(samples, 3), want[:4])
+
     def test_default_benchmark_skew_ratio(self, shapes8_dataset):
         train, _ = shapes8_dataset
         counts = class_pixel_counts(train, 8)[1:]
